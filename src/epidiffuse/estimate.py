@@ -374,6 +374,18 @@ def _seed_basis(model: ModelKind, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_exact_adjoint(problem: Problem):
+    """Refuse problems whose forward recursion the backward sweep does not transpose."""
+    if problem.backend != "cn":
+        raise ConfigError("adjoint gradients are only available on the cn backend")
+    if problem.corrected:
+        raise ConfigError(
+            "adjoint gradients transpose the plain cn step only; "
+            "the corrected step's gradient would be inexact",
+            key="solver.corrected",
+        )
+
+
 def adjoint_gradient(
     problem: Problem,
     params: ParameterVector,
@@ -386,8 +398,7 @@ def adjoint_gradient(
     p_n = (df/du)^T z_n + data-misfit impulses at the daily marks, then closes
     with the q_0 chain rule for the seed gradients.
     """
-    if problem.backend != "cn":
-        raise ConfigError("adjoint gradients are only available on the cn backend")
+    _require_exact_adjoint(problem)
     data = problem._require_data()
     weights = problem.weights
     if trajectory is None:
@@ -634,6 +645,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         raise ConfigError("initial-condition optimization requires w2 > 0", key="w2")
     if config.per_cell_initial and not config.optimize_initial:
         raise ConfigError("per_cell_initial needs optimize_initial enabled", key="per_cell_initial")
+    _require_exact_adjoint(problem)
 
     params = problem.initial
     per_cell = config.per_cell_initial
@@ -711,7 +723,9 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             else:
                 seeds_t = np.maximum(seeds + alpha * s2_seeds, 0.0)
                 trial = trial.with_seeds(dict(zip(problem.region_names, seeds_t)))
-            j_t = problem.objective(trial, u0_override=u0_t)
+            # every level is stored so that an accepted trial's run feeds the gradient
+            traj_t = problem.simulate(trial, store_every=1, u0_override=u0_t)
+            j_t = evaluate_terms(traj_t, trial, problem.weights, problem._require_data()).total
             n_eval += 1
             if j_t <= j_cur + config.armijo_c * alpha * slope:
                 accepted = True
@@ -735,7 +749,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             diagnostics["stop"] = "tol"
             break
 
-        traj = problem.simulate(params, store_every=1, u0_override=u0_field)
+        traj = traj_t
         grad = adjoint_gradient(problem, params, traj)
         gnorms.append(float(np.linalg.norm(grad.full)))
         lbfgs.update(params.chi - chi_prev, grad.chi - g_prev)

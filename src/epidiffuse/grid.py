@@ -198,6 +198,22 @@ def _second_difference_1d(n: int, h: float) -> sp.csr_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h ** 2
 
 
+def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of the 1-D Neumann second difference.
+
+    The mirrored-ghost closure makes ``_second_difference_1d(n, h)`` the
+    matrix that the DCT-II basis diagonalizes (Strang, SIAM Review 41(1),
+    1999): it equals ``Q @ diag(lam) @ Q.T`` with the orthonormal columns
+    ``Q[j, k] ∝ cos(pi k (j + 1/2) / n)`` and ``lam[k] = -4 sin^2(pi k / 2n) / h^2``.
+    ``lam[0] = 0`` belongs to the constant vector.
+    """
+    k = np.arange(n)
+    Q = np.cos(np.pi * np.outer(k + 0.5, k) / n) * np.sqrt(2.0 / n)
+    Q[:, 0] = 1.0 / np.sqrt(n)
+    lam = -4.0 * np.sin(0.5 * np.pi * k / n) ** 2 / h ** 2
+    return Q, lam
+
+
 def laplacian_operator(grid: GridSpec) -> sp.csr_matrix:
     """Sparse matrix form of :func:`laplacian` acting on C-order flattened fields."""
     dxx = _second_difference_1d(grid.nx, grid.hx)

@@ -6,18 +6,25 @@ Each compartment field q advances through
     A = I - (tau kappa / 2) L,   B = I + (tau kappa / 2) L,
 
 with L the Neumann Laplacian from :mod:`epidiffuse.grid`: diffusion is treated
-by the trapezoidal rule, the nonlinear reaction explicitly.  A is factorized
-once per (grid, kappa, tau) and reused for every step and every compartment;
-all compartments are advanced in one multi-RHS solve.
+by the trapezoidal rule, the nonlinear reaction explicitly.  B is applied as
+a sparse product.  A is never factorized: L = Dyy (x) I + I (x) Dxx is
+diagonalized by the cosine (DCT-II) basis Q_y (x) Q_x in closed form, so
 
-Because L has zero column sums and A + B = 2 I, the scheme conserves the
-integral of a purely diffused field (the population N) exactly up to solver
-round-off, regardless of tau.
+    A^{-1} R = Q_y (g o (Q_y^T R Q_x)) Q_x^T,   g = 1 / (1 - (tau kappa / 2)(lam_y + lam_x)),
+
+i.e. two small dense transforms per axis and a pointwise gain, applied to all
+compartments (and the population) of a step at once.  Only g depends on
+kappa and tau.
+
+Because L has zero column sums, A + B = 2 I and the constant mode has gain 1,
+the scheme conserves the integral of a purely diffused field (the population
+N) exactly up to round-off, regardless of tau.
 
 An optional correction adds the second-order Taylor term
 (tau^2 / 2) * df/du [kappa L q + f] to the right-hand side, restoring formal
 second order for the coupled system.  It is off by default; the plain scheme
-is the reference behaviour and the backward sweep mirrors it exactly.
+is the reference behaviour and the backward sweep mirrors it exactly (the
+adjoint refuses corrected problems).
 """
 
 from __future__ import annotations
@@ -26,10 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, ParameterError, SequencingError, StabilityError
-from .grid import FieldSet, GridSpec, RegionMask, laplacian_operator, region_total
+from .grid import (
+    FieldSet,
+    GridSpec,
+    RegionMask,
+    laplacian_operator,
+    neumann_eigenbasis,
+    region_total,
+)
 from .models import (
     ModelKind,
     ParameterVector,
@@ -48,25 +61,37 @@ DEFAULT_MAX_TAU = 1.0
 
 @dataclass
 class CNWorkspace:
-    """Factorized step operators for one (grid, kappa, tau) combination."""
+    """Step operators for one (grid, kappa, tau) combination.
+
+    ``B`` is sparse; A^{-1} is the pointwise ``gain`` in the eigenbasis
+    ``Qy`` (x) ``Qx`` of L.  All four are None when kappa == 0.
+    """
 
     grid: GridSpec
     kappa: float
     tau: float
     L: sp.csr_matrix
     B: sp.csr_matrix | None
-    _lu: object | None
+    Qy: np.ndarray | None
+    Qx: np.ndarray | None
+    gain: np.ndarray | None
 
     @property
     def trivial(self) -> bool:
         """True when kappa == 0, i.e. A = B = I."""
-        return self._lu is None
+        return self.gain is None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply A^{-1}; rhs may be (n_cells,) or (n_cells, k)."""
         if self.trivial:
             return rhs
-        return self._lu.solve(rhs)
+        ny, nx = self.grid.shape
+        # rows of all k fields go through the x-transform in one product
+        coef = rhs.T.reshape(-1, nx) @ self.Qx
+        coef = self.Qy.T @ coef.reshape(-1, ny, nx)
+        coef *= self.gain
+        out = (self.Qy @ coef).reshape(-1, nx) @ self.Qx.T
+        return out.reshape(rhs.shape[::-1]).T
 
     def apply_B(self, x: np.ndarray) -> np.ndarray:
         if self.trivial:
@@ -75,7 +100,7 @@ class CNWorkspace:
 
 
 def assemble(grid: GridSpec, kappa: float, tau: float, max_tau: float = DEFAULT_MAX_TAU) -> CNWorkspace:
-    """Build and factorize the Crank-Nicolson operators.
+    """Build the Crank-Nicolson operators: sparse B and the eigenbasis of A.
 
     Raises ParameterError for kappa < 0 or tau outside (0, max_tau].
     """
@@ -85,12 +110,13 @@ def assemble(grid: GridSpec, kappa: float, tau: float, max_tau: float = DEFAULT_
         raise ParameterError(f"tau must lie in (0, {max_tau}], got {tau}")
     L = laplacian_operator(grid)
     if kappa == 0.0:
-        return CNWorkspace(grid, kappa, tau, L, None, None)
+        return CNWorkspace(grid, kappa, tau, L, None, None, None, None)
     c = 0.5 * tau * kappa
-    eye = sp.identity(grid.n_cells, format="csr")
-    A = (eye - c * L).tocsc()
-    B = (eye + c * L).tocsr()
-    return CNWorkspace(grid, kappa, tau, L, B, splu(A))
+    B = (sp.identity(grid.n_cells, format="csr") + c * L).tocsr()
+    Qy, lam_y = neumann_eigenbasis(grid.ny, grid.hy)
+    Qx, lam_x = neumann_eigenbasis(grid.nx, grid.hx)
+    gain = 1.0 / (1.0 - c * (lam_y[:, None] + lam_x[None, :]))
+    return CNWorkspace(grid, kappa, tau, L, B, Qy, Qx, gain)
 
 
 def _advance(
@@ -101,24 +127,29 @@ def _advance(
     t: float,
     corrected: bool = False,
 ) -> np.ndarray:
-    """One step on the flattened state u of shape (m, n_cells)."""
-    f = reaction(model, u, t, schedule)
+    """One step on the flattened state u of shape (m, n_cells).
+
+    u may carry one extra row after the m compartments: the population,
+    which diffuses without reaction in the same solve and is not guarded.
+    """
+    m = model.n_compartments
+    q = u[:m]
+    f = reaction(model, q, t, schedule)
     incr = ws.tau * f
     if corrected:
-        rate = f if ws.trivial else ws.kappa * (ws.L @ u.T).T + f
-        jac = reaction_jacobian(model, u, t, schedule)
+        rate = f if ws.trivial else ws.kappa * (ws.L @ q.T).T + f
+        jac = reaction_jacobian(model, q, t, schedule)
         incr = incr + (0.5 * ws.tau ** 2) * np.einsum("ijc,jc->ic", jac, rate)
-    if ws.trivial:
-        new = u + incr
-    else:
-        new = ws.solve(ws.apply_B(u.T) + incr.T).T
-    low = float(new.min())
+    rhs = ws.apply_B(u.T)
+    rhs[:, :m] += incr.T
+    new = ws.solve(rhs).T
+    low = float(new[:m].min())
     if low < -NEGATIVITY_TOL:
         raise StabilityError(
             f"state went negative ({low:.3e}) at t={t + ws.tau:.4f}; use a smaller tau"
         )
     if low < 0.0:
-        np.clip(new, 0.0, None, out=new)
+        np.clip(new[:m], 0.0, None, out=new[:m])
     return new
 
 
@@ -243,28 +274,24 @@ def run_from_state(
             raise DimensionError(
                 f"population shape {population.shape} does not match grid {grid.shape}"
             )
-        pop = population.reshape(-1).astype(float)
+        u = np.vstack([u, population.reshape(1, -1)])
 
     n_levels = steps // store_every + 1
     times = np.empty(n_levels)
     states = np.empty((n_levels, m) + grid.shape)
     pops = np.empty((n_levels,) + grid.shape) if evolve_pop else None
-    times[0] = 0.0
-    states[0] = u.reshape((m,) + grid.shape)
-    if evolve_pop:
-        pops[0] = pop.reshape(grid.shape)
 
-    for n in range(steps):
-        t = n * tau
-        u = _advance(ws, u, model, schedule, t, corrected=corrected)
+    def store(k: int, t: float):
+        times[k] = t
+        states[k] = u[:m].reshape((m,) + grid.shape)
         if evolve_pop:
-            pop = ws.solve(ws.apply_B(pop))
+            pops[k] = u[m].reshape(grid.shape)
+
+    store(0, 0.0)
+    for n in range(steps):
+        u = _advance(ws, u, model, schedule, n * tau, corrected=corrected)
         if (n + 1) % store_every == 0:
-            k = (n + 1) // store_every
-            times[k] = (n + 1) * tau
-            states[k] = u.reshape((m,) + grid.shape)
-            if evolve_pop:
-                pops[k] = pop.reshape(grid.shape)
+            store((n + 1) // store_every, (n + 1) * tau)
 
     return Trajectory(grid, model, tau, store_every, times, states, pops)
 

@@ -702,6 +702,17 @@ class TestCommandLine:
         assert header == ["component", "adjoint", "finite_difference", "rel_error"]
         assert [r[0] for r in rows] == ["beta0", "beta1", "beta2", "kappa", "delta"]
 
+    def test_corrected_adjoint_exits_config_code(self, scenario, capsys):
+        raw = dict(scenario["raw"])
+        raw["solver"] = {"backend": "cn", "tau": 0.25, "corrected": True}
+        raw["estimator"] = {"kind": "adjoint", "adjoint": {"max_outer": 2}}
+        config_path = dump_config(scenario["dir"], raw, "corrected.yaml")
+        for command in (["fit"], ["gradient-check"]):
+            rc = main(command + ["--config", str(config_path),
+                                 "--out", str(scenario["dir"] / command[0])])
+            assert rc == 2
+            assert "corrected" in capsys.readouterr().err
+
     def test_convergence_study_command(self, scenario):
         out = scenario["dir"] / "conv"
         rc = main(["convergence-study", "--config", str(scenario["config"]),

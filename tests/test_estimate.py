@@ -1,5 +1,7 @@
 """Tests for the Metropolis sampler and the adjoint-gradient machinery."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -218,6 +220,18 @@ class TestAdjointGradient:
         with pytest.raises(ConfigError):
             adjoint_gradient(problem, truth)
 
+    def test_corrected_step_is_refused(self, twin9):
+        """The sweep transposes the plain step only; its corrected-step gradient is off by ~5e-3."""
+        problem = dataclasses.replace(twin9["problem"], corrected=True)
+        start = twin9["truth"].with_chi(twin9["truth"].chi * 1.05)
+        with pytest.raises(ConfigError, match="corrected"):
+            adjoint_gradient(problem, start)
+        with pytest.raises(ConfigError, match="corrected"):
+            gradient_check(problem, start)
+        problem.initial = start
+        with pytest.raises(ConfigError, match="corrected"):
+            adjoint_fit(problem, AdjointConfig(max_outer=2))
+
     def test_fd_stencil_guards_bounds(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, kappa=0.0)
         with pytest.raises(ParameterError, match="bounds"):
@@ -246,6 +260,27 @@ class TestAdjointFit:
         )
         assert len(result.gradient_norms) >= 1
         assert result.n_evaluations >= len(js)
+
+    def test_one_forward_run_per_evaluation(self, twin9, monkeypatch):
+        """Accepted trials feed their own run to the gradient; J is unchanged by it."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        start = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        problem = dataclasses.replace(problem, initial=start)
+        runs = []
+        simulate = Problem.simulate
+
+        def counted(self, *args, **kwargs):
+            runs.append(kwargs.get("store_every"))
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Problem, "simulate", counted)
+        result = adjoint_fit(problem, AdjointConfig(max_outer=4))
+        monkeypatch.undo()
+        assert len(result.history) > 2
+        assert runs == [1] * result.n_evaluations
+        # every recorded J is bit-identical to a fresh daily-stored objective
+        for j, x in result.history:
+            assert j == problem.objective(problem.unpack(x))
 
     def test_chi_moves_toward_truth(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, t_end=30.0, breakpoints=(10.0, 20.0))

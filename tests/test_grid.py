@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiffuse.errors import (
     DegenerateRegionError,
@@ -10,12 +12,14 @@ from epidiffuse.errors import (
     ParameterError,
 )
 from epidiffuse.grid import (
+    _second_difference_1d,
     FieldSet,
     GridSpec,
     RegionMask,
     distribute_uniform,
     laplacian,
     laplacian_operator,
+    neumann_eigenbasis,
     region_total,
     union_mask,
 )
@@ -180,6 +184,21 @@ class TestLaplacian:
         grid = GridSpec(4, 3, 1.0, 1.0)
         with pytest.raises(DimensionError):
             laplacian(np.zeros((4, 3)), grid)
+
+
+class TestNeumannEigenbasis:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), extent=st.floats(0.5, 100.0))
+    def test_diagonalizes_second_difference(self, n, extent):
+        """Q is orthonormal and Q^T D Q = diag(lam), to 1e-12 relative."""
+        h = extent / (n - 1)
+        Q, lam = neumann_eigenbasis(n, h)
+        D = _second_difference_1d(n, h).toarray()
+        scale = np.abs(D).max()
+        npt.assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-12)
+        npt.assert_allclose(Q.T @ D @ Q, np.diag(lam), rtol=0, atol=1e-12 * scale)
+        assert lam[0] == 0.0
+        assert (np.diff(lam) < 0.0).all()
 
 
 class TestRegionAggregation:

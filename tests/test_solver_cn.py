@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiffuse.errors import (
     DimensionError,
@@ -15,6 +17,7 @@ from epidiffuse.grid import (
     GridSpec,
     RegionMask,
     laplacian_operator,
+    neumann_eigenbasis,
     region_total,
 )
 from epidiffuse.models import (
@@ -277,6 +280,67 @@ class TestTrajectory:
         assert traj.mass()[0] == pytest.approx(
             region_total(population, district, grid)
         )
+
+
+grids = st.builds(
+    GridSpec,
+    nx=st.integers(2, 40),
+    ny=st.integers(2, 40),
+    Lx=st.floats(0.5, 100.0),
+    Ly=st.floats(0.5, 100.0),
+)
+kappas = st.floats(0.0, 1.0)
+taus = st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False)
+
+
+class TestEigenbasisProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, kappa=kappas, tau=taus, k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_solve_matches_dense_solve(self, grid, kappa, tau, k, seed):
+        rhs = np.random.default_rng(seed).normal(size=(grid.n_cells, k))
+        A, _ = dense_operators(grid, kappa, tau)
+        expected = np.linalg.solve(A, rhs)
+        got = assemble(grid, kappa, tau).solve(rhs)
+        assert got.shape == rhs.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
+    def test_pure_diffusion_conserves_mass(self, grid, kappa, tau, seed):
+        pop = np.random.default_rng(seed).uniform(1.0, 1000.0, size=grid.shape)
+        u0 = np.zeros((1,) + grid.shape)
+        schedule = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 50.0)
+        traj = run_from_state(
+            grid, u0, ModelKind.SIS, schedule, kappa, 50 * tau, tau, population=pop
+        )
+        assert traj.n_levels == 51
+        # B is applied explicitly: each step rounds terms up to c * lam_max
+        # times the field, so past c * lam_max = 100 (500x the demo's) the
+        # bound grows with that ratio.
+        stiffness = 0.5 * kappa * tau * 4.0 * (grid.hx ** -2 + grid.hy ** -2)
+        assert conservation_drift(traj) <= 1e-12 * max(1.0, stiffness / 100.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
+    def test_reruns_are_bit_identical(self, grid, kappa, tau, seed):
+        # A floor plus one cosine mode: diffusion only scales the mode, so the
+        # state stays positive at any kappa and tau.
+        rng = np.random.default_rng(seed)
+        Qy, _ = neumann_eigenbasis(grid.ny, grid.hy)
+        Qx, _ = neumann_eigenbasis(grid.nx, grid.hx)
+        mode = np.outer(Qy[:, rng.integers(grid.ny)], Qx[:, rng.integers(grid.nx)])
+        infected = 0.02 * (1.0 + 0.5 * mode / np.abs(mode).max())
+        u0 = np.stack([1.0 - 1.5 * infected, 0.5 * infected, infected])
+        pop = rng.uniform(1.0, 1000.0, size=grid.shape)
+
+        def run():
+            return run_from_state(
+                grid, u0, ModelKind.SEIR, SCHED, kappa, 10 * tau, tau, population=pop
+            )
+
+        a, b = run(), run()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.population.tobytes() == b.population.tobytes()
 
 
 class TestRefinementStudy:

@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from epidiffuse.errors import DimensionError, ParameterError
+from epidiffuse.cli_io import demo_geometry, demo_population
+from epidiffuse.errors import DimensionError, ParameterError, StabilityError
 from epidiffuse.grid import FieldSet, GridSpec
-from epidiffuse.models import ModelKind, RateSchedule, reaction
+from epidiffuse.models import ModelKind, ParameterVector, RateSchedule, initial_fractions, reaction
 from epidiffuse.solver_cn import run_from_state
 from epidiffuse.solver_fem import (
     FemAssembly,
@@ -270,3 +271,14 @@ class TestRunForwardFem:
         a = run_fem_from_state(grid, u0, ModelKind.SEIR, SCHED, 0.1, 1.0, 0.25)
         b = run_fem_from_state(grid, u0, ModelKind.SEIR, SCHED, 0.1, 1.0, 0.25)
         npt.assert_array_equal(a.states, b.states)
+
+    def test_diffusion_undershoot_names_the_diffusion(self):
+        """Seeded regions on the demo geometry make the Q1 diffusion undershoot
+        at any tau; the error blames it and points to the cn backend."""
+        grid, masks, pops = demo_geometry(21, 21)
+        population = demo_population(grid, masks, pops)
+        params = ParameterVector(SCHED, 0.1, 0.5, {"BA": 40.0, "BI": 30.0, "HR": 10.0, "IO": 120.0})
+        u0 = initial_fractions(ModelKind.SEIR, grid, masks, params, population)
+        for tau in (0.25, 0.01):
+            with pytest.raises(StabilityError, match="Q1 diffusion.*--backend cn"):
+                run_fem_from_state(grid, u0, ModelKind.SEIR, SCHED, 0.1, 1.0, tau)
