@@ -19,7 +19,6 @@ from .grid import (
     RegionMask,
     distribute_uniform,
     laplacian,
-    laplacian_operator,
     region_total,
     union_mask,
 )

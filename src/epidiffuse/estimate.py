@@ -37,7 +37,7 @@ from .errors import (
     ParameterError,
     SequencingError,
 )
-from .grid import GridSpec, RegionMask, region_total
+from .grid import GridSpec, RegionMask, laplacian, laplacian_pairing, region_total
 from .models import (
     ModelKind,
     ParameterVector,
@@ -449,7 +449,7 @@ def adjoint_gradient(
 
     ws = assemble(grid, params.kappa, problem.tau)
     tau = problem.tau
-    L = ws.L
+    fields = (m,) + grid.shape
     z = np.zeros((m, n_cells))
     dfdb = np.zeros((m, n_cells))
     for n in range(n_steps, 0, -1):
@@ -460,7 +460,9 @@ def adjoint_gradient(
         # z now equals the multiplier paired with the step q_{n-1} -> q_n
         t_prev = (n - 1) * tau
         u_prev = states[n - 1]
-        g_kappa += 0.5 * tau * float((z * ((L @ (u_prev + states[n]).T).T)).sum())
+        g_kappa += 0.5 * tau * laplacian_pairing(
+            z.reshape(fields), (u_prev + states[n]).reshape(fields), grid
+        )
         phi_prev = transmission_bilinear(model, u_prev)
         dfdb[:] = 0.0
         if model is ModelKind.SIS:
@@ -471,9 +473,10 @@ def adjoint_gradient(
         g_beta[beta_interval(schedule, t_prev)] += tau * float((z * dfdb).sum())
 
     # close the chain at q_0: zeta_0 = total dJ/dq_0 (misfit part)
-    zeta0 = ws.apply_B(z.T).T + tau * np.einsum(
+    zeta0 = z + tau * np.einsum(
         "jic,jc->ic", reaction_jacobian(model, states[0], 0.0, schedule), z
     )
+    zeta0 += 0.5 * tau * params.kappa * laplacian(z.reshape(fields), grid).reshape(m, n_cells)
     zeta0 += impulse(0)
     z0_field = (zeta0 / area).reshape((m,) + grid.shape)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateRegionError, DimensionError, ParameterError
 
@@ -174,36 +173,46 @@ class FieldSet:
 
 
 def laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Apply the five-point Neumann Laplacian to one field of shape (ny, nx)."""
-    if u.shape != grid.shape:
+    """Apply the five-point Neumann Laplacian to a field or stack of fields (..., ny, nx)."""
+    if u.shape[-2:] != grid.shape:
         raise DimensionError(f"field shape {u.shape} does not match grid {grid.shape}")
     out = np.empty_like(u, dtype=float)
     # x-direction second difference with mirrored ghosts
-    out[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
-    out[:, 0] = u[:, 1] - u[:, 0]
-    out[:, -1] = u[:, -2] - u[:, -1]
+    out[..., 1:-1] = u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]
+    out[..., 0] = u[..., 1] - u[..., 0]
+    out[..., -1] = u[..., -2] - u[..., -1]
     out /= grid.hx ** 2
     dyy = np.empty_like(u, dtype=float)
-    dyy[1:-1, :] = u[:-2, :] - 2.0 * u[1:-1, :] + u[2:, :]
-    dyy[0, :] = u[1, :] - u[0, :]
-    dyy[-1, :] = u[-2, :] - u[-1, :]
+    dyy[..., 1:-1, :] = u[..., :-2, :] - 2.0 * u[..., 1:-1, :] + u[..., 2:, :]
+    dyy[..., 0, :] = u[..., 1, :] - u[..., 0, :]
+    dyy[..., -1, :] = u[..., -2, :] - u[..., -1, :]
     out += dyy / grid.hy ** 2
     return out
 
 
-def _second_difference_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h ** 2
+def laplacian_pairing(z: np.ndarray, w: np.ndarray, grid: GridSpec) -> float:
+    """The sum of z * (L w) over stacks of fields (..., ny, nx), by summation by parts.
+
+    L = -(Dx^T Dx / hx^2 + Dy^T Dy / hy^2) with Dx, Dy the one-sided
+    differences along each axis, so z . L w = -(Dx z).(Dx w) / hx^2
+    - (Dy z).(Dy w) / hy^2: two differences and two dot products, no L.
+    """
+    if z.shape != w.shape or z.shape[-2:] != grid.shape:
+        raise DimensionError(
+            f"fields of shapes {z.shape} and {w.shape} do not pair on grid {grid.shape}"
+        )
+    px = np.vdot(np.diff(z, axis=-1), np.diff(w, axis=-1))
+    py = np.vdot(np.diff(z, axis=-2), np.diff(w, axis=-2))
+    return -float(px / grid.hx ** 2 + py / grid.hy ** 2)
 
 
 def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of the 1-D Neumann second difference.
 
-    The mirrored-ghost closure makes ``_second_difference_1d(n, h)`` the
-    matrix that the DCT-II basis diagonalizes (Strang, SIAM Review 41(1),
-    1999): it equals ``Q @ diag(lam) @ Q.T`` with the orthonormal columns
+    The mirrored-ghost closure makes the 1-D second difference (diagonal
+    -1, -2, ..., -2, -1 and off-diagonals 1, over h^2) the matrix that the
+    DCT-II basis diagonalizes (Strang, SIAM Review 41(1), 1999): it equals
+    ``Q @ diag(lam) @ Q.T`` with the orthonormal columns
     ``Q[j, k] ∝ cos(pi k (j + 1/2) / n)`` and ``lam[k] = -4 sin^2(pi k / 2n) / h^2``.
     ``lam[0] = 0`` belongs to the constant vector.
     """
@@ -212,15 +221,6 @@ def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     Q[:, 0] = 1.0 / np.sqrt(n)
     lam = -4.0 * np.sin(0.5 * np.pi * k / n) ** 2 / h ** 2
     return Q, lam
-
-
-def laplacian_operator(grid: GridSpec) -> sp.csr_matrix:
-    """Sparse matrix form of :func:`laplacian` acting on C-order flattened fields."""
-    dxx = _second_difference_1d(grid.nx, grid.hx)
-    dyy = _second_difference_1d(grid.ny, grid.hy)
-    ix = sp.identity(grid.nx, format="csr")
-    iy = sp.identity(grid.ny, format="csr")
-    return (sp.kron(iy, dxx) + sp.kron(dyy, ix)).tocsr()
 
 
 def region_total(u: np.ndarray, mask: RegionMask, grid: GridSpec) -> float:

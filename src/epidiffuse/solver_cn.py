@@ -6,19 +6,30 @@ Each compartment field q advances through
     A = I - (tau kappa / 2) L,   B = I + (tau kappa / 2) L,
 
 with L the Neumann Laplacian from :mod:`epidiffuse.grid`: diffusion is treated
-by the trapezoidal rule, the nonlinear reaction explicitly.  B is applied as
-a sparse product.  A is never factorized: L = Dyy (x) I + I (x) Dxx is
-diagonalized by the cosine (DCT-II) basis Q_y (x) Q_x in closed form, so
+by the trapezoidal rule, the nonlinear reaction explicitly.  Neither A nor B
+is ever formed.  L = Dyy (x) I + I (x) Dxx is diagonalized by the cosine
+(DCT-II) basis Q_y (x) Q_x in closed form, so
 
     A^{-1} R = Q_y (g o (Q_y^T R Q_x)) Q_x^T,   g = 1 / (1 - (tau kappa / 2)(lam_y + lam_x)),
 
 i.e. two small dense transforms per axis and a pointwise gain, applied to all
 compartments (and the population) of a step at once.  Only g depends on
-kappa and tau.
+kappa and tau.  B is eliminated through A + B = 2 I:
 
-Because L has zero column sums, A + B = 2 I and the constant mode has gain 1,
-the scheme conserves the integral of a purely diffused field (the population
-N) exactly up to round-off, regardless of tau.
+    A^{-1}(B u + r) = A^{-1}(2 u + r) - u = A^{-1}(2 d + r) - d + s,
+
+where s is each field's mean and d = u - s.  The second form uses that
+A^{-1} maps a constant field to itself, so a step costs one A^{-1} solve and
+nothing else.  The shift by s is there for round-off: without it the
+transforms carry 2u, whose values sit near 2 for the susceptible fraction,
+and over the 2560 steps of the fine reference run in the temporal
+convergence check the rounding error pulls the observed order of pure
+diffusion from 2.0 below its limit of 1.8.  With it the transforms see only
+the deviation d, and each field's mean bypasses them.
+
+Because L has zero column sums and the constant mode has gain 1, the scheme
+conserves the integral of a purely diffused field (the population N) exactly
+up to round-off, regardless of tau.
 
 An optional correction adds the second-order Taylor term
 (tau^2 / 2) * df/du [kappa L q + f] to the right-hand side, restoring formal
@@ -32,14 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionError, ParameterError, SequencingError, StabilityError
 from .grid import (
     FieldSet,
     GridSpec,
     RegionMask,
-    laplacian_operator,
+    laplacian,
     neumann_eigenbasis,
     region_total,
 )
@@ -63,15 +73,14 @@ DEFAULT_MAX_TAU = 1.0
 class CNWorkspace:
     """Step operators for one (grid, kappa, tau) combination.
 
-    ``B`` is sparse; A^{-1} is the pointwise ``gain`` in the eigenbasis
-    ``Qy`` (x) ``Qx`` of L.  All four are None when kappa == 0.
+    A^{-1} is the pointwise ``gain`` in the eigenbasis ``Qy`` (x) ``Qx`` of L.
+    All three are None when kappa == 0.  Fields are stacks of shape
+    (..., n_cells), flattened in C order.
     """
 
     grid: GridSpec
     kappa: float
     tau: float
-    L: sp.csr_matrix
-    B: sp.csr_matrix | None
     Qy: np.ndarray | None
     Qx: np.ndarray | None
     gain: np.ndarray | None
@@ -82,25 +91,42 @@ class CNWorkspace:
         return self.gain is None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply A^{-1}; rhs may be (n_cells,) or (n_cells, k)."""
+        """Apply A^{-1} to fields of shape (..., n_cells)."""
         if self.trivial:
             return rhs
         ny, nx = self.grid.shape
-        # rows of all k fields go through the x-transform in one product
-        coef = rhs.T.reshape(-1, nx) @ self.Qx
+        # rows of all fields go through the x-transform in one product
+        coef = rhs.reshape(-1, nx) @ self.Qx
         coef = self.Qy.T @ coef.reshape(-1, ny, nx)
         coef *= self.gain
         out = (self.Qy @ coef).reshape(-1, nx) @ self.Qx.T
-        return out.reshape(rhs.shape[::-1]).T
+        return out.reshape(rhs.shape)
 
-    def apply_B(self, x: np.ndarray) -> np.ndarray:
+    def step(self, u: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+        """One step A^{-1}(B u + r) for fields u of shape (k, n_cells).
+
+        ``r`` may cover only the leading rows of u; the rows past it diffuse
+        without a source.  Computed as A^{-1}(2 d + r) - d + s with s the
+        field means and d = u - s (see the module docstring).
+        """
         if self.trivial:
-            return x.copy()
-        return self.B @ x
+            out = u.copy()
+            if r is not None:
+                out[: len(r)] += r
+            return out
+        s = u.mean(axis=1, keepdims=True)
+        d = u - s
+        rhs = 2.0 * d
+        if r is not None:
+            rhs[: len(r)] += r
+        out = self.solve(rhs)
+        out -= d
+        out += s
+        return out
 
 
 def assemble(grid: GridSpec, kappa: float, tau: float, max_tau: float = DEFAULT_MAX_TAU) -> CNWorkspace:
-    """Build the Crank-Nicolson operators: sparse B and the eigenbasis of A.
+    """Build the Crank-Nicolson step: the eigenbasis of L and the gain of A^{-1}.
 
     Raises ParameterError for kappa < 0 or tau outside (0, max_tau].
     """
@@ -108,15 +134,13 @@ def assemble(grid: GridSpec, kappa: float, tau: float, max_tau: float = DEFAULT_
         raise ParameterError(f"kappa must be non-negative, got {kappa}")
     if not (0.0 < tau <= max_tau):
         raise ParameterError(f"tau must lie in (0, {max_tau}], got {tau}")
-    L = laplacian_operator(grid)
     if kappa == 0.0:
-        return CNWorkspace(grid, kappa, tau, L, None, None, None, None)
+        return CNWorkspace(grid, kappa, tau, None, None, None)
     c = 0.5 * tau * kappa
-    B = (sp.identity(grid.n_cells, format="csr") + c * L).tocsr()
     Qy, lam_y = neumann_eigenbasis(grid.ny, grid.hy)
     Qx, lam_x = neumann_eigenbasis(grid.nx, grid.hx)
     gain = 1.0 / (1.0 - c * (lam_y[:, None] + lam_x[None, :]))
-    return CNWorkspace(grid, kappa, tau, L, B, Qy, Qx, gain)
+    return CNWorkspace(grid, kappa, tau, Qy, Qx, gain)
 
 
 def _advance(
@@ -137,12 +161,11 @@ def _advance(
     f = reaction(model, q, t, schedule)
     incr = ws.tau * f
     if corrected:
-        rate = f if ws.trivial else ws.kappa * (ws.L @ q.T).T + f
+        lap = laplacian(q.reshape((m,) + ws.grid.shape), ws.grid)
+        rate = ws.kappa * lap.reshape(m, -1) + f
         jac = reaction_jacobian(model, q, t, schedule)
         incr = incr + (0.5 * ws.tau ** 2) * np.einsum("ijc,jc->ic", jac, rate)
-    rhs = ws.apply_B(u.T)
-    rhs[:, :m] += incr.T
-    new = ws.solve(rhs).T
+    new = ws.step(u, incr)
     low = float(new[:m].min())
     if low < -NEGATIVITY_TOL:
         raise StabilityError(
@@ -177,8 +200,7 @@ def step_backward(ws: CNWorkspace, z: np.ndarray, source: np.ndarray) -> np.ndar
     """
     if z.shape != source.shape:
         raise DimensionError(f"z shape {z.shape} differs from source shape {source.shape}")
-    rhs = ws.apply_B(z.T) + ws.tau * source.T
-    return ws.solve(rhs).T
+    return ws.step(z, ws.tau * source)
 
 
 @dataclass
@@ -388,9 +410,9 @@ def temporal_refinement_study(
         def final_state(tau: float) -> np.ndarray:
             steps = _resolve_steps(t_end, tau)
             ws = assemble(grid, kappa, tau)
-            q = u0.reshape(m, -1).copy()
+            q = u0.reshape(m, -1)
             for _ in range(steps):
-                q = ws.solve(ws.apply_B(q.T)).T
+                q = ws.step(q)
             return q
     else:
         def final_state(tau: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 
 from epidiffuse.errors import ConfigError, ParameterError, SequencingError
 from epidiffuse.estimate import (
@@ -19,6 +20,7 @@ from epidiffuse.estimate import (
     metropolis_fit,
 )
 from epidiffuse.grid import region_total
+from epidiffuse.models import ModelKind
 from epidiffuse.objective import ObjectiveWeights
 
 from conftest import make_twin
@@ -197,6 +199,29 @@ class TestAdjointGradient:
         )
         report = gradient_check(problem, start, include_seeds=True)
         assert report["rel_err"].max() < 1e-4, report
+
+    @pytest.mark.parametrize("model", [ModelKind.SIS, ModelKind.SIR])
+    def test_other_models_match_finite_differences(self, twin9, model):
+        """The kappa pairing and the seed closure hold beyond SEIR, seeds included."""
+        problem = dataclasses.replace(twin9["problem"], model=model)
+        truth = twin9["truth"]
+        start = truth.with_chi(truth.chi * np.array([1.1, 0.9, 1.2, 0.8, 1.1])).with_seeds(
+            {k: v * 1.3 for k, v in truth.init_infected.items()}
+        )
+        report = gradient_check(problem, start, include_seeds=True)
+        assert report["rel_err"].max() < 1e-6, report
+
+    def test_no_sparse_operator_is_built(self, twin9, monkeypatch):
+        """Objective and gradient apply L by its stencil; no sparse L or B is assembled."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        start = truth.with_chi(truth.chi * 1.05)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.sparse.kron called")
+
+        monkeypatch.setattr(scipy.sparse, "kron", refuse)
+        problem.objective(start)
+        adjoint_gradient(problem, start)
 
     def test_regularizer_only_gradient_at_zero_residual(self, tmp_path):
         """On a kappa=0 twin at truth the gradient reduces to the chi anchor."""

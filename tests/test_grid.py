@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epidiffuse.errors import (
@@ -12,17 +12,17 @@ from epidiffuse.errors import (
     ParameterError,
 )
 from epidiffuse.grid import (
-    _second_difference_1d,
     FieldSet,
     GridSpec,
     RegionMask,
     distribute_uniform,
     laplacian,
-    laplacian_operator,
+    laplacian_pairing,
     neumann_eigenbasis,
     region_total,
     union_mask,
 )
+from oracles import laplacian_operator, second_difference_1d
 
 
 def reference_laplacian(u, grid):
@@ -185,6 +185,49 @@ class TestLaplacian:
         with pytest.raises(DimensionError):
             laplacian(np.zeros((4, 3)), grid)
 
+    def test_stack_matches_per_field(self):
+        rng = np.random.default_rng(5)
+        grid = GridSpec(6, 4, 1.0, 2.0)
+        u = rng.normal(size=(2, 3) + grid.shape)
+        out = laplacian(u, grid)
+        for idx in np.ndindex(2, 3):
+            npt.assert_array_equal(out[idx], laplacian(u[idx], grid))
+        with pytest.raises(DimensionError):
+            laplacian(np.zeros((2, 3, 4)), grid)
+
+
+class TestLaplacianPairing:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(2, 40),
+        ny=st.integers(2, 40),
+        Lx=st.floats(0.5, 100.0),
+        Ly=st.floats(0.5, 100.0),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nx=2, ny=7, Lx=1.0, Ly=3.0, k=2, seed=0)
+    @example(nx=9, ny=2, Lx=5.0, Ly=0.5, k=1, seed=1)
+    @example(nx=2, ny=2, Lx=1.0, Ly=1.0, k=3, seed=2)
+    def test_matches_operator_matrix(self, nx, ny, Lx, Ly, k, seed):
+        """Summation by parts gives z . (L w) without L, to round-off."""
+        grid = GridSpec(nx, ny, Lx, Ly)
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(k,) + grid.shape)
+        w = rng.normal(size=(k,) + grid.shape)
+        L = laplacian_operator(grid)
+        zf, wf = z.reshape(k, -1), w.reshape(k, -1)
+        expected = sum(float(zf[i] @ (L @ wf[i])) for i in range(k))
+        scale = sum(float(np.abs(zf[i]) @ (abs(L) @ np.abs(wf[i]))) for i in range(k))
+        assert abs(laplacian_pairing(z, w, grid) - expected) <= 1e-12 * scale
+
+    def test_shape_mismatch(self):
+        grid = GridSpec(4, 3, 1.0, 1.0)
+        with pytest.raises(DimensionError):
+            laplacian_pairing(np.zeros((1, 3, 4)), np.zeros((2, 3, 4)), grid)
+        with pytest.raises(DimensionError):
+            laplacian_pairing(np.zeros((4, 3)), np.zeros((4, 3)), grid)
+
 
 class TestNeumannEigenbasis:
     @settings(max_examples=60, deadline=None)
@@ -193,7 +236,7 @@ class TestNeumannEigenbasis:
         """Q is orthonormal and Q^T D Q = diag(lam), to 1e-12 relative."""
         h = extent / (n - 1)
         Q, lam = neumann_eigenbasis(n, h)
-        D = _second_difference_1d(n, h).toarray()
+        D = second_difference_1d(n, h).toarray()
         scale = np.abs(D).max()
         npt.assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-12)
         npt.assert_allclose(Q.T @ D @ Q, np.diag(lam), rtol=0, atol=1e-12 * scale)

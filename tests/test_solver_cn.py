@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epidiffuse.errors import (
@@ -16,7 +16,6 @@ from epidiffuse.grid import (
     FieldSet,
     GridSpec,
     RegionMask,
-    laplacian_operator,
     neumann_eigenbasis,
     region_total,
 )
@@ -39,14 +38,9 @@ from epidiffuse.solver_cn import (
     temporal_refinement_study,
 )
 
+from oracles import dense_operators
+
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
-
-
-def dense_operators(grid, kappa, tau):
-    """Dense A and B built directly from the Laplacian matrix."""
-    L = laplacian_operator(grid).toarray()
-    eye = np.eye(grid.n_cells)
-    return eye - 0.5 * tau * kappa * L, eye + 0.5 * tau * kappa * L
 
 
 class TestAssemble:
@@ -55,23 +49,29 @@ class TestAssemble:
         ws = assemble(grid, 0.3, 0.25)
         A, B = dense_operators(grid, 0.3, 0.25)
         npt.assert_allclose(A + B, 2.0 * np.eye(grid.n_cells), atol=1e-14)
-        npt.assert_allclose(ws.B.toarray(), B, atol=1e-14)
+        # the step eliminates B through A + B = 2 I
+        u = np.random.default_rng(3).normal(size=(2, grid.n_cells))
+        expected = np.linalg.solve(A, B @ u.T).T
+        npt.assert_allclose(ws.step(u), expected, atol=1e-14)
 
     def test_solve_inverts_A(self):
         rng = np.random.default_rng(1)
         grid = GridSpec(5, 4, 1.0, 1.0)
         ws = assemble(grid, 0.3, 0.25)
         A, _ = dense_operators(grid, 0.3, 0.25)
-        rhs = rng.normal(size=(grid.n_cells, 3))
-        npt.assert_allclose(A @ ws.solve(rhs), rhs, atol=1e-12)
+        rhs = rng.normal(size=(3, grid.n_cells))
+        npt.assert_allclose(A @ ws.solve(rhs).T, rhs.T, atol=1e-12)
+        npt.assert_allclose(A @ ws.solve(rhs[0]), rhs[0], atol=1e-12)
 
     def test_trivial_workspace(self):
         grid = GridSpec(4, 4, 1.0, 1.0)
         ws = assemble(grid, 0.0, 0.5)
         assert ws.trivial
-        x = np.arange(grid.n_cells, dtype=float)
+        x = np.arange(2 * grid.n_cells, dtype=float).reshape(2, -1)
         npt.assert_array_equal(ws.solve(x), x)
-        npt.assert_array_equal(ws.apply_B(x), x)
+        npt.assert_array_equal(ws.step(x), x)
+        r = np.ones((1, grid.n_cells))
+        npt.assert_array_equal(ws.step(x, r), x + np.vstack([r, 0.0 * r]))
 
     def test_parameter_validation(self):
         grid = GridSpec(4, 4, 1.0, 1.0)
@@ -297,12 +297,35 @@ class TestEigenbasisProperties:
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_solve_matches_dense_solve(self, grid, kappa, tau, k, seed):
-        rhs = np.random.default_rng(seed).normal(size=(grid.n_cells, k))
+        rhs = np.random.default_rng(seed).normal(size=(k, grid.n_cells))
         A, _ = dense_operators(grid, kappa, tau)
-        expected = np.linalg.solve(A, rhs)
+        expected = np.linalg.solve(A, rhs.T).T
         got = assemble(grid, kappa, tau).solve(rhs)
         assert got.shape == rhs.shape
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, kappa=kappas, tau=taus, k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    # c * lam_max of about 2.4e4 and 1.1e3, where c = tau kappa / 2
+    @example(grid=GridSpec(40, 40, 0.5, 0.5), kappa=1.0, tau=1.0, k=3, seed=0)
+    @example(grid=GridSpec(33, 2, 1.0, 0.5), kappa=0.7, tau=0.8, k=2, seed=1)
+    def test_step_matches_dense_solve(self, grid, kappa, tau, k, seed):
+        """ws.step(u, r) = A^{-1}(B u + r), with r on the leading rows only."""
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.0, 1.0, size=(k, grid.n_cells))
+        r = rng.normal(scale=0.1, size=(max(k - 1, 1), grid.n_cells))
+        A, B = dense_operators(grid, kappa, tau)
+        full = np.zeros_like(u)
+        full[: len(r)] = r
+        expected = np.linalg.solve(A, B @ u.T + full.T).T
+        got = assemble(grid, kappa, tau).step(u, r)
+        assert got.shape == u.shape
+        # Any solve with A, the dense reference included, is accurate only to
+        # about eps * cond(A), where cond(A) = 1 + c * lam_max; past a
+        # condition number of 1000 the bound grows with it.
+        cond = 1.0 + 2.0 * kappa * tau * (grid.hx ** -2 + grid.hy ** -2)
+        tol = 1e-12 * max(1.0, cond / 1000.0)
+        assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
 
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
@@ -314,11 +337,7 @@ class TestEigenbasisProperties:
             grid, u0, ModelKind.SIS, schedule, kappa, 50 * tau, tau, population=pop
         )
         assert traj.n_levels == 51
-        # B is applied explicitly: each step rounds terms up to c * lam_max
-        # times the field, so past c * lam_max = 100 (500x the demo's) the
-        # bound grows with that ratio.
-        stiffness = 0.5 * kappa * tau * 4.0 * (grid.hx ** -2 + grid.hy ** -2)
-        assert conservation_drift(traj) <= 1e-12 * max(1.0, stiffness / 100.0)
+        assert conservation_drift(traj) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
