@@ -14,7 +14,6 @@ from .errors import (
     StabilityError,
 )
 from .grid import (
-    FieldSet,
     GridSpec,
     RegionMask,
     distribute_uniform,
@@ -37,10 +36,8 @@ from .solver_cn import (
     Trajectory,
     assemble,
     conservation_drift,
-    run_forward,
     run_from_state,
     step_backward,
-    step_forward,
     temporal_refinement_study,
 )
 from .solver_fem import (
@@ -48,15 +45,12 @@ from .solver_fem import (
     assemble_fem,
     element_mass,
     element_stiffness,
-    run_forward_fem,
-    strang_step,
 )
 from .objective import (
     CaseSeries,
     DataInterpolant,
     ObjectiveWeights,
     detected_daily_cases,
-    evaluate_J,
     evaluate_terms,
     incidence_field,
     interpolate_data,

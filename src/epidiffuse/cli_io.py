@@ -57,13 +57,7 @@ from .models import (
     RateSchedule,
 )
 from .objective import CaseSeries, ObjectiveWeights, detected_daily_cases, interpolate_data
-from .solver_cn import (
-    Trajectory,
-    conservation_drift,
-    run_forward,
-    temporal_refinement_study,
-)
-from .solver_fem import run_forward_fem
+from .solver_cn import Trajectory, conservation_drift, temporal_refinement_study
 from .estimate import (
     AdjointConfig,
     FitResult,
@@ -521,22 +515,20 @@ def generate_synthetic(
 ) -> dict[str, str]:
     """Forward-run the truth and write a case file plus a truth sidecar.
 
-    Daily detected cases per region get multiplicative noise
-    c -> c * (1 + noise * eta) with standard normal eta, clipped at zero.
+    The run is ``Problem.simulate`` on the given backend.  Daily detected
+    cases per region get multiplicative noise c -> c * (1 + noise * eta)
+    with standard normal eta, clipped at zero.
     """
     if noise < 0:
         raise ParameterError(f"noise level must be >= 0, got {noise}")
+    problem = Problem(
+        grid=grid, model=model, masks=masks, district=union_mask(masks.values()),
+        population=population, t_end=t_end, tau=tau, weights=ObjectiveWeights(),
+        data=None, initial=truth, backend=backend,
+    )
+    traj = problem.simulate(truth)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spd = 1.0 / tau
-    if abs(spd - round(spd)) > 1e-8:
-        raise ParameterError(f"tau={tau} must divide one day into whole steps")
-    if backend == "fem-split":
-        traj = run_forward_fem(grid, masks, truth, model, t_end, tau, population,
-                               store_every=int(round(spd)), evolve_population=False)
-    else:
-        traj = run_forward(grid, masks, truth, model, t_end, tau, population,
-                           store_every=int(round(spd)), evolve_population=False)
     populations = {name: region_total(population, mask, grid) for name, mask in masks.items()}
     cases = detected_daily_cases(traj, truth, masks, populations)
     rng = np.random.default_rng(seed)

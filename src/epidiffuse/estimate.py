@@ -1,6 +1,6 @@
 """Parameter estimation: Metropolis random walk and adjoint-gradient descent.
 
-Both engines minimize the same evaluate_J over
+Both engines minimize the same J (objective.evaluate_terms) over
 
     chi = (beta0, beta1, beta2, kappa, delta)   and the per-region
     initially infected counts I0 (spread uniformly by distribute_uniform).
@@ -44,6 +44,9 @@ from .models import (
     beta_interval,
     initial_fractions,
     reaction_jacobian,
+    seed_direction,
+    seed_jacobian,
+    seed_state,
     transmission_bilinear,
 )
 from .objective import (
@@ -146,7 +149,10 @@ class Problem:
         evolve_population: bool = False,
         u0_override: np.ndarray | None = None,
     ) -> Trajectory:
-        """Forward run; by default stores only the daily levels J needs."""
+        """Forward run on the problem's backend; by default stores only the daily levels J needs.
+
+        ``u0_override`` replaces the state built from the seed counts.
+        """
         u0 = u0_override if u0_override is not None else self.build_u0(params)
         if store_every is None:
             store_every = self.steps_per_day
@@ -167,14 +173,12 @@ class Problem:
             raise ConfigError("this problem was built without case data; cannot evaluate J")
         return self.data
 
-    def objective_terms(
-        self, params: ParameterVector, u0_override: np.ndarray | None = None
-    ) -> ObjectiveBreakdown:
-        traj = self.simulate(params, u0_override=u0_override)
+    def objective_terms(self, params: ParameterVector) -> ObjectiveBreakdown:
+        traj = self.simulate(params)
         return evaluate_terms(traj, params, self.weights, self._require_data())
 
-    def objective(self, params: ParameterVector, u0_override: np.ndarray | None = None) -> float:
-        return self.objective_terms(params, u0_override=u0_override).total
+    def objective(self, params: ParameterVector) -> float:
+        return self.objective_terms(params).total
 
 
 @dataclass
@@ -359,21 +363,6 @@ def _bilinear_gradient(model: ModelKind, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seed_basis(model: ModelKind, rho: np.ndarray) -> np.ndarray:
-    """du0/dI0 for one region: rho is the per-cell fraction per seeded person."""
-    out = np.zeros((model.n_compartments,) + rho.shape)
-    if model is ModelKind.SIS:
-        out[0] = rho
-    elif model is ModelKind.SIR:
-        out[1] = rho
-        out[0] = -rho
-    else:
-        out[2] = rho
-        out[1] = 0.5 * rho
-        out[0] = -1.5 * rho
-    return out
-
-
 def _require_exact_adjoint(problem: Problem):
     """Refuse problems whose forward recursion the backward sweep does not transpose."""
     if problem.backend != "cn":
@@ -490,15 +479,11 @@ def adjoint_gradient(
     if weights.w2 > 0.0:
         ref = weights.u0_ref if weights.u0_ref is not None else 0.0
         du0_weight += weights.w2 * area * (trajectory.states[0] - ref)
-    g_seeds = np.empty(len(problem.region_names))
     pop = problem.population
-    for k, name in enumerate(problem.region_names):
-        mask = problem.masks[name]
-        rho = np.zeros(grid.shape)
-        ok = mask.cells & (pop > 0.0)
-        rho[ok] = 1.0 / (mask.cell_count * area * pop[ok])
-        basis = _seed_basis(model, rho)
-        g_seeds[k] = float((du0_weight * basis).sum())
+    g_seeds = np.array([
+        float((du0_weight * seed_jacobian(model, grid, problem.masks[name], pop)).sum())
+        for name in problem.region_names
+    ])
 
     chi_grad = np.array([g_beta[0], g_beta[1], g_beta[2], g_kappa, g_delta])
     return AdjointGradient(chi_grad, g_seeds, z0_field, breakdown)
@@ -510,7 +495,7 @@ def gradient_check(
     rel_step: float = 1e-5,
     include_seeds: bool = False,
 ) -> dict:
-    """Adjoint gradient vs central finite differences of evaluate_J.
+    """Adjoint gradient vs central finite differences of Problem.objective.
 
     Returns per-component adjoint and FD values with their relative errors.
     Evaluation points must keep chi strictly inside the bounds so that the
@@ -688,7 +673,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
                 peak = float(np.abs(s2_field).max())
                 if peak > config.max_initial_step:
                     s2_field *= config.max_initial_step / peak
-                basis = _seed_basis(problem.model, s2_field)
+                basis = np.multiply.outer(seed_direction(problem.model), s2_field)
                 du0 = grad.z0 * problem.grid.cell_area
                 if problem.weights.w2 > 0.0:
                     ref_full = ref if ref is not None else 0.0
@@ -722,7 +707,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
                 u0_t = u0_field.copy()
                 if s2_field is not None:
                     frac = np.clip(u0_field[idx_i] + alpha * s2_field, 0.0, 1.0)
-                    u0_t = _rebuild_u0(problem.model, frac)
+                    u0_t = seed_state(problem.model, frac)
             else:
                 seeds_t = np.maximum(seeds + alpha * s2_seeds, 0.0)
                 trial = trial.with_seeds(dict(zip(problem.region_names, seeds_t)))
@@ -775,19 +760,3 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         n_evaluations=n_eval,
         diagnostics=diagnostics,
     )
-
-
-def _rebuild_u0(model: ModelKind, infected_frac: np.ndarray) -> np.ndarray:
-    """Model-consistent initial stack from an infected-fraction field."""
-    m = model.n_compartments
-    u0 = np.zeros((m,) + infected_frac.shape)
-    if model is ModelKind.SIS:
-        u0[0] = infected_frac
-    elif model is ModelKind.SIR:
-        u0[1] = infected_frac
-        u0[0] = 1.0 - infected_frac
-    else:
-        u0[2] = infected_frac
-        u0[1] = 0.5 * infected_frac
-        u0[0] = 1.0 - 1.5 * infected_frac
-    return u0

@@ -136,42 +136,6 @@ def union_mask(masks, name: str = "district") -> RegionMask:
     return RegionMask(name, cells)
 
 
-@dataclass
-class FieldSet:
-    """A stack of same-shaped scalar fields at one instant.
-
-    ``data`` has shape ``(len(names), ny, nx)``.  Used at API boundaries;
-    inner solver loops work on the raw array.
-    """
-
-    names: tuple[str, ...]
-    data: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 3 or self.data.shape[0] != len(self.names):
-            raise DimensionError(
-                f"expected data of shape ({len(self.names)}, ny, nx), got {self.data.shape}"
-            )
-
-    def validate(self, grid: GridSpec, normalized: bool = False, eps: float = 1e-9):
-        """Check grid shape and, for fraction fields, the range [0, 1]."""
-        if self.data.shape[1:] != grid.shape:
-            raise DimensionError(
-                f"fields have shape {self.data.shape[1:]}, grid expects {grid.shape}"
-            )
-        if normalized:
-            lo, hi = float(self.data.min()), float(self.data.max())
-            if lo < -eps or hi > 1.0 + eps:
-                raise ParameterError(
-                    f"normalized fields must stay in [0, 1], found range [{lo}, {hi}]"
-                )
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.data[self.names.index(name)]
-
-
 def laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Apply the five-point Neumann Laplacian to a field or stack of fields (..., ny, nx)."""
     if u.shape[-2:] != grid.shape:

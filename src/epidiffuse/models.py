@@ -13,6 +13,10 @@ The transmission rate is piecewise constant in time with two breakpoints
 rate abruptly on known dates.  ``beta_at`` is right-continuous: the value
 on [t0, t1) is betas[1].
 
+``seed_state`` is the one map from an infected-fraction field to the t = 0
+state; ``seed_direction`` and ``seed_jacobian`` are its derivatives, which
+the adjoint's seed gradient uses.
+
 ``conserved_sum_rate`` reports d/dt of the sum of the retained fractions.
 It vanishes for SIS (nobody leaves S + I) and equals the outflow into the
 eliminated recovered compartment otherwise; solvers use it to cross-check
@@ -215,6 +219,52 @@ def transmission_bilinear(model: ModelKind, u: np.ndarray) -> np.ndarray:
     return u[0] * u[model.infected_index]
 
 
+#: SEIR seeding: the initially exposed, per initially infected person.
+EXPOSED_PER_INFECTED = 0.5
+
+
+def seed_direction(model: ModelKind) -> np.ndarray:
+    """du0/dfrac: how each retained compartment of u0 moves with the infected fraction.
+
+    S gives up what the others take (S = 1 - E - I), so the entries are SIS
+    (1), SIR (-1, 1) and SEIR (-1 - r, r, 1) with r = EXPOSED_PER_INFECTED.
+    """
+    if model is ModelKind.SIS:
+        return np.array([1.0])
+    if model is ModelKind.SIR:
+        return np.array([-1.0, 1.0])
+    r = EXPOSED_PER_INFECTED
+    return np.array([-1.0 - r, r, 1.0])
+
+
+def seed_state(model: ModelKind, frac: np.ndarray) -> np.ndarray:
+    """The seeding map: the t = 0 state from an infected-fraction field.
+
+    Every compartment past S is ``seed_direction`` times ``frac``; S is
+    1 - E - I, so the state is disease free wherever ``frac`` is zero.
+    """
+    u0 = np.multiply.outer(seed_direction(model), frac)
+    if model is not ModelKind.SIS:
+        u0[0] = 1.0
+        for row in u0[1:]:
+            u0[0] -= row
+    return u0
+
+
+def seed_jacobian(
+    model: ModelKind, grid: GridSpec, mask: RegionMask, population: np.ndarray
+) -> np.ndarray:
+    """du0/dI0 for one region's seed count, shape (m, ny, nx).
+
+    A seeded person adds 1 / (cells * cell_area * population) to the
+    infected fraction of each of the region's populated cells.
+    """
+    rho = np.zeros(grid.shape)
+    ok = mask.cells & (population > 0.0)
+    rho[ok] = 1.0 / (mask.cell_count * grid.cell_area * population[ok])
+    return np.multiply.outer(seed_direction(model), rho)
+
+
 def initial_fractions(
     model: ModelKind,
     grid: GridSpec,
@@ -225,9 +275,9 @@ def initial_fractions(
     """Build the t = 0 state from per-region infected counts.
 
     The infected persons are spread uniformly over each region and divided by
-    the local population density.  For SEIR the initially exposed are taken as
-    half the initially infected; recovered start at zero.  Outside the covered
-    regions the state is disease free.
+    the local population density; ``seed_state`` turns that fraction into the
+    state (for SEIR with EXPOSED_PER_INFECTED exposed per infected person).
+    Outside the covered regions the state is disease free.
     """
     if population.shape != grid.shape:
         raise DimensionError(
@@ -247,16 +297,4 @@ def initial_fractions(
     frac[covered] = infected[covered] / population[covered]
     if (frac > 1.0).any():
         raise ParameterError("initial infected exceed the local population")
-
-    m = model.n_compartments
-    u0 = np.zeros((m,) + grid.shape)
-    if model is ModelKind.SIS:
-        u0[0] = frac
-    elif model is ModelKind.SIR:
-        u0[1] = frac
-        u0[0] = 1.0 - frac
-    else:
-        u0[2] = frac
-        u0[1] = 0.5 * frac
-        u0[0] = 1.0 - u0[1] - u0[2]
-    return u0
+    return seed_state(model, frac)

@@ -18,8 +18,8 @@ The full objective is
       + w2/2 * sum_j ||u_{j,0} - u0_ref_j||^2_(L2)
 
 with g_d the detected-incidence field at day d and chi = (beta0, beta1,
-beta2, kappa, delta).  Both estimators call the same evaluate_J, so their
-reported objective values are directly comparable.
+beta2, kappa, delta).  Both estimators call the same evaluate_terms, so
+their reported objective values are directly comparable.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def evaluate_terms(
     weights: ObjectiveWeights,
     data: DataInterpolant,
 ) -> ObjectiveBreakdown:
-    """The three terms of J separately; evaluate_J returns their sum."""
+    """The three terms of J separately; ``.total`` is J."""
     idx = traj.daily_indices
     days = traj.days
     if len(days) == 0 or days[0] != 0:
@@ -255,15 +255,6 @@ def evaluate_terms(
         d = u0 - ref
         init_reg = 0.5 * weights.w2 * float((d * d).sum()) * area
     return ObjectiveBreakdown(misfit, chi_reg, init_reg)
-
-
-def evaluate_J(
-    traj: Trajectory,
-    params: ParameterVector,
-    weights: ObjectiveWeights,
-    data: DataInterpolant,
-) -> float:
-    return evaluate_terms(traj, params, weights, data).total
 
 
 def detected_daily_cases(

@@ -41,32 +41,19 @@ adjoint refuses corrected problems).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SequencingError, StabilityError
-from .grid import (
-    FieldSet,
-    GridSpec,
-    RegionMask,
-    laplacian,
-    neumann_eigenbasis,
-    region_total,
-)
-from .models import (
-    ModelKind,
-    ParameterVector,
-    RateSchedule,
-    conserved_sum_rate,
-    initial_fractions,
-    reaction,
-    reaction_jacobian,
-)
+from .grid import GridSpec, RegionMask, laplacian, neumann_eigenbasis, region_total
+from .models import ModelKind, RateSchedule, reaction, reaction_jacobian, seed_state
 
 #: Absolute tolerance below zero before a step is declared unstable.
 NEGATIVITY_TOL = 1e-10
 
-DEFAULT_MAX_TAU = 1.0
+#: Longest admissible time step, in days.
+MAX_TAU = 1.0
 
 
 @dataclass
@@ -125,15 +112,20 @@ class CNWorkspace:
         return out
 
 
-def assemble(grid: GridSpec, kappa: float, tau: float, max_tau: float = DEFAULT_MAX_TAU) -> CNWorkspace:
-    """Build the Crank-Nicolson step: the eigenbasis of L and the gain of A^{-1}.
-
-    Raises ParameterError for kappa < 0 or tau outside (0, max_tau].
-    """
+def _check_step(kappa: float, tau: float) -> None:
+    """Raise ParameterError for kappa < 0 or tau outside (0, MAX_TAU]."""
     if kappa < 0.0:
         raise ParameterError(f"kappa must be non-negative, got {kappa}")
-    if not (0.0 < tau <= max_tau):
-        raise ParameterError(f"tau must lie in (0, {max_tau}], got {tau}")
+    if not (0.0 < tau <= MAX_TAU):
+        raise ParameterError(f"tau must lie in (0, {MAX_TAU}], got {tau}")
+
+
+def assemble(grid: GridSpec, kappa: float, tau: float) -> CNWorkspace:
+    """Build the Crank-Nicolson step: the eigenbasis of L and the gain of A^{-1}.
+
+    Raises ParameterError for kappa < 0 or tau outside (0, MAX_TAU].
+    """
+    _check_step(kappa, tau)
     if kappa == 0.0:
         return CNWorkspace(grid, kappa, tau, None, None, None)
     c = 0.5 * tau * kappa
@@ -174,21 +166,6 @@ def _advance(
     if low < 0.0:
         np.clip(new[:m], 0.0, None, out=new[:m])
     return new
-
-
-def step_forward(
-    ws: CNWorkspace,
-    fields: FieldSet,
-    model: ModelKind,
-    schedule: RateSchedule,
-    corrected: bool = False,
-) -> FieldSet:
-    """Advance a FieldSet by one step of length ws.tau."""
-    fields.validate(ws.grid)
-    shape = fields.data.shape
-    u = fields.data.reshape(shape[0], -1)
-    new = _advance(ws, u, model, schedule, fields.time, corrected=corrected)
-    return FieldSet(fields.names, new.reshape(shape), fields.time + ws.tau)
 
 
 def step_backward(ws: CNWorkspace, z: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -265,30 +242,29 @@ def _resolve_steps(t_end: float, tau: float) -> int:
     return int(round(steps))
 
 
-def run_from_state(
+def _drive(
     grid: GridSpec,
     u0: np.ndarray,
     model: ModelKind,
-    schedule: RateSchedule,
-    kappa: float,
     t_end: float,
     tau: float,
-    population: np.ndarray | None = None,
-    store_every: int = 1,
-    corrected: bool = False,
-    max_tau: float = DEFAULT_MAX_TAU,
+    population: np.ndarray | None,
+    store_every: int,
+    advance: Callable[[np.ndarray, float], np.ndarray],
+    backend: str = "cn",
 ) -> Trajectory:
-    """Integrate from an explicit initial state; the workhorse behind run_forward."""
-    if u0.shape != (model.n_compartments,) + grid.shape:
-        raise DimensionError(
-            f"u0 shape {u0.shape} does not match ({model.n_compartments},) + {grid.shape}"
-        )
+    """The time-stepping loop behind every forward run.
+
+    The state is u0 flattened to (m, n_cells), with the population stacked
+    as row m when it is given.  ``advance(u, t)`` returns the state one step
+    of tau after t; every ``store_every``-th level is kept.
+    """
+    m = model.n_compartments
+    if u0.shape != (m,) + grid.shape:
+        raise DimensionError(f"u0 shape {u0.shape} does not match ({m},) + {grid.shape}")
     steps = _resolve_steps(t_end, tau)
     if store_every < 1 or steps % store_every != 0:
         raise ParameterError(f"store_every={store_every} must divide the {steps} steps")
-    ws = assemble(grid, kappa, tau, max_tau=max_tau)
-
-    m = model.n_compartments
     u = u0.reshape(m, -1).astype(float)
     evolve_pop = population is not None
     if evolve_pop:
@@ -311,46 +287,36 @@ def run_from_state(
 
     store(0, 0.0)
     for n in range(steps):
-        u = _advance(ws, u, model, schedule, n * tau, corrected=corrected)
+        u = advance(u, n * tau)
         if (n + 1) % store_every == 0:
             store((n + 1) // store_every, (n + 1) * tau)
 
-    return Trajectory(grid, model, tau, store_every, times, states, pops)
+    return Trajectory(grid, model, tau, store_every, times, states, pops, backend=backend)
 
 
-def run_forward(
+def run_from_state(
     grid: GridSpec,
-    masks: dict[str, RegionMask],
-    params: ParameterVector,
+    u0: np.ndarray,
     model: ModelKind,
+    schedule: RateSchedule,
+    kappa: float,
     t_end: float,
     tau: float,
-    population: np.ndarray,
+    population: np.ndarray | None = None,
     store_every: int = 1,
-    evolve_population: bool = True,
     corrected: bool = False,
-    max_tau: float = DEFAULT_MAX_TAU,
 ) -> Trajectory:
-    """Full forward run: build u0 from the parameters, then integrate to t_end.
+    """Integrate from an explicit initial state with the Crank-Nicolson step.
 
-    The population density diffuses with the same kappa as the epidemic
-    fields (one extra right-hand side per step); pass
-    ``evolve_population=False`` to skip it when only fractions are needed.
+    The population, when given, diffuses with the same kappa in the same
+    solve as the compartments.
     """
-    u0 = initial_fractions(model, grid, masks, params, population)
-    return run_from_state(
-        grid,
-        u0,
-        model,
-        params.schedule,
-        params.kappa,
-        t_end,
-        tau,
-        population=population if evolve_population else None,
-        store_every=store_every,
-        corrected=corrected,
-        max_tau=max_tau,
-    )
+    ws = assemble(grid, kappa, tau)
+
+    def advance(u: np.ndarray, t: float) -> np.ndarray:
+        return _advance(ws, u, model, schedule, t, corrected)
+
+    return _drive(grid, u0, model, t_end, tau, population, store_every, advance)
 
 
 def conservation_drift(traj: Trajectory) -> float:
@@ -395,32 +361,18 @@ def temporal_refinement_study(
     X, Y = np.meshgrid(x, y)
     cx = 0.5 * (1.0 + np.cos(np.pi * X / grid.Lx))
     cy = 0.5 * (1.0 + np.cos(np.pi * Y / grid.Ly))
-    bump = 0.01 + 0.04 * cx * cy
-    m = model.n_compartments
-    u0 = np.zeros((m,) + grid.shape)
-    if m == 1:
-        u0[0] = bump
-    else:
-        u0[-1] = bump
-        if m == 3:
-            u0[1] = 0.5 * bump
-        u0[0] = 1.0 - u0.sum(axis=0)
+    u0 = seed_state(model, 0.01 + 0.04 * cx * cy)
 
-    if kind == "diffusion":
-        def final_state(tau: float) -> np.ndarray:
-            steps = _resolve_steps(t_end, tau)
+    def final_state(tau: float) -> np.ndarray:
+        steps = _resolve_steps(t_end, tau)
+        if kind == "diffusion":
             ws = assemble(grid, kappa, tau)
-            q = u0.reshape(m, -1)
-            for _ in range(steps):
-                q = ws.step(q)
-            return q
-    else:
-        def final_state(tau: float) -> np.ndarray:
+            traj = _drive(grid, u0, model, t_end, tau, None, steps, lambda u, t: ws.step(u))
+        else:
             traj = run_from_state(
-                grid, u0, model, schedule, kappa, t_end, tau,
-                store_every=_resolve_steps(t_end, tau), corrected=corrected,
+                grid, u0, model, schedule, kappa, t_end, tau, store_every=steps, corrected=corrected
             )
-            return traj.states[-1].reshape(m, -1)
+        return traj.states[-1].reshape(model.n_compartments, -1)
 
     ref = final_state(taus[-1] / ref_refine)
     errors = []

@@ -32,16 +32,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import DimensionError, ParameterError, StabilityError
-from .grid import FieldSet, GridSpec, RegionMask
-from .models import (
-    ModelKind,
-    ParameterVector,
-    RateSchedule,
-    initial_fractions,
-    reaction,
-)
-from .solver_cn import DEFAULT_MAX_TAU, NEGATIVITY_TOL, Trajectory, _resolve_steps
+from .errors import StabilityError
+from .grid import GridSpec
+from .models import ModelKind, RateSchedule, reaction
+from .solver_cn import NEGATIVITY_TOL, Trajectory, _check_step, _drive
 
 #: Upper bound for kappa * lambda_max * dt in one RK4 diffusion substep.
 RK4_STABILITY_LIMIT = 2.5
@@ -178,35 +172,25 @@ def _strang_advance(
     tau: float,
     t: float,
 ) -> np.ndarray:
+    """One split step on the state u of shape (m, n_cells).
+
+    u may carry the population as one extra row after the m compartments;
+    it diffuses over the whole step in one subflow and is not guarded.
+    """
+    m = model.n_compartments
     # The diffusion half-steps are checked on their own: their undershoot
     # does not shrink with tau, so "use a smaller tau" would be wrong advice.
-    u = _diffuse(asm, u, kappa, 0.5 * tau)
-    _check_sign(u, t + 0.5 * tau, _DIFFUSION_UNDERSHOOT)
-    u = _react(u, model, schedule, t, tau)
-    _check_sign(u, t + tau, "use a smaller tau")
-    u = _diffuse(asm, u, kappa, 0.5 * tau)
-    low = _check_sign(u, t + tau, _DIFFUSION_UNDERSHOOT)
+    q = _diffuse(asm, u[:m], kappa, 0.5 * tau)
+    _check_sign(q, t + 0.5 * tau, _DIFFUSION_UNDERSHOOT)
+    q = _react(q, model, schedule, t, tau)
+    _check_sign(q, t + tau, "use a smaller tau")
+    q = _diffuse(asm, q, kappa, 0.5 * tau)
+    low = _check_sign(q, t + tau, _DIFFUSION_UNDERSHOOT)
     if low < 0.0:
-        np.clip(u, 0.0, None, out=u)
-    return u
-
-
-def strang_step(
-    asm: FemAssembly,
-    fields: FieldSet,
-    model: ModelKind,
-    schedule: RateSchedule,
-    kappa: float,
-    tau: float,
-) -> FieldSet:
-    """Advance a FieldSet by one split step of length tau."""
-    fields.validate(asm.grid)
-    if kappa < 0.0:
-        raise ParameterError(f"kappa must be non-negative, got {kappa}")
-    shape = fields.data.shape
-    u = fields.data.reshape(shape[0], -1)
-    new = _strang_advance(asm, u, model, schedule, kappa, tau, fields.time)
-    return FieldSet(fields.names, new.reshape(shape), fields.time + tau)
+        np.clip(q, 0.0, None, out=q)
+    if len(u) == m:
+        return q
+    return np.vstack([q, _diffuse(asm, u[m:], kappa, tau)])
 
 
 def run_fem_from_state(
@@ -219,74 +203,13 @@ def run_fem_from_state(
     tau: float,
     population: np.ndarray | None = None,
     store_every: int = 1,
-    max_tau: float = DEFAULT_MAX_TAU,
 ) -> Trajectory:
     """Split-scheme counterpart of solver_cn.run_from_state."""
-    if u0.shape != (model.n_compartments,) + grid.shape:
-        raise DimensionError(
-            f"u0 shape {u0.shape} does not match ({model.n_compartments},) + {grid.shape}"
-        )
-    if kappa < 0.0:
-        raise ParameterError(f"kappa must be non-negative, got {kappa}")
-    if not (0.0 < tau <= max_tau):
-        raise ParameterError(f"tau must lie in (0, {max_tau}], got {tau}")
-    steps = _resolve_steps(t_end, tau)
-    if store_every < 1 or steps % store_every != 0:
-        raise ParameterError(f"store_every={store_every} must divide the {steps} steps")
+    _check_step(kappa, tau)
     asm = assemble_fem(grid)
 
-    m = model.n_compartments
-    u = u0.reshape(m, -1).astype(float)
-    evolve_pop = population is not None
-    if evolve_pop:
-        pop = population.reshape(1, -1).astype(float)
+    def advance(u: np.ndarray, t: float) -> np.ndarray:
+        return _strang_advance(asm, u, model, schedule, kappa, tau, t)
 
-    n_levels = steps // store_every + 1
-    times = np.empty(n_levels)
-    states = np.empty((n_levels, m) + grid.shape)
-    pops = np.empty((n_levels,) + grid.shape) if evolve_pop else None
-    times[0] = 0.0
-    states[0] = u.reshape((m,) + grid.shape)
-    if evolve_pop:
-        pops[0] = pop.reshape(grid.shape)
-
-    for n in range(steps):
-        u = _strang_advance(asm, u, model, schedule, kappa, tau, n * tau)
-        if evolve_pop:
-            pop = _diffuse(asm, pop, kappa, tau)
-        if (n + 1) % store_every == 0:
-            k = (n + 1) // store_every
-            times[k] = (n + 1) * tau
-            states[k] = u.reshape((m,) + grid.shape)
-            if evolve_pop:
-                pops[k] = pop.reshape(grid.shape)
-
-    return Trajectory(grid, model, tau, store_every, times, states, pops, backend="fem-split")
-
-
-def run_forward_fem(
-    grid: GridSpec,
-    masks: dict[str, RegionMask],
-    params: ParameterVector,
-    model: ModelKind,
-    t_end: float,
-    tau: float,
-    population: np.ndarray,
-    store_every: int = 1,
-    evolve_population: bool = True,
-    max_tau: float = DEFAULT_MAX_TAU,
-) -> Trajectory:
-    """Full forward run on the FEM backend; mirrors solver_cn.run_forward."""
-    u0 = initial_fractions(model, grid, masks, params, population)
-    return run_fem_from_state(
-        grid,
-        u0,
-        model,
-        params.schedule,
-        params.kappa,
-        t_end,
-        tau,
-        population=population if evolve_population else None,
-        store_every=store_every,
-        max_tau=max_tau,
-    )
+    return _drive(grid, u0, model, t_end, tau, population, store_every, advance,
+                  backend="fem-split")

@@ -35,7 +35,6 @@ from epidiffuse import (
     metropolis_fit,
     read_cases,
     region_total,
-    run_forward,
     run_from_state,
     temporal_refinement_study,
     union_mask,
@@ -66,9 +65,13 @@ def test_criterion_1_population_mass_is_conserved(capsys):
         RateSchedule((0.2, 0.1, 0.1), (32.0, 77.0), 148.0), 0.1, 0.5,
         {"BA": 50.0, "BI": 25.0, "HR": 15.0, "IO": 100.0},
     )
+    problem = Problem(
+        grid=grid, model=ModelKind.SEIR, masks=masks, district=union_mask(masks.values()),
+        population=population, t_end=148.0, tau=0.1, weights=ObjectiveWeights(),
+        data=None, initial=params,
+    )
     t0 = time.perf_counter()
-    traj = run_forward(grid, masks, params, ModelKind.SEIR, 148.0, 0.1,
-                       population, store_every=10, evolve_population=True)
+    traj = problem.simulate(params, store_every=10, evolve_population=True)
     drift = conservation_drift(traj)
     wall = time.perf_counter() - t0
     report(capsys, 1, drift < 1e-9 and wall < 30.0,

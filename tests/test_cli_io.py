@@ -2,10 +2,15 @@
 
 import datetime as dt
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import make_twin
@@ -247,6 +252,57 @@ class TestCaseFiles:
         path.write_text("date,region,new_cases\n2020-10-01,A,1\n")
         with pytest.raises(CaseDataError, match="no records for region 'B'"):
             read_cases(path, START, 2, ["A", "B"])
+
+
+class TestFileRoundTripProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.builds(
+            GridSpec, nx=st.integers(2, 30), ny=st.integers(2, 30),
+            Lx=st.floats(0.01, 1e4), Ly=st.floats(0.01, 1e4),
+        ),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mask_roundtrip(self, grid, share, seed):
+        cells = np.random.default_rng(seed).uniform(size=grid.shape) < share
+        with tempfile.TemporaryDirectory() as tmp:
+            first = Path(tmp) / "R.mask"
+            write_mask(first, grid, RegionMask("R", cells))
+            g2, m2 = read_mask(first)
+            assert g2 == grid
+            np.testing.assert_array_equal(m2.cells, cells)
+            second = Path(tmp) / "copy" / "R.mask"
+            second.parent.mkdir()
+            write_mask(second, g2, m2)
+            assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        counts=arrays(
+            np.float64, st.tuples(st.integers(1, 3), st.integers(1, 31)),
+            elements=st.floats(0.0, 1e9, allow_subnormal=False),
+        ),
+    )
+    def test_case_roundtrip(self, counts):
+        """Rows of ``counts`` are regions, columns days 0..n_days."""
+        n_days = counts.shape[1] - 1
+        series = {
+            f"R{k}": CaseSeries(f"R{k}", np.arange(n_days + 1), values)
+            for k, values in enumerate(counts)
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            first = Path(tmp) / "cases.csv"
+            write_cases(first, series, START)
+            back = read_cases(first, START, n_days, sorted(series))
+            for name, s in series.items():
+                np.testing.assert_array_equal(back[name].days, s.days)
+                # 12 significant digits: off by at most half a unit in the 12th
+                assert_allclose(back[name].new_cases, s.new_cases, rtol=5e-12, atol=0.0)
+                assert back[name].filled_days == ()
+            second = Path(tmp) / "again.csv"
+            write_cases(second, back, START)
+            assert first.read_bytes() == second.read_bytes()
 
 
 class TestLoadConfig:
@@ -527,6 +583,15 @@ class TestGenerateSynthetic:
         for s in series.values():
             assert np.all(np.diff(s.cumulative) >= 0.0)
             assert np.all(s.new_cases >= 0.0)
+
+    def test_unknown_backend_rejected(self, tmp_path):
+        grid, masks, population, truth = self.setup_geometry()
+        with pytest.raises(ConfigError, match="backend"):
+            generate_synthetic(
+                truth, grid, masks, population, ModelKind.SEIR, 10.0, 0.25, 0.1, 7, tmp_path,
+                backend="bogus",
+            )
+        assert not (tmp_path / "truth.yaml").exists()
 
     def test_negative_noise_rejected(self, tmp_path):
         grid, masks, population, truth = self.setup_geometry()

@@ -12,7 +12,6 @@ from epidiffuse.errors import (
     ParameterError,
 )
 from epidiffuse.grid import (
-    FieldSet,
     GridSpec,
     RegionMask,
     distribute_uniform,
@@ -110,29 +109,6 @@ class TestRegionMask:
         b = RegionMask("b", np.zeros((3, 3), dtype=bool))
         with pytest.raises(DimensionError):
             union_mask([a, b])
-
-
-class TestFieldSet:
-    def test_shape_validation(self):
-        grid = GridSpec(4, 3, 1.0, 1.0)
-        fs = FieldSet(("s", "i"), np.zeros((2, 3, 4)), time=1.5)
-        fs.validate(grid)
-        with pytest.raises(DimensionError):
-            FieldSet(("s",), np.zeros((2, 3, 4)))
-        with pytest.raises(DimensionError):
-            fs.validate(GridSpec(5, 3, 1.0, 1.0))
-
-    def test_normalized_range_check(self):
-        grid = GridSpec(4, 3, 1.0, 1.0)
-        data = np.full((1, 3, 4), 0.5)
-        FieldSet(("i",), data).validate(grid, normalized=True)
-        data[0, 1, 1] = 1.5
-        with pytest.raises(ParameterError):
-            FieldSet(("i",), data).validate(grid, normalized=True)
-
-    def test_name_lookup(self):
-        fs = FieldSet(("s", "i"), np.arange(24, dtype=float).reshape(2, 3, 4))
-        npt.assert_array_equal(fs["i"], np.arange(12, 24).reshape(3, 4))
 
 
 class TestLaplacian:

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiffuse.errors import DimensionError, NormalizationError, ParameterError
 from epidiffuse.grid import GridSpec, RegionMask, region_total
@@ -16,6 +18,7 @@ from epidiffuse.models import (
     initial_fractions,
     reaction,
     reaction_jacobian,
+    seed_jacobian,
     transmission_bilinear,
 )
 
@@ -257,3 +260,63 @@ class TestInitialFractions:
             initial_fractions(ModelKind.SIS, grid, masks, too_many, population)
         with pytest.raises(DimensionError):
             initial_fractions(ModelKind.SIS, grid, masks, params, np.ones((2, 2)))
+
+
+class TestSeedMapProperties:
+    """The seeding map over random grids, region masks, seed counts and models."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelKind)),
+        grid=st.builds(
+            GridSpec, nx=st.integers(2, 20), ny=st.integers(2, 20),
+            Lx=st.floats(0.5, 100.0), Ly=st.floats(0.5, 100.0),
+        ),
+        n_regions=st.integers(1, 3),
+        empty_outside=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seed_map(self, model, grid, n_regions, empty_outside, seed):
+        rng = np.random.default_rng(seed)
+        masks = {}
+        for k in range(n_regions):
+            cells = rng.uniform(size=grid.shape) < rng.uniform(0.1, 0.9)
+            cells.flat[rng.integers(grid.n_cells)] = True
+            masks[f"r{k}"] = RegionMask(f"r{k}", cells)
+        seeded = np.any([m.cells for m in masks.values()], axis=0)
+        population = rng.uniform(1.0, 1000.0, size=grid.shape)
+        if empty_outside:
+            population[~seeded] = 0.0
+        # counts that put 2-20% of each region's thinnest cell's people in I,
+        # so that regions may overlap and still stay below a fraction of 1
+        counts = {
+            name: float(rng.uniform(0.02, 0.2) * m.cell_count * grid.cell_area
+                        * population[m.cells].min())
+            for name, m in masks.items()
+        }
+        params = ParameterVector(SCHED, 0.1, 0.5, counts)
+        u0 = initial_fractions(model, grid, masks, params, population)
+
+        frac = sum(
+            np.where(m.cells, counts[name] / (m.cell_count * grid.cell_area), 0.0)
+            for name, m in masks.items()
+        ) / np.where(seeded, population, 1.0)
+        npt.assert_allclose(u0[model.infected_index], frac, rtol=1e-12, atol=0.0)
+        if model is not ModelKind.SIS:
+            # R starts empty, so the retained compartments hold everyone
+            npt.assert_allclose(u0.sum(axis=0)[seeded], 1.0, rtol=0.0, atol=1e-15)
+        # disease free elsewhere: no one infected or exposed, S = 1
+        outside = u0[:, ~seeded]
+        npt.assert_array_equal(outside[1:], 0.0)
+        npt.assert_array_equal(outside[0], 0.0 if model is ModelKind.SIS else 1.0)
+
+        name = sorted(masks)[int(rng.integers(n_regions))]
+        h = 0.5 * counts[name]
+
+        def u0_at(count):
+            seeds = params.with_seeds({**counts, name: count})
+            return initial_fractions(model, grid, masks, seeds, population)
+
+        fd = (u0_at(counts[name] + h) - u0_at(counts[name] - h)) / (2.0 * h)
+        jac = seed_jacobian(model, grid, masks[name], population)
+        assert np.abs(fd - jac).max() <= 1e-9 * np.abs(jac).max()

@@ -11,19 +11,18 @@ from epidiffuse.errors import (
     DegenerateRegionError,
     ParameterError,
 )
-from epidiffuse.grid import GridSpec, RegionMask, region_total
+from epidiffuse.estimate import Problem
+from epidiffuse.grid import GridSpec, RegionMask, region_total, union_mask
 from epidiffuse.models import ModelKind, ParameterVector, RateSchedule
 from epidiffuse.objective import (
     CaseSeries,
     ObjectiveWeights,
     detected_daily_cases,
-    evaluate_J,
     evaluate_terms,
     incidence_field,
     interpolate_data,
     trapezoid_day_weights,
 )
-from epidiffuse.solver_cn import run_forward
 
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 
@@ -155,10 +154,12 @@ class TestIncidenceField:
 def run_and_data(t_end=4.0, delta=0.5, kappa=0.05):
     grid, masks, population = two_region_setup()
     params = ParameterVector(SCHED, kappa, delta, {"a": 5.0, "b": 8.0})
-    traj = run_forward(
-        grid, masks, params, ModelKind.SEIR, t_end, 0.25, population,
-        store_every=4, evolve_population=False,
+    problem = Problem(
+        grid=grid, model=ModelKind.SEIR, masks=masks, district=union_mask(masks.values()),
+        population=population, t_end=t_end, tau=0.25, weights=ObjectiveWeights(),
+        data=None, initial=params,
     )
+    traj = problem.simulate(params)
     rng = np.random.default_rng(12)
     n = int(t_end) + 1
     series = {
@@ -171,7 +172,7 @@ def run_and_data(t_end=4.0, delta=0.5, kappa=0.05):
 
 class TestEvaluateJ:
     def test_brute_force_reference(self):
-        """Triple loop over days, rows and columns reproduces evaluate_J."""
+        """Triple loop over days, rows and columns reproduces evaluate_terms."""
         grid, masks, population, params, traj, data = run_and_data()
         chi_ref = params.chi + 0.3
         u0_ref = traj.states[0] + 0.01
@@ -196,24 +197,23 @@ class TestEvaluateJ:
         diff = params.chi - chi_ref
         assert terms.chi_reg == pytest.approx(0.5 * 0.6 * float(diff @ diff), rel=1e-12)
         d0 = traj.states[0] - u0_ref
-        assert terms.init_reg == pytest.approx(
-            0.5 * 0.9 * float((d0 ** 2).sum()) * grid.cell_area, rel=1e-12
-        )
-        assert evaluate_J(traj, params, weights, data) == pytest.approx(
-            terms.total, rel=1e-15
+        init_reg = 0.5 * 0.9 * float((d0 ** 2).sum()) * grid.cell_area
+        assert terms.init_reg == pytest.approx(init_reg, rel=1e-12)
+        assert terms.total == pytest.approx(
+            misfit + 0.5 * 0.6 * float(diff @ diff) + init_reg, rel=1e-12
         )
 
     def test_w0_scales_misfit_linearly(self):
         grid, masks, population, params, traj, data = run_and_data()
-        j1 = evaluate_J(traj, params, ObjectiveWeights(1.0), data)
-        j2 = evaluate_J(traj, params, ObjectiveWeights(2.0), data)
+        j1 = evaluate_terms(traj, params, ObjectiveWeights(1.0), data).total
+        j2 = evaluate_terms(traj, params, ObjectiveWeights(2.0), data).total
         assert j2 == pytest.approx(2.0 * j1, rel=1e-12)
 
     def test_region_label_permutation_invariance(self):
         """Relabeling regions (and their data) leaves J unchanged."""
         grid, masks, population, params, traj, data = run_and_data()
         weights = ObjectiveWeights(1.0)
-        j = evaluate_J(traj, params, weights, data)
+        j = evaluate_terms(traj, params, weights, data).total
 
         renamed_masks = {"x": RegionMask("x", masks["b"].cells), "y": RegionMask("y", masks["a"].cells)}
         series = {
@@ -221,7 +221,7 @@ class TestEvaluateJ:
             "y": CaseSeries("y", data.days.copy(), data.cases[list(data.region_names).index("a")]),
         }
         data2 = interpolate_data(series, renamed_masks, grid, population)
-        assert evaluate_J(traj, params, weights, data2) == pytest.approx(j, rel=1e-12)
+        assert evaluate_terms(traj, params, weights, data2).total == pytest.approx(j, rel=1e-12)
 
     def test_zero_residual_twin_is_exact(self, twin9_flat):
         """At the generating parameters of a kappa=0 twin, the misfit vanishes."""
@@ -236,7 +236,7 @@ class TestEvaluateJ:
         }
         data_short = interpolate_data(short, masks, grid, population)
         with pytest.raises(AlignmentError):
-            evaluate_J(traj, params, ObjectiveWeights(1.0), data_short)
+            evaluate_terms(traj, params, ObjectiveWeights(1.0), data_short)
 
 
 class TestDetectedDailyCases:

@@ -12,12 +12,13 @@ from epidiffuse.errors import (
     SequencingError,
     StabilityError,
 )
+from epidiffuse.estimate import Problem
 from epidiffuse.grid import (
-    FieldSet,
     GridSpec,
     RegionMask,
     neumann_eigenbasis,
     region_total,
+    union_mask,
 )
 from epidiffuse.models import (
     ModelKind,
@@ -26,15 +27,14 @@ from epidiffuse.models import (
     initial_fractions,
     reaction,
 )
+from epidiffuse.objective import ObjectiveWeights
 from epidiffuse.solver_cn import (
     CNWorkspace,
     Trajectory,
     assemble,
     conservation_drift,
-    run_forward,
     run_from_state,
     step_backward,
-    step_forward,
     temporal_refinement_study,
 )
 
@@ -81,7 +81,7 @@ class TestAssemble:
             assemble(grid, 0.1, 0.0)
         with pytest.raises(ParameterError):
             assemble(grid, 0.1, 1.5)
-        assemble(grid, 0.1, 1.5, max_tau=2.0)
+        assemble(grid, 0.1, 1.0)
 
 
 class TestStepForward:
@@ -94,34 +94,30 @@ class TestStepForward:
         A, B = dense_operators(grid, kappa, tau)
         u = rng.uniform(0.05, 0.3, size=(3,) + grid.shape)
         u[0] = 1.0 - u[1] - u[2]
-        fields = FieldSet(("S", "E", "I"), u, time=3.0)
-        out = step_forward(ws, fields, ModelKind.SEIR, SCHED)
-        f = reaction(ModelKind.SEIR, u, 3.0, SCHED)
+        out = run_from_state(grid, u, ModelKind.SEIR, SCHED, kappa, tau, tau)
+        f = reaction(ModelKind.SEIR, u, 0.0, SCHED)
         expected = np.empty_like(u)
         for i in range(3):
             rhs = B @ u[i].ravel() + tau * f[i].ravel()
             expected[i] = np.linalg.solve(A, rhs).reshape(grid.shape)
-        npt.assert_allclose(out.data, expected, atol=1e-12)
-        assert out.time == pytest.approx(3.2)
-        assert out.names == fields.names
+        npt.assert_allclose(out.states[-1], expected, atol=1e-12)
+        npt.assert_array_equal(out.states[0], u)
+        assert out.times[-1] == pytest.approx(0.2)
 
     def test_trivial_step_is_explicit_euler(self):
         grid = GridSpec(3, 3, 1.0, 1.0)
-        ws = assemble(grid, 0.0, 0.1)
         u = np.full((1,) + grid.shape, 0.3)
-        fields = FieldSet(("I",), u)
-        out = step_forward(ws, fields, ModelKind.SIS, SCHED)
+        out = run_from_state(grid, u, ModelKind.SIS, SCHED, 0.0, 0.1, 0.1)
         expected = 0.3 + 0.1 * (0.2 * 0.7 * 0.3 - 0.1 * 0.3)
-        npt.assert_allclose(out.data, expected)
+        npt.assert_allclose(out.states[-1], expected)
 
     def test_negative_state_raises(self):
         grid = GridSpec(3, 3, 1.0, 1.0)
         hot = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0, gamma=5.0)
         u = np.full((1,) + grid.shape, 0.5)
         for kappa in (0.0, 0.1):
-            ws = assemble(grid, kappa, 1.0)
             with pytest.raises(StabilityError, match="smaller tau"):
-                step_forward(ws, FieldSet(("I",), u.copy()), ModelKind.SIS, hot)
+                run_from_state(grid, u, ModelKind.SIS, hot, kappa, 1.0, 1.0)
 
     def test_corrected_step_is_second_order(self):
         """Single-cell logistic dynamics against a tight Runge-Kutta reference."""
@@ -142,11 +138,11 @@ class TestStepForward:
             ref += fine / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
         def advance(tau, corrected):
-            ws = assemble(grid, 0.0, tau)
-            fields = FieldSet(("I",), np.full((1,) + grid.shape, u0))
-            for _ in range(int(5.0 / tau)):
-                fields = step_forward(ws, fields, ModelKind.SIS, SCHED, corrected=corrected)
-            return float(fields.data[0, 0, 0])
+            traj = run_from_state(
+                grid, np.full((1,) + grid.shape, u0), ModelKind.SIS, SCHED, 0.0, 5.0, tau,
+                store_every=int(round(5.0 / tau)), corrected=corrected,
+            )
+            return float(traj.states[-1, 0, 0, 0])
 
         err_plain = abs(advance(0.1, False) - ref)
         err_corr = abs(advance(0.1, True) - ref)
@@ -184,21 +180,27 @@ class TestStepBackward:
             step_backward(ws, np.zeros((1, 9)), np.zeros((2, 9)))
 
 
-def small_problem():
+def small_problem(model=ModelKind.SEIR, t_end=2.0, tau=0.25, schedule=SCHED, kappa=0.1):
     grid = GridSpec(9, 9, 1.0, 1.0)
     cells = np.zeros(grid.shape, dtype=int)
     cells[3:6, 3:6] = 1
     masks = {"core": RegionMask("core", cells)}
     population = np.full(grid.shape, 500.0)
-    params = ParameterVector(SCHED, 0.1, 0.5, {"core": 20.0})
-    return grid, masks, population, params
+    params = ParameterVector(schedule, kappa, 0.5, {"core": 20.0})
+    return Problem(
+        grid=grid, model=model, masks=masks, district=union_mask(masks.values()),
+        population=population, t_end=t_end, tau=tau, weights=ObjectiveWeights(),
+        data=None, initial=params,
+    )
 
 
 class TestRunForward:
     def test_initial_level_matches_seeding(self):
-        grid, masks, population, params = small_problem()
-        traj = run_forward(grid, masks, params, ModelKind.SEIR, 2.0, 0.25, population)
-        u0 = initial_fractions(ModelKind.SEIR, grid, masks, params, population)
+        problem = small_problem()
+        traj = problem.simulate(problem.initial, store_every=1, evolve_population=True)
+        u0 = initial_fractions(
+            ModelKind.SEIR, problem.grid, problem.masks, problem.initial, problem.population
+        )
         npt.assert_array_equal(traj.states[0], u0)
         assert traj.times[0] == 0.0
 
@@ -216,42 +218,37 @@ class TestRunForward:
         assert np.abs(traj.population[-1] - pop).max() > 1e-3
 
     def test_mass_requires_population(self):
-        grid, masks, population, params = small_problem()
-        traj = run_forward(
-            grid, masks, params, ModelKind.SEIR, 1.0, 0.25, population,
-            evolve_population=False,
-        )
+        problem = small_problem(t_end=1.0)
+        traj = problem.simulate(problem.initial, store_every=1)
         assert traj.population is None
         with pytest.raises(SequencingError):
             traj.mass()
 
     def test_infected_decay_matches_bookkeeping(self):
         """With beta tiny the infected integral decays like exp(-gamma t)."""
-        grid, masks, population, _ = small_problem()
         slow = RateSchedule((1e-8, 1e-8, 1e-8), (10.0, 20.0), 40.0)
-        params = ParameterVector(slow, 0.0, 0.5, {"core": 20.0})
-        traj = run_forward(
-            grid, masks, params, ModelKind.SIR, 5.0, 0.01, population,
-            evolve_population=False, store_every=100,
-        )
-        totals = traj.infected_total(masks["core"])
+        problem = small_problem(ModelKind.SIR, 5.0, 0.01, schedule=slow, kappa=0.0)
+        traj = problem.simulate(problem.initial, store_every=100)
+        totals = traj.infected_total(problem.masks["core"])
         expected = totals[0] * np.exp(-slow.gamma * traj.times[traj.daily_indices])
         npt.assert_allclose(totals, expected, rtol=1e-3)
 
     def test_determinism(self):
-        grid, masks, population, params = small_problem()
-        a = run_forward(grid, masks, params, ModelKind.SEIR, 2.0, 0.25, population)
-        b = run_forward(grid, masks, params, ModelKind.SEIR, 2.0, 0.25, population)
+        problem = small_problem()
+        a = problem.simulate(problem.initial, store_every=1, evolve_population=True)
+        b = problem.simulate(problem.initial, store_every=1, evolve_population=True)
         npt.assert_array_equal(a.states, b.states)
         npt.assert_array_equal(a.population, b.population)
 
     def test_step_validation(self):
-        grid, masks, population, params = small_problem()
+        problem = small_problem(ModelKind.SIS, 1.0)
+        grid, pop = problem.grid, problem.population
+        u0 = problem.build_u0(problem.initial)
         with pytest.raises(ParameterError, match="whole steps"):
-            run_forward(grid, masks, params, ModelKind.SIS, 1.0, 0.3, population)
+            run_from_state(grid, u0, ModelKind.SIS, SCHED, 0.1, 1.0, 0.3, population=pop)
         with pytest.raises(ParameterError, match="store_every"):
-            run_forward(
-                grid, masks, params, ModelKind.SIS, 1.0, 0.25, population, store_every=3
+            run_from_state(
+                grid, u0, ModelKind.SIS, SCHED, 0.1, 1.0, 0.25, population=pop, store_every=3
             )
         with pytest.raises(DimensionError):
             run_from_state(
@@ -261,10 +258,8 @@ class TestRunForward:
 
 class TestTrajectory:
     def test_daily_bookkeeping(self):
-        grid, masks, population, params = small_problem()
-        traj = run_forward(
-            grid, masks, params, ModelKind.SEIR, 3.0, 0.25, population, store_every=2
-        )
+        problem = small_problem(t_end=3.0)
+        traj = problem.simulate(problem.initial, store_every=2, evolve_population=True)
         npt.assert_allclose(traj.times, np.arange(7) * 0.5)
         npt.assert_array_equal(traj.daily_indices, [0, 2, 4, 6])
         npt.assert_array_equal(traj.days, [0, 1, 2, 3])
@@ -273,12 +268,12 @@ class TestTrajectory:
             traj.state_at_day(7)
 
     def test_mass_levels(self):
-        grid, masks, population, params = small_problem()
-        traj = run_forward(grid, masks, params, ModelKind.SEIR, 1.0, 0.25, population)
+        problem = small_problem(t_end=1.0)
+        traj = problem.simulate(problem.initial, store_every=1, evolve_population=True)
         assert traj.mass().shape == (5,)
-        district = RegionMask("all", np.ones(grid.shape, dtype=int))
+        district = RegionMask("all", np.ones(problem.grid.shape, dtype=int))
         assert traj.mass()[0] == pytest.approx(
-            region_total(population, district, grid)
+            region_total(problem.population, district, problem.grid)
         )
 
 
