@@ -26,7 +26,6 @@ from .models import (
     ParameterVector,
     RateSchedule,
     beta_at,
-    conserved_sum_rate,
     initial_fractions,
     reaction,
     reaction_jacobian,

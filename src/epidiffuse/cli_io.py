@@ -623,7 +623,7 @@ def export_case_tables(out_dir: Path, series: dict[str, CaseSeries], config: Run
     return [str(daily), str(cum)]
 
 
-def _params_record(problem: Problem, params: ParameterVector) -> dict:
+def _params_record(params: ParameterVector) -> dict:
     return {
         "beta0": params.schedule.betas[0],
         "beta1": params.schedule.betas[1],
@@ -640,7 +640,7 @@ def write_fit_report(path, problem: Problem, result: FitResult, config: RunConfi
     report = {
         "estimator": estimator,
         "objective": result.objective,
-        "params": _params_record(problem, result.params),
+        "params": _params_record(result.params),
         "acceptance_rate": result.acceptance_rate,
         "posterior_std": result.posterior_std,
         "gradient_norms": result.gradient_norms,
@@ -762,6 +762,9 @@ def _cmd_gradient_check(config: RunConfig, out_dir: Path) -> dict:
 
 
 def _cmd_convergence_study(config: RunConfig, out_dir: Path, kinds: list[str]) -> dict:
+    if config.backend != "cn":
+        raise ConfigError("convergence-study refines the cn scheme only; use --backend cn",
+                          path=config.path, key="solver.backend")
     problem = load_scenario(config)
     horizon = min(4.0, float(config.n_days))
     results = {}
@@ -769,7 +772,7 @@ def _cmd_convergence_study(config: RunConfig, out_dir: Path, kinds: list[str]) -
     for kind in kinds:
         study = temporal_refinement_study(
             kind, problem.grid, problem.model, problem.initial.schedule,
-            kappa=max(problem.initial.kappa, 0.05), t_end=horizon,
+            kappa=max(problem.initial.kappa, 0.05), t_end=horizon, corrected=problem.corrected,
         )
         results[kind] = study
         for tau, err in zip(study["taus"], study["errors"]):

@@ -16,9 +16,12 @@ The backward sweep uses solver_cn.step_backward with the source
 p_n = (df/du)^T z_n + impulses of the data misfit at the daily marks; because
 A and B are the same operators as in the forward step, the sweep is the exact
 transpose of the linearized forward recursion and the gradient matches finite
-differences to solver precision.  The search direction for chi comes from a
-damped limited-memory BFGS (identity initialization); the initial-condition
-direction follows the optimality-condition target u0_tilde = u0_ref - z(0)/w2.
+differences to solver precision.  The impulses and the direct beta and delta
+terms read objective.daily_residuals, the residuals J itself sums, so the
+gradient cannot drift from the objective it differentiates.  The search
+direction for chi comes from a damped limited-memory BFGS (identity
+initialization); the initial-condition direction follows the
+optimality-condition target u0_tilde = u0_ref - z(0)/w2.
 A shared Armijo backtracking step is applied to both directions at once, and
 accepted iterates are projected onto the bounds
 
@@ -48,11 +51,13 @@ from .models import (
     seed_jacobian,
     seed_state,
     transmission_bilinear,
+    transmission_derivative,
 )
 from .objective import (
     DataInterpolant,
     ObjectiveBreakdown,
     ObjectiveWeights,
+    daily_residuals,
     evaluate_terms,
     trapezoid_day_weights,
 )
@@ -173,12 +178,9 @@ class Problem:
             raise ConfigError("this problem was built without case data; cannot evaluate J")
         return self.data
 
-    def objective_terms(self, params: ParameterVector) -> ObjectiveBreakdown:
-        traj = self.simulate(params)
-        return evaluate_terms(traj, params, self.weights, self._require_data())
-
     def objective(self, params: ParameterVector) -> float:
-        return self.objective_terms(params).total
+        traj = self.simulate(params)
+        return evaluate_terms(traj, params, self.weights, self._require_data()).total
 
 
 @dataclass
@@ -340,27 +342,21 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
 
 @dataclass
 class AdjointGradient:
-    """Gradient of J: the five chi components, per-region seed counts, z(0)."""
+    """Gradient of J: the five chi components, per-region seed counts, z(0) and dJ/du0.
+
+    ``z0`` is the misfit part of dJ/du0 per unit area; ``du0`` is all of
+    dJ/du0, regularizer included, shape (m, ny, nx).
+    """
 
     chi: np.ndarray
     seeds: np.ndarray
     z0: np.ndarray
+    du0: np.ndarray
     breakdown: ObjectiveBreakdown
 
     @property
     def full(self) -> np.ndarray:
         return np.concatenate([self.chi, self.seeds])
-
-
-def _bilinear_gradient(model: ModelKind, u: np.ndarray) -> np.ndarray:
-    """d(u_S u_I)/du, shape (m,) + field shape."""
-    out = np.zeros_like(u)
-    if model is ModelKind.SIS:
-        out[0] = 1.0 - 2.0 * u[0]
-    else:
-        out[0] = u[model.infected_index]
-        out[model.infected_index] = u[0]
-    return out
 
 
 def _require_exact_adjoint(problem: Problem):
@@ -408,39 +404,27 @@ def adjoint_gradient(
 
     breakdown = evaluate_terms(trajectory, params, weights, data)
 
-    # Daily residual pieces, reused by impulses and the direct beta/delta terms.
+    # J's daily residuals drive the impulses and the direct beta/delta terms.
     days = trajectory.days
-    omega = trapezoid_day_weights(len(days))
-    betas_d = np.array([
-        params.schedule.betas[beta_interval(schedule, float(d))] for d in days
-    ])
-    intervals_d = np.array([beta_interval(schedule, float(d)) for d in days])
-    phi_d = np.empty((len(days), n_cells))
-    resid_d = np.empty((len(days), n_cells))
-    for pos, day in enumerate(days):
-        u_day = states[day * spd]
-        phi = transmission_bilinear(model, u_day)
-        phi_d[pos] = phi
-        resid_d[pos] = params.delta * betas_d[pos] * phi - data.daily_fields[pos].reshape(-1)
-
-    w0a = weights.w0 * area
-    coeff_d = w0a * omega * betas_d * params.delta          # (n_days,)
-    g_beta = np.zeros(3)
-    for k in range(3):
-        sel = intervals_d == k
-        g_beta[k] = (w0a * omega[sel] * params.delta) @ (phi_d[sel] * resid_d[sel]).sum(axis=1)
-    g_delta = float((w0a * omega * betas_d) @ (phi_d * resid_d).sum(axis=1))
+    res = daily_residuals(trajectory, params, data)
+    phi_d = res.phi.reshape(len(days), n_cells)
+    resid_d = res.resid.reshape(len(days), n_cells)
+    w0a_omega = weights.w0 * area * trapezoid_day_weights(len(days))
+    coeff_d = w0a_omega * res.beta * params.delta
+    dj_d = w0a_omega * (phi_d * resid_d).sum(axis=1)     # dJ/d(delta * beta(d))
+    intervals_d = [beta_interval(schedule, float(d)) for d in days]
+    g_beta = np.bincount(intervals_d, weights=params.delta * dj_d, minlength=3)
+    g_delta = float(res.beta @ dj_d)
     g_kappa = 0.0
 
     def impulse(pos: int) -> np.ndarray:
         u_day = states[days[pos] * spd]
-        return coeff_d[pos] * _bilinear_gradient(model, u_day) * resid_d[pos]
+        return coeff_d[pos] * transmission_derivative(model, u_day) * resid_d[pos]
 
     ws = assemble(grid, params.kappa, problem.tau)
     tau = problem.tau
     fields = (m,) + grid.shape
     z = np.zeros((m, n_cells))
-    dfdb = np.zeros((m, n_cells))
     for n in range(n_steps, 0, -1):
         source = np.einsum("jic,jc->ic", reaction_jacobian(model, states[n], n * tau, schedule), z)
         if n % spd == 0:
@@ -452,14 +436,12 @@ def adjoint_gradient(
         g_kappa += 0.5 * tau * laplacian_pairing(
             z.reshape(fields), (u_prev + states[n]).reshape(fields), grid
         )
-        phi_prev = transmission_bilinear(model, u_prev)
-        dfdb[:] = 0.0
-        if model is ModelKind.SIS:
-            dfdb[0] = phi_prev
-        else:
-            dfdb[0] = -phi_prev
-            dfdb[model.infected_index if model is ModelKind.SIR else 1] = phi_prev
-        g_beta[beta_interval(schedule, t_prev)] += tau * float((z * dfdb).sum())
+        # (df/dbeta) . z: the force phi leaves S for the next compartment
+        # (E in SEIR, I in SIR); in SIS it is the gain of I
+        dz = z[0] if model is ModelKind.SIS else z[1] - z[0]
+        g_beta[beta_interval(schedule, t_prev)] += tau * float(
+            transmission_bilinear(model, u_prev) @ dz
+        )
 
     # close the chain at q_0: zeta_0 = total dJ/dq_0 (misfit part)
     zeta0 = z + tau * np.einsum(
@@ -467,7 +449,7 @@ def adjoint_gradient(
     )
     zeta0 += 0.5 * tau * params.kappa * laplacian(z.reshape(fields), grid).reshape(m, n_cells)
     zeta0 += impulse(0)
-    z0_field = (zeta0 / area).reshape((m,) + grid.shape)
+    z0_field = (zeta0 / area).reshape(fields)
 
     if weights.w1 > 0.0:
         reg = weights.w1 * (params.chi - weights.chi_ref)
@@ -475,18 +457,18 @@ def adjoint_gradient(
         g_kappa += reg[3]
         g_delta += reg[4]
 
-    du0_weight = zeta0.reshape((m,) + grid.shape).copy()
+    du0 = zeta0.reshape(fields)
     if weights.w2 > 0.0:
         ref = weights.u0_ref if weights.u0_ref is not None else 0.0
-        du0_weight += weights.w2 * area * (trajectory.states[0] - ref)
+        du0 = du0 + weights.w2 * area * (trajectory.states[0] - ref)
     pop = problem.population
     g_seeds = np.array([
-        float((du0_weight * seed_jacobian(model, grid, problem.masks[name], pop)).sum())
+        float((du0 * seed_jacobian(model, grid, problem.masks[name], pop)).sum())
         for name in problem.region_names
     ])
 
     chi_grad = np.array([g_beta[0], g_beta[1], g_beta[2], g_kappa, g_delta])
-    return AdjointGradient(chi_grad, g_seeds, z0_field, breakdown)
+    return AdjointGradient(chi_grad, g_seeds, z0_field, du0, breakdown)
 
 
 def gradient_check(
@@ -608,18 +590,25 @@ class _Lbfgs:
         self.gamma = sy / float(y @ y)
 
 
-def _seed_targets(problem: Problem, grad: AdjointGradient) -> np.ndarray:
-    """Per-region person counts implied by the optimality condition on u0."""
-    w2 = problem.weights.w2
+def _target_fraction(problem: Problem, grad: AdjointGradient) -> np.ndarray:
+    """The infected fraction u0_tilde = ref_I - z0_I / w2 of the optimality condition on u0."""
     ref = problem.weights.u0_ref
     idx = problem.model.infected_index
     ref_i = ref[idx] if ref is not None else 0.0
-    target_frac = ref_i - grad.z0[idx] / w2
-    counts = np.array([
-        region_total(target_frac * problem.population, problem.masks[name], problem.grid)
+    return ref_i - grad.z0[idx] / problem.weights.w2
+
+
+def _region_counts(problem: Problem, frac: np.ndarray) -> np.ndarray:
+    """Persons per region of an infected-fraction field, in region_names order."""
+    return np.array([
+        region_total(frac * problem.population, problem.masks[name], problem.grid)
         for name in problem.region_names
     ])
-    return np.maximum(counts, 0.0)
+
+
+def _seed_targets(problem: Problem, grad: AdjointGradient) -> np.ndarray:
+    """Per-region person counts implied by the optimality condition on u0."""
+    return np.maximum(_region_counts(problem, _target_fraction(problem, grad)), 0.0)
 
 
 def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
@@ -641,9 +630,8 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     idx_i = problem.model.infected_index
 
     traj = problem.simulate(params, store_every=1, u0_override=u0_field)
-    terms = evaluate_terms(traj, params, problem.weights, problem._require_data())
-    j_cur = terms.total
     grad = adjoint_gradient(problem, params, traj)
+    j_cur = grad.breakdown.total
     n_eval = 1
     seeds = problem.pack(params)[5:]
     history = [(j_cur, problem.pack(params))]
@@ -666,21 +654,13 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         slope = float(s1 @ g_chi)
         if config.optimize_initial:
             if per_cell:
-                ref = problem.weights.u0_ref
-                ref_i = ref[idx_i] if ref is not None else 0.0
-                target = np.clip(ref_i - grad.z0[idx_i] / problem.weights.w2, 0.0, 1.0)
+                target = np.clip(_target_fraction(problem, grad), 0.0, 1.0)
                 s2_field = target - u0_field[idx_i]
                 peak = float(np.abs(s2_field).max())
                 if peak > config.max_initial_step:
                     s2_field *= config.max_initial_step / peak
                 basis = np.multiply.outer(seed_direction(problem.model), s2_field)
-                du0 = grad.z0 * problem.grid.cell_area
-                if problem.weights.w2 > 0.0:
-                    ref_full = ref if ref is not None else 0.0
-                    du0 = du0 + problem.weights.w2 * problem.grid.cell_area * (
-                        traj.states[0] - ref_full
-                    )
-                slope2 = float((du0 * basis).sum())
+                slope2 = float((grad.du0 * basis).sum())
                 if slope2 > 0.0:
                     s2_field = None
                 else:
@@ -727,7 +707,10 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         j_prev, chi_prev, g_prev = j_cur, chi_cur, g_chi
         params = trial
         if per_cell:
+            # the iterate is the field; its region totals are the seeds it reports
             u0_field = u0_t
+            counts = _region_counts(problem, u0_field[idx_i])
+            params = params.with_seeds(dict(zip(problem.region_names, counts)))
         else:
             seeds = problem.pack(params)[5:]
         j_cur = j_t
@@ -737,23 +720,13 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             diagnostics["stop"] = "tol"
             break
 
-        traj = traj_t
-        grad = adjoint_gradient(problem, params, traj)
+        grad = adjoint_gradient(problem, params, traj_t)
         gnorms.append(float(np.linalg.norm(grad.full)))
         lbfgs.update(params.chi - chi_prev, grad.chi - g_prev)
 
-    if per_cell:
-        counts = {
-            name: region_total(u0_field[idx_i] * problem.population, problem.masks[name], problem.grid)
-            for name in problem.region_names
-        }
-        params = params.with_seeds(counts)
-        init_fields = u0_field
-    else:
-        init_fields = problem.build_u0(params)
     return FitResult(
         params=params,
-        init_fields=init_fields,
+        init_fields=u0_field if per_cell else problem.build_u0(params),
         objective=j_cur,
         history=history,
         gradient_norms=gnorms,

@@ -16,11 +16,6 @@ on [t0, t1) is betas[1].
 ``seed_state`` is the one map from an infected-fraction field to the t = 0
 state; ``seed_direction`` and ``seed_jacobian`` are its derivatives, which
 the adjoint's seed gradient uses.
-
-``conserved_sum_rate`` reports d/dt of the sum of the retained fractions.
-It vanishes for SIS (nobody leaves S + I) and equals the outflow into the
-eliminated recovered compartment otherwise; solvers use it to cross-check
-mass bookkeeping.
 """
 
 from __future__ import annotations
@@ -46,14 +41,6 @@ class ModelKind(enum.Enum):
     def n_compartments(self) -> int:
         """Number of retained (solved-for) compartments."""
         return {ModelKind.SIS: 1, ModelKind.SIR: 2, ModelKind.SEIR: 3}[self]
-
-    @property
-    def compartment_names(self) -> tuple[str, ...]:
-        return {
-            ModelKind.SIS: ("I",),
-            ModelKind.SIR: ("S", "I"),
-            ModelKind.SEIR: ("S", "E", "I"),
-        }[self]
 
     @property
     def infected_index(self) -> int:
@@ -201,15 +188,6 @@ def reaction_jacobian(model: ModelKind, u: np.ndarray, t: float, schedule: RateS
     return out
 
 
-def conserved_sum_rate(model: ModelKind, u: np.ndarray, schedule: RateSchedule) -> np.ndarray:
-    """d/dt of the summed retained fractions: 0 (SIS) or -gamma * infected."""
-    u = np.asarray(u, dtype=float)
-    _check_arity(model, u)
-    if model is ModelKind.SIS:
-        return np.zeros_like(u[0])
-    return -schedule.gamma * u[model.infected_index]
-
-
 def transmission_bilinear(model: ModelKind, u: np.ndarray) -> np.ndarray:
     """The product of susceptible and infected fractions driving new cases."""
     u = np.asarray(u, dtype=float)
@@ -217,6 +195,17 @@ def transmission_bilinear(model: ModelKind, u: np.ndarray) -> np.ndarray:
     if model is ModelKind.SIS:
         return (1.0 - u[0]) * u[0]
     return u[0] * u[model.infected_index]
+
+
+def transmission_derivative(model: ModelKind, u: np.ndarray) -> np.ndarray:
+    """d(u_S u_I)/du, the derivative of transmission_bilinear; shape of u."""
+    out = np.zeros_like(u)
+    if model is ModelKind.SIS:
+        out[0] = 1.0 - 2.0 * u[0]
+    else:
+        out[0] = u[model.infected_index]
+        out[model.infected_index] = u[0]
+    return out
 
 
 #: SEIR seeding: the initially exposed, per initially infected person.

@@ -7,8 +7,8 @@ reported count c_k(d) is turned into a per-cell field by
     v_k(d) = (c_k(d) / P_k) / (cells_k * hx * hy),
 
 i.e. the detected fraction of region k's population, spread uniformly so that
-region aggregation (region_total) returns exactly c_k(d) / P_k.  Between day
-marks the field is linear in t.
+region aggregation (region_total) returns exactly c_k(d) / P_k.  J reads these
+fields at the day marks only.
 
 The full objective is
 
@@ -18,13 +18,15 @@ The full objective is
       + w2/2 * sum_j ||u_{j,0} - u0_ref_j||^2_(L2)
 
 with g_d the detected-incidence field at day d and chi = (beta0, beta1,
-beta2, kappa, delta).  Both estimators call the same evaluate_terms, so
-their reported objective values are directly comparable.
+beta2, kappa, delta).  ``daily_residuals`` is the one place that forms
+r_d = g_d - v_d: evaluate_terms sums the misfit from it, and the adjoint
+gradient differentiates the same residuals, so both estimators minimize
+exactly the J they report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -74,7 +76,7 @@ class CaseSeries:
 
 
 class DataInterpolant:
-    """Reported cases as a per-cell field, linear in t at fixed region value."""
+    """Reported cases as per-cell fields at the day marks."""
 
     def __init__(
         self,
@@ -87,12 +89,10 @@ class DataInterpolant:
     ):
         self.grid = grid
         self.region_names = region_names
-        self.masks = masks
         self.populations = populations
         self.cases = cases          # (n_regions, n_days) persons/day
         self.days = days            # integer day indices 0..D
-        # fraction of the region population detected per day
-        self.fractions = cases / populations[:, None]
+        self._masks = masks
         self._fields: np.ndarray | None = None
 
     @property
@@ -103,29 +103,14 @@ class DataInterpolant:
     def daily_fields(self) -> np.ndarray:
         """Per-cell data values, shape (n_days, ny, nx); assembled lazily."""
         if self._fields is None:
+            # fraction of the region population detected per day
+            fractions = self.cases / self.populations[:, None]
             out = np.zeros((self.n_days,) + self.grid.shape)
-            for k, mask in enumerate(self.masks):
-                values = self.fractions[k] / (mask.cell_count * self.grid.cell_area)
+            for k, mask in enumerate(self._masks):
+                values = fractions[k] / (mask.cell_count * self.grid.cell_area)
                 out[:, mask.cells] += values[:, None]
             self._fields = out
         return self._fields
-
-    def day_field(self, day: int) -> np.ndarray:
-        pos = int(day) - int(self.days[0])
-        if pos < 0 or pos >= self.n_days:
-            raise AlignmentError(f"day {day} outside the data window {self.days[0]}..{self.days[-1]}")
-        return self.daily_fields[pos]
-
-    def field_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between the two bracketing day fields."""
-        lo = int(np.floor(t))
-        if t < self.days[0] - 1e-9 or t > self.days[-1] + 1e-9:
-            raise AlignmentError(f"t={t} outside the data window {self.days[0]}..{self.days[-1]}")
-        lo = min(max(lo, int(self.days[0])), int(self.days[-1]))
-        w = t - lo
-        if w <= 1e-12 or lo == int(self.days[-1]):
-            return self.day_field(lo)
-        return (1.0 - w) * self.day_field(lo) + w * self.day_field(lo + 1)
 
     def district_incidence_fraction(self) -> np.ndarray:
         """Detected daily cases over the whole district as a population fraction."""
@@ -218,13 +203,18 @@ class ObjectiveBreakdown(NamedTuple):
         return self.misfit + self.chi_reg + self.init_reg
 
 
-def evaluate_terms(
-    traj: Trajectory,
-    params: ParameterVector,
-    weights: ObjectiveWeights,
-    data: DataInterpolant,
-) -> ObjectiveBreakdown:
-    """The three terms of J separately; ``.total`` is J."""
+class DailyResiduals(NamedTuple):
+    """J's misfit pieces at the day marks; the fields are (n_days, ny, nx)."""
+
+    beta: np.ndarray    # beta(d)
+    phi: np.ndarray     # u_S * u_I
+    resid: np.ndarray   # delta * beta(d) * phi - v_d
+
+
+def daily_residuals(
+    traj: Trajectory, params: ParameterVector, data: DataInterpolant
+) -> DailyResiduals:
+    """The data residual r_d of every day mark, the only place J's misfit is formed."""
     idx = traj.daily_indices
     days = traj.days
     if len(days) == 0 or days[0] != 0:
@@ -234,12 +224,27 @@ def evaluate_terms(
             f"trajectory days {days[0]}..{days[-1]} ({len(days)}) do not match "
             f"data days {data.days[0]}..{data.days[-1]} ({data.n_days})"
         )
+    beta = np.array([beta_at(params.schedule, float(day)) for day in days])
+    phi = np.empty((len(days),) + traj.grid.shape)
+    resid = np.empty_like(phi)
+    for pos, level in enumerate(idx):
+        phi[pos] = transmission_bilinear(traj.model, traj.states[level])
+        resid[pos] = params.delta * beta[pos] * phi[pos] - data.daily_fields[pos]
+    return DailyResiduals(beta, phi, resid)
+
+
+def evaluate_terms(
+    traj: Trajectory,
+    params: ParameterVector,
+    weights: ObjectiveWeights,
+    data: DataInterpolant,
+) -> ObjectiveBreakdown:
+    """The three terms of J separately; ``.total`` is J."""
+    resid = daily_residuals(traj, params, data).resid
     area = traj.grid.cell_area
-    omega = trapezoid_day_weights(len(days))
+    omega = trapezoid_day_weights(len(resid))
     misfit = 0.0
-    for pos, (level, day) in enumerate(zip(idx, days)):
-        g = incidence_field(traj.states[level], traj.model, params.schedule, params.delta, float(day))
-        r = g - data.daily_fields[pos]
+    for pos, r in enumerate(resid):
         misfit += omega[pos] * float((r * r).sum()) * area
     misfit *= 0.5 * weights.w0
 

@@ -214,13 +214,6 @@ class Trajectory:
     def days(self) -> np.ndarray:
         return np.rint(self.times[self.daily_indices]).astype(int)
 
-    def state_at_day(self, day: int) -> np.ndarray:
-        idx = self.daily_indices
-        pos = np.searchsorted(self.days, day)
-        if pos >= len(idx) or self.days[pos] != day:
-            raise SequencingError(f"day {day} not stored in trajectory")
-        return self.states[idx[pos]]
-
     def mass(self) -> np.ndarray:
         """Integral of the population over the window, per stored level."""
         if self.population is None:

@@ -791,6 +791,30 @@ class TestCommandLine:
         errors = [float(r[2]) for r in rows]
         assert errors == sorted(errors, reverse=True)
 
+    def test_convergence_study_honours_corrected(self, scenario):
+        """The corrected step's orders reach the summary, not the plain step's."""
+        orders = {}
+        for corrected in (False, True):
+            raw = dict(scenario["raw"])
+            raw["solver"] = {"backend": "cn", "tau": 0.25, "corrected": corrected}
+            config_path = dump_config(scenario["dir"], raw, f"conv_{corrected}.yaml")
+            out = scenario["dir"] / f"conv_{corrected}"
+            rc = main(["convergence-study", "--config", str(config_path),
+                       "--kind", "coupled", "--out", str(out)])
+            assert rc == 0
+            summary = json.loads((out / "summary.json").read_text())
+            orders[corrected] = summary["metrics"]["coupled_orders"]
+        assert max(orders[False]) < 1.5
+        assert min(orders[True]) > 1.8
+
+    def test_convergence_study_refuses_fem_split(self, scenario, capsys):
+        out = scenario["dir"] / "conv_fem"
+        rc = main(["convergence-study", "--config", str(scenario["config"]),
+                   "--backend", "fem-split", "--out", str(out)])
+        assert rc == 2
+        assert "solver.backend" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_export_plots_tables(self, scenario):
         out = scenario["dir"] / "plots"
         rc = main(["export-plots", "--config", str(scenario["config"]),

@@ -6,6 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiffuse.errors import ConfigError, ParameterError, SequencingError
 from epidiffuse.estimate import (
@@ -19,9 +21,15 @@ from epidiffuse.estimate import (
     gradient_check,
     metropolis_fit,
 )
-from epidiffuse.grid import region_total
-from epidiffuse.models import ModelKind
-from epidiffuse.objective import ObjectiveWeights
+from epidiffuse.grid import GridSpec, RegionMask, region_total, union_mask
+from epidiffuse.models import ModelKind, ParameterVector, RateSchedule
+from epidiffuse.objective import (
+    CaseSeries,
+    ObjectiveWeights,
+    detected_daily_cases,
+    interpolate_data,
+)
+from epidiffuse.solver_cn import conservation_drift
 
 from conftest import make_twin
 
@@ -360,6 +368,8 @@ class TestAdjointFit:
                 problem.grid,
             )
             assert result.params.init_infected[name] == pytest.approx(count, rel=1e-12)
+        # the history logs the seeds of each accepted field, not the start counts
+        npt.assert_array_equal(result.history[-1][1], problem.pack(result.params))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -368,3 +378,77 @@ class TestAdjointFit:
             AdjointConfig(armijo_shrink=0.0)
         with pytest.raises(ConfigError):
             AdjointConfig(tol=0.0)
+
+
+def random_mask_problem(model, nx, ny, n_regions, seed):
+    """A 6-day problem on 1-3 random, possibly overlapping region masks.
+
+    Its data are the detected cases of a truth run, perturbed by up to 20%;
+    both regularizers are on.  Returns the problem and an evaluation point
+    away from the truth.
+    """
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(nx, ny, (nx - 1) * rng.uniform(0.8, 1.5), (ny - 1) * rng.uniform(0.8, 1.5))
+    masks = {}
+    for k in range(n_regions):
+        cells = rng.uniform(size=grid.shape) < rng.uniform(0.1, 0.9)
+        cells.flat[rng.integers(grid.n_cells)] = True
+        masks[f"r{k}"] = RegionMask(f"r{k}", cells)
+    population = rng.uniform(50.0, 500.0, size=grid.shape)
+    counts = {
+        name: float(rng.uniform(0.02, 0.1) * m.cell_count * grid.cell_area
+                    * population[m.cells].min())
+        for name, m in masks.items()
+    }
+    t_end = 6.0
+    schedule = RateSchedule(tuple(rng.uniform(0.15, 0.4, 3)), (2.0, 4.0), t_end)
+    truth = ParameterVector(schedule, float(rng.uniform(0.05, 0.3)), 0.5, counts)
+    problem = Problem(
+        grid=grid, model=model, masks=masks, district=union_mask(masks.values()),
+        population=population, t_end=t_end, tau=0.5, weights=ObjectiveWeights(),
+        data=None, initial=truth,
+    )
+    pops = {name: region_total(population, m, grid) for name, m in masks.items()}
+    cases = detected_daily_cases(problem.simulate(truth), truth, masks, pops)
+    series = {
+        name: CaseSeries(name, np.arange(len(v)), v * rng.uniform(0.8, 1.2, len(v)))
+        for name, v in cases.items()
+    }
+    weights = ObjectiveWeights(
+        1.0, 1e-5, 1e-5, chi_ref=truth.chi * 1.01, u0_ref=problem.build_u0(truth)
+    )
+    problem = dataclasses.replace(
+        problem, weights=weights, data=interpolate_data(series, masks, grid, population)
+    )
+    point = truth.with_chi(truth.chi * rng.uniform(0.85, 1.15, 5)).with_seeds(
+        {name: c * rng.uniform(0.7, 1.3) for name, c in counts.items()}
+    )
+    return problem, point
+
+
+class TestRandomMaskProperties:
+    """Adjoint = finite differences and mass conservation over random region masks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelKind)),
+        nx=st.integers(4, 9),
+        ny=st.integers(4, 9),
+        n_regions=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_matches_fd_and_mass_is_conserved(self, model, nx, ny, n_regions, seed):
+        problem, point = random_mask_problem(model, nx, ny, n_regions, seed)
+        report = gradient_check(problem, point, include_seeds=True)
+        # The FD round-off is about eps * J / h, and gradient_check's step h
+        # grows with the parameter's size, so a component counts where its
+        # sensitivity to a relative change, |FD| * size, is at least 1e-3 of
+        # the largest.  Measured by |FD| alone, the seeds (hundreds of
+        # persons) would mostly drop out.
+        size = np.maximum(np.abs(problem.pack(point)), 1e-2)
+        sensitivity = np.abs(report["fd"]) * size
+        keep = sensitivity >= 1e-3 * sensitivity.max()
+        assert report["rel_err"][keep].max() < 1e-6, report
+
+        traj = problem.simulate(point, evolve_population=True)
+        assert conservation_drift(traj) <= 1e-12

@@ -14,7 +14,6 @@ from epidiffuse.models import (
     RateSchedule,
     beta_at,
     beta_interval,
-    conserved_sum_rate,
     initial_fractions,
     reaction,
     reaction_jacobian,
@@ -33,7 +32,6 @@ class TestModelKind:
         assert ModelKind.SIS.infected_index == 0
         assert ModelKind.SIR.infected_index == 1
         assert ModelKind.SEIR.infected_index == 2
-        assert ModelKind.SEIR.compartment_names == ("S", "E", "I")
 
 
 class TestRateSchedule:
@@ -179,22 +177,6 @@ class TestJacobian:
             expected = np.zeros(m)
             expected[model.infected_index] = -SCHED.gamma
             npt.assert_allclose(jac.sum(axis=0), expected, atol=1e-13)
-
-
-class TestConservedSumRate:
-    def test_matches_summed_reaction(self):
-        """For models tracking all retained compartments, the rate is sum_i f_i."""
-        rng = np.random.default_rng(23)
-        for model in (ModelKind.SIR, ModelKind.SEIR):
-            u = rng.uniform(0.0, 0.5, size=(model.n_compartments, 3, 3))
-            f = reaction(model, u, 12.0, SCHED)
-            npt.assert_allclose(
-                conserved_sum_rate(model, u, SCHED), f.sum(axis=0), atol=1e-14
-            )
-
-    def test_sis_is_conservative(self):
-        u = np.array([[0.2, 0.4]])
-        npt.assert_array_equal(conserved_sum_rate(ModelKind.SIS, u, SCHED), 0.0)
 
 
 class TestTransmissionBilinear:

@@ -13,10 +13,17 @@ from epidiffuse.errors import (
 )
 from epidiffuse.estimate import Problem
 from epidiffuse.grid import GridSpec, RegionMask, region_total, union_mask
-from epidiffuse.models import ModelKind, ParameterVector, RateSchedule
+from epidiffuse.models import (
+    ModelKind,
+    ParameterVector,
+    RateSchedule,
+    beta_at,
+    transmission_bilinear,
+)
 from epidiffuse.objective import (
     CaseSeries,
     ObjectiveWeights,
+    daily_residuals,
     detected_daily_cases,
     evaluate_terms,
     incidence_field,
@@ -68,27 +75,12 @@ class TestInterpolateData:
             "b": CaseSeries("b", np.arange(3), [0.0, 4.0, 8.0]),
         }
         data = interpolate_data(series, masks, grid, population)
-        field0 = data.day_field(0)
+        field0 = data.daily_fields[0]
         assert region_total(field0, masks["a"], grid) == pytest.approx(10.0 / pop_a)
         assert region_total(field0, masks["b"], grid) == pytest.approx(0.0)
         # cells outside every region carry no data
         outside = ~(masks["a"].cells | masks["b"].cells)
         assert (field0[outside] == 0.0).all()
-
-    def test_linear_interpolation_between_days(self):
-        grid, masks, population = two_region_setup()
-        series = {
-            "a": CaseSeries("a", np.arange(3), [0.0, 8.0, 8.0]),
-            "b": CaseSeries("b", np.arange(3), [2.0, 2.0, 2.0]),
-        }
-        data = interpolate_data(series, masks, grid, population)
-        mid = data.field_at(0.5)
-        npt.assert_allclose(mid, 0.5 * (data.day_field(0) + data.day_field(1)), atol=1e-15)
-        npt.assert_allclose(data.field_at(2.0), data.day_field(2))
-        with pytest.raises(AlignmentError):
-            data.field_at(2.5)
-        with pytest.raises(AlignmentError):
-            data.day_field(5)
 
     def test_district_incidence_fraction(self):
         grid, masks, population = two_region_setup()
@@ -183,9 +175,9 @@ class TestEvaluateJ:
         omega = trapezoid_day_weights(len(days))
         misfit = 0.0
         for pos, day in enumerate(days):
-            u = traj.state_at_day(int(day))
+            u = traj.states[traj.daily_indices[pos]]
             g = incidence_field(u, traj.model, params.schedule, params.delta, float(day))
-            v = data.day_field(int(day))
+            v = data.daily_fields[pos]
             acc = 0.0
             for k in range(grid.ny):
                 for j in range(grid.nx):
@@ -202,6 +194,17 @@ class TestEvaluateJ:
         assert terms.total == pytest.approx(
             misfit + 0.5 * 0.6 * float(diff @ diff) + init_reg, rel=1e-12
         )
+
+    def test_daily_residuals_are_incidence_minus_data(self):
+        grid, masks, population, params, traj, data = run_and_data()
+        res = daily_residuals(traj, params, data)
+        assert res.phi.shape == res.resid.shape == (len(traj.days),) + grid.shape
+        for pos, day in enumerate(traj.days):
+            u = traj.states[traj.daily_indices[pos]]
+            assert res.beta[pos] == beta_at(params.schedule, float(day))
+            npt.assert_array_equal(res.phi[pos], transmission_bilinear(traj.model, u))
+            g = incidence_field(u, traj.model, params.schedule, params.delta, float(day))
+            npt.assert_array_equal(res.resid[pos], g - data.daily_fields[pos])
 
     def test_w0_scales_misfit_linearly(self):
         grid, masks, population, params, traj, data = run_and_data()
@@ -250,7 +253,7 @@ class TestDetectedDailyCases:
         for name in out:
             assert len(out[name]) == len(traj.days)
         # day 2 by hand for region a
-        u = traj.state_at_day(2)
+        u = traj.states[traj.daily_indices[2]]
         g = incidence_field(u, traj.model, params.schedule, params.delta, 2.0)
         expected = pops["a"] * region_total(g, masks["a"], grid)
         assert out["a"][2] == pytest.approx(expected, rel=1e-12)
@@ -267,7 +270,7 @@ class TestDetectedDailyCases:
         }
         data2 = interpolate_data(series, masks, grid, population)
         for pos, day in enumerate(traj.days):
-            f = data2.day_field(int(day))
+            f = data2.daily_fields[pos]
             for name, mask in masks.items():
                 agg = pops[name] * region_total(f, mask, grid)
                 assert agg == pytest.approx(cases[name][pos], rel=1e-12, abs=1e-15)

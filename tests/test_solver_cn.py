@@ -263,9 +263,8 @@ class TestTrajectory:
         npt.assert_allclose(traj.times, np.arange(7) * 0.5)
         npt.assert_array_equal(traj.daily_indices, [0, 2, 4, 6])
         npt.assert_array_equal(traj.days, [0, 1, 2, 3])
-        npt.assert_array_equal(traj.state_at_day(2), traj.states[4])
-        with pytest.raises(SequencingError):
-            traj.state_at_day(7)
+        npt.assert_array_equal(traj.states[traj.daily_indices[2]], traj.states[4])
+        assert 7 not in traj.days
 
     def test_mass_levels(self):
         problem = small_problem(t_end=1.0)
