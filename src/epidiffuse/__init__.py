@@ -42,8 +42,6 @@ from .solver_cn import (
 from .solver_fem import (
     FemAssembly,
     assemble_fem,
-    element_mass,
-    element_stiffness,
 )
 from .objective import (
     CaseSeries,

@@ -187,6 +187,22 @@ def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return Q, lam
 
 
+def _eigen_apply(fields: np.ndarray, fwd: tuple[np.ndarray, np.ndarray], gain: np.ndarray,
+                 back: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Map each field F in a stack (..., ny * nx) to ``By (gain o (Fy^T F Fx)) Bx^T``.
+
+    ``fwd = (Fy, Fx)`` and ``back = (By, Bx)`` hold one basis per axis.
+    """
+    (fy, fx), (by, bx) = fwd, back
+    ny, nx = gain.shape
+    # rows of all fields go through the x-transform in one product
+    coef = fields.reshape(-1, nx) @ fx
+    coef = fy.T @ coef.reshape(-1, ny, nx)
+    coef *= gain
+    out = (by @ coef).reshape(-1, nx) @ bx.T
+    return out.reshape(fields.shape)
+
+
 def region_total(u: np.ndarray, mask: RegionMask, grid: GridSpec) -> float:
     """Integral of a cell field over one region: sum of covered cells times hx*hy."""
     mask._check_grid(grid)

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SequencingError, StabilityError
-from .grid import GridSpec, RegionMask, laplacian, neumann_eigenbasis, region_total
+from .grid import GridSpec, RegionMask, _eigen_apply, laplacian, neumann_eigenbasis, region_total
 from .models import ModelKind, RateSchedule, reaction, reaction_jacobian, seed_state
 
 #: Absolute tolerance below zero before a step is declared unstable.
@@ -81,13 +81,8 @@ class CNWorkspace:
         """Apply A^{-1} to fields of shape (..., n_cells)."""
         if self.trivial:
             return rhs
-        ny, nx = self.grid.shape
-        # rows of all fields go through the x-transform in one product
-        coef = rhs.reshape(-1, nx) @ self.Qx
-        coef = self.Qy.T @ coef.reshape(-1, ny, nx)
-        coef *= self.gain
-        out = (self.Qy @ coef).reshape(-1, nx) @ self.Qx.T
-        return out.reshape(rhs.shape)
+        Q = (self.Qy, self.Qx)
+        return _eigen_apply(rhs, Q, self.gain, Q)
 
     def step(self, u: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
         """One step A^{-1}(B u + r) for fields u of shape (k, n_cells).
@@ -135,6 +130,14 @@ def assemble(grid: GridSpec, kappa: float, tau: float) -> CNWorkspace:
     return CNWorkspace(grid, kappa, tau, Qy, Qx, gain)
 
 
+def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
+    """Return the minimum of u; below -NEGATIVITY_TOL, raise StabilityError naming the remedy."""
+    low = float(u.min())
+    if low < -NEGATIVITY_TOL:
+        raise StabilityError(f"state went negative ({low:.3e}) at t={t:.4f}; {remedy}")
+    return low
+
+
 def _advance(
     ws: CNWorkspace,
     u: np.ndarray,
@@ -158,11 +161,7 @@ def _advance(
         jac = reaction_jacobian(model, q, t, schedule)
         incr = incr + (0.5 * ws.tau ** 2) * np.einsum("ijc,jc->ic", jac, rate)
     new = ws.step(u, incr)
-    low = float(new[:m].min())
-    if low < -NEGATIVITY_TOL:
-        raise StabilityError(
-            f"state went negative ({low:.3e}) at t={t + ws.tau:.4f}; use a smaller tau"
-        )
+    low = _check_sign(new[:m], t + ws.tau, "use a smaller tau")
     if low < 0.0:
         np.clip(new[:m], 0.0, None, out=new[:m])
     return new

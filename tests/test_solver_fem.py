@@ -1,22 +1,21 @@
 """Tests for the bilinear-element diffusion backend and Strang splitting."""
 
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiffuse.cli_io import demo_geometry, demo_population
 from epidiffuse.errors import DimensionError, ParameterError, StabilityError
 from epidiffuse.grid import GridSpec
 from epidiffuse.models import ModelKind, ParameterVector, RateSchedule, initial_fractions, reaction
 from epidiffuse.solver_cn import run_from_state
-from epidiffuse.solver_fem import (
-    FemAssembly,
-    assemble_fem,
-    element_mass,
-    element_stiffness,
-    _diffuse,
-    run_fem_from_state,
-)
+from epidiffuse.solver_fem import _diffuse, _q1_eigenbasis, assemble_fem, run_fem_from_state
 
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 
@@ -24,9 +23,9 @@ SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 def quadrature_element_matrices(hx, hy):
     """Element matrices by 3x3 Gauss quadrature of the shape functions.
 
-    The shape functions are evaluated symbolically as products of 1-D hat
-    functions; 3-point Gauss integrates the (at most biquadratic) integrands
-    exactly, so this is an independent check of the closed forms.
+    The shape functions, ordered x-major with y fastest, are evaluated as
+    products of 1-D hat functions; 3-point Gauss integrates the (at most
+    biquadratic) integrands exactly, so this is an independent oracle.
     """
     pts, wts = np.polynomial.legendre.leggauss(3)
     xs = 0.5 * hx * (pts + 1.0)
@@ -55,9 +54,8 @@ def quadrature_element_matrices(hx, hy):
 
 
 def assemble_dense_reference(grid):
-    """Scalar-loop global assembly over elements, for small grids."""
-    me = element_mass(grid.hx, grid.hy)
-    ke = element_stiffness(grid.hx, grid.hy)
+    """Scalar-loop global assembly of the quadrature element matrices, for small grids."""
+    me, ke = quadrature_element_matrices(grid.hx, grid.hy)
     n = grid.n_cells
     M = np.zeros((n, n))
     K = np.zeros((n, n))
@@ -72,65 +70,148 @@ def assemble_dense_reference(grid):
     return M, K
 
 
+def assemble_dense_1d(n, h):
+    """Scalar-loop assembly of the 1-D linear-element mass and stiffness matrices."""
+    me = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    ke = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    M = np.zeros((n, n))
+    K = np.zeros((n, n))
+    for e in range(n - 1):
+        M[e:e + 2, e:e + 2] += me
+        K[e:e + 2, e:e + 2] += ke
+    return M, K
+
+
+def tensor_bases(asm):
+    """The 2-D forward and back bases kron(M_y V_y, M_x V_x) and kron(V_y, V_x)."""
+    return np.kron(*asm.fwd), np.kron(*asm.back)
+
+
 class TestElementMatrices:
+    """The quadrature oracle, and the Kronecker factorization the backend rests on."""
+
     def test_unit_cell_mass(self):
         expected = np.array(
             [[4, 2, 2, 1], [2, 4, 1, 2], [2, 1, 4, 2], [1, 2, 2, 4]]
         ) / 36.0
-        npt.assert_allclose(element_mass(1.0, 1.0), expected, atol=1e-15)
+        npt.assert_allclose(quadrature_element_matrices(1.0, 1.0)[0], expected, atol=1e-15)
 
     def test_matches_quadrature(self):
+        """Q1 element matrices are Kronecker products of the 1-D linear-element ones."""
         for hx, hy in ((1.0, 1.0), (0.5, 0.25), (1.3, 0.7)):
             me_ref, ke_ref = quadrature_element_matrices(hx, hy)
-            npt.assert_allclose(element_mass(hx, hy), me_ref, atol=1e-14)
-            npt.assert_allclose(element_stiffness(hx, hy), ke_ref, atol=1e-13)
+            mx, kx = assemble_dense_1d(2, hx)
+            my, ky = assemble_dense_1d(2, hy)
+            npt.assert_allclose(np.kron(mx, my), me_ref, atol=1e-14)
+            npt.assert_allclose(np.kron(kx, my) + np.kron(mx, ky), ke_ref, atol=1e-13)
 
     def test_mass_total_is_cell_area(self):
-        assert element_mass(0.3, 0.8).sum() == pytest.approx(0.24)
+        assert quadrature_element_matrices(0.3, 0.8)[0].sum() == pytest.approx(0.24)
 
     def test_stiffness_annihilates_constants(self):
-        ke = element_stiffness(0.5, 0.7)
+        ke = quadrature_element_matrices(0.5, 0.7)[1]
         npt.assert_allclose(ke @ np.ones(4), 0.0, atol=1e-14)
         npt.assert_allclose(ke, ke.T, atol=1e-15)
         assert np.linalg.eigvalsh(ke).min() > -1e-12
 
 
 class TestGlobalAssembly:
+    """The tensor eigenbasis of assemble_fem against the dense reference.
+
+    With F = M V and V^T M V = I, M = F F^T, K = F diag(lam) F^T and
+    M^{-1} = V V^T.
+    """
+
     def test_matches_dense_reference(self):
         grid = GridSpec(4, 3, 1.2, 0.9)
         asm = assemble_fem(grid)
+        F, _ = tensor_bases(asm)
         M_ref, K_ref = assemble_dense_reference(grid)
-        npt.assert_allclose(asm.mass.toarray(), M_ref, atol=1e-14)
-        npt.assert_allclose(asm.stiffness.toarray(), K_ref, atol=1e-13)
+        npt.assert_allclose(F @ F.T, M_ref, atol=1e-14)
+        npt.assert_allclose(F @ np.diag(asm.lam.ravel()) @ F.T, K_ref, atol=1e-13)
 
     def test_conservation_identities(self):
+        """Constants span the null space and keep their weak mass under the flow."""
         grid = GridSpec(7, 6, 1.5, 1.1)
         asm = assemble_fem(grid)
-        ones = np.ones(grid.n_cells)
-        npt.assert_allclose(asm.stiffness @ ones, 0.0, atol=1e-12)
-        assert ones @ (asm.mass @ ones) == pytest.approx(grid.Lx * grid.Ly, rel=1e-12)
+        F, V = tensor_bases(asm)
+        M_ref, K_ref = assemble_dense_reference(grid)
+        assert asm.lam[0, 0] == 0.0
+        assert np.ptp(V[:, 0]) == pytest.approx(0.0, abs=1e-15)
+        ones = np.ones((1, grid.n_cells))
+        npt.assert_allclose(_diffuse(asm, ones, 0.3, 0.7), ones, atol=1e-13)
+        npt.assert_allclose(K_ref @ ones[0], 0.0, atol=1e-12)
+        assert ones[0] @ (F @ (F.T @ ones[0])) == pytest.approx(grid.Lx * grid.Ly, rel=1e-12)
 
     def test_mass_is_positive_definite(self):
+        """x^T M x = |F^T x|^2 > 0: M is the Gram matrix of an invertible basis."""
         rng = np.random.default_rng(6)
         grid = GridSpec(6, 5, 1.0, 1.0)
-        asm = assemble_fem(grid)
+        F, _ = tensor_bases(assemble_fem(grid))
+        M_ref, _ = assemble_dense_reference(grid)
+        assert np.linalg.svd(F, compute_uv=False).min() > 0.0
         for _ in range(20):
             x = rng.normal(size=grid.n_cells)
-            assert x @ (asm.mass @ x) > 0.0
+            assert x @ (M_ref @ x) == pytest.approx(np.sum((F.T @ x) ** 2), rel=1e-12)
+            assert x @ (M_ref @ x) > 0.0
 
     def test_lam_max_matches_dense_eigenvalue(self):
         grid = GridSpec(6, 5, 1.0, 0.8)
         asm = assemble_fem(grid)
         M_ref, K_ref = assemble_dense_reference(grid)
         w = np.linalg.eigvals(np.linalg.solve(M_ref, K_ref))
-        assert asm.lam_max == pytest.approx(float(w.real.max()), rel=1e-8)
+        assert float(asm.lam.max()) == pytest.approx(float(w.real.max()), rel=1e-8)
+        assert float(asm.lam.max()) == pytest.approx(12.0 / grid.hx ** 2 + 12.0 / grid.hy ** 2)
 
     def test_mass_solve_inverts(self):
+        """The back bases apply M^{-1} = V V^T."""
         rng = np.random.default_rng(8)
         grid = GridSpec(5, 5, 1.0, 1.0)
-        asm = assemble_fem(grid)
+        _, V = tensor_bases(assemble_fem(grid))
+        M_ref, _ = assemble_dense_reference(grid)
         rhs = rng.normal(size=(grid.n_cells, 2))
-        npt.assert_allclose(asm.mass @ asm.mass_solve(rhs), rhs, atol=1e-12)
+        npt.assert_allclose(M_ref @ (V @ (V.T @ rhs)), rhs, atol=1e-12)
+
+
+class TestQ1Eigenbasis:
+    def test_one_d_identities(self):
+        """V^T M_1 V = I, K_1 V = M_1 V diag(lam), lam_0 = 0 with a constant V[:, 0]."""
+        for n in range(2, 65):
+            h = 2.3 / (n - 1)
+            V, MV, lam = _q1_eigenbasis(n, h)
+            M, K = assemble_dense_1d(n, h)
+            npt.assert_allclose(V.T @ M @ V, np.eye(n), rtol=0, atol=1e-13)
+            npt.assert_allclose(K @ V, M @ V * lam, rtol=0, atol=1e-12 * np.abs(K).max())
+            npt.assert_allclose(MV, M @ V, rtol=0, atol=1e-13 * np.abs(M @ V).max())
+            assert lam[0] == 0.0
+            assert np.ptp(V[:, 0]) == 0.0
+            assert lam.max() == pytest.approx(12.0 / h ** 2, rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(2, 7),
+        ny=st.integers(2, 7),
+        Lx=st.floats(0.3, 3.0),
+        Ly=st.floats(0.3, 3.0),
+        kappa=st.floats(0.0, 0.5),
+        t=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flow_is_the_matrix_exponential(self, nx, ny, Lx, Ly, kappa, t, seed):
+        """_diffuse(u) = expm(-kappa t M^{-1} K) u on random small grids, to 1e-12."""
+        grid = GridSpec(nx, ny, Lx, Ly)
+        M_ref, K_ref = assemble_dense_reference(grid)
+        u = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2, grid.n_cells))
+        expected = u @ scipy.linalg.expm(-kappa * t * np.linalg.solve(M_ref, K_ref)).T
+        got = _diffuse(assemble_fem(grid), u, kappa, t)
+        npt.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone: importing it pulls in no scipy module."""
+    code = "import sys, epidiffuse; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def smooth_state(grid, m):
@@ -167,33 +248,35 @@ class TestSplitStepping:
         """1^T M u stays constant under the full split flow of a closed model."""
         grid = GridSpec(9, 8, 1.0, 1.0)
         asm = assemble_fem(grid)
+        M_ref, _ = assemble_dense_reference(grid)
         u0 = smooth_state(grid, 3)
         ones = np.ones(grid.n_cells)
-        total0 = sum(ones @ (asm.mass @ u0[i].ravel()) for i in range(3))
+        total0 = sum(ones @ (M_ref @ u0[i].ravel()) for i in range(3))
         final = run_fem_from_state(
             grid, u0, ModelKind.SEIR, SCHED, 0.2, 2.5, 0.25, store_every=10
         ).states[-1]
         # SEIR loses gamma * I; run the same check on the susceptible-only
         # diffusion by comparing against the reaction-free flow instead
         u = smooth_state(grid, 1).reshape(1, -1)
-        t0 = ones @ (asm.mass @ u[0])
+        t0 = ones @ (M_ref @ u[0])
         for _ in range(10):
             u = _diffuse(asm, u, 0.2, 0.25)
-        t1 = ones @ (asm.mass @ u[0])
+        t1 = ones @ (M_ref @ u[0])
         assert abs(t1 - t0) / abs(t0) < 1e-12
         # and the epidemic run must at least keep everything finite/positive
         assert np.isfinite(final).all()
-        total1 = sum(ones @ (asm.mass @ final[i].ravel()) for i in range(3))
+        total1 = sum(ones @ (M_ref @ final[i].ravel()) for i in range(3))
         assert total1 < total0  # gamma drain
 
     def test_diffusion_decreases_energy(self):
         grid = GridSpec(9, 9, 1.0, 1.0)
         asm = assemble_fem(grid)
+        _, K_ref = assemble_dense_reference(grid)
         rng = np.random.default_rng(3)
         u = rng.uniform(0.2, 0.8, size=(1, grid.n_cells))
-        e0 = float(u[0] @ (asm.stiffness @ u[0]))
+        e0 = float(u[0] @ (K_ref @ u[0]))
         v = _diffuse(asm, u, 0.3, 0.5)
-        e1 = float(v[0] @ (asm.stiffness @ v[0]))
+        e1 = float(v[0] @ (K_ref @ v[0]))
         assert e1 < e0
 
     def test_strang_order_near_two(self):
