@@ -752,12 +752,12 @@ def _cmd_gradient_check(config: RunConfig, out_dir: Path) -> dict:
         raise ConfigError("gradient-check requires data.cases", path=config.path, key="data.cases")
     check = gradient_check(problem, problem.initial)
     table_path = out_dir / "gradient_check.csv"
-    rows = [
-        [name, _FLOAT_FMT % a, _FLOAT_FMT % f, _FLOAT_FMT % r]
-        for name, a, f, r in zip(check["names"], check["adjoint"], check["fd"], check["rel_err"])
-    ]
-    _write_table(table_path, ["component", "adjoint", "finite_difference", "rel_error"], rows)
-    metrics = {"max_rel_error": float(check["rel_err"].max())}
+    columns = zip(check["names"], check["adjoint"], check["fd"], check["rel_err"], check["scaled_err"])
+    rows = [[name] + [_FLOAT_FMT % v for v in values] for name, *values in columns]
+    _write_table(table_path, ["component", "adjoint", "finite_difference", "rel_error",
+                              "scaled_error"], rows)
+    metrics = {"max_rel_error": float(check["rel_err"].max()),
+               "max_scaled_error": float(check["scaled_err"].max())}
     return {"outputs": [str(table_path)], "metrics": metrics}
 
 

@@ -26,6 +26,13 @@ A shared Armijo backtracking step is applied to both directions at once, and
 accepted iterates are projected onto the bounds
 
     beta_j > 0,   0 <= kappa <= 1,   0 <= delta <= 1,   I0 >= 0.
+
+The search settings are module constants, not options: ARMIJO_C (sufficient
+decrease), ARMIJO_SHRINK and ALPHA_MIN (backtracking), TOL (relative change
+of J that stops the fit), GTOL (gradient norm that stops it), BFGS_MEMORY,
+and the caps on one initial-condition step, MAX_SEED_STEP persons per region
+or MAX_INITIAL_STEP in infected-fraction units per cell.  The sampler warns
+after STUCK_WINDOW draws without an acceptance.
 """
 
 from __future__ import annotations
@@ -67,6 +74,17 @@ from . import solver_fem
 BETA_MIN = 1e-8
 
 CHI_NAMES = ("beta0", "beta1", "beta2", "kappa", "delta")
+
+STUCK_WINDOW = 500          # draws without an acceptance before the sampler warns
+
+ARMIJO_C = 1e-3
+ARMIJO_SHRINK = 0.5
+ALPHA_MIN = 1e-10
+TOL = 1e-6
+GTOL = 1e-12
+BFGS_MEMORY = 10
+MAX_SEED_STEP = 50.0        # persons, per-region initial-condition mode
+MAX_INITIAL_STEP = 0.05     # infected fraction, per-cell initial-condition mode
 
 
 @dataclass
@@ -209,7 +227,6 @@ class MetropolisConfig:
     sigma: float | None = None
     seed: int = 0
     burn_in: float = 0.2
-    stuck_window: int = 500
 
     def __post_init__(self):
         if self.draws < 1:
@@ -262,9 +279,6 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
         "in_bounds": np.ones(config.draws, dtype=bool),
     }
     history: list[tuple[float, np.ndarray]] = []
-    accepted_states: list[np.ndarray] = []
-    accepted_draws: list[int] = []
-    accepted_j: list[float] = []
     last_accept = -1
     warned_stuck = False
 
@@ -286,34 +300,32 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
                 x = prop
                 j_cur = j_prop
                 log["accepted"][i] = True
-                accepted_states.append(x.copy())
-                accepted_draws.append(i)
-                accepted_j.append(j_cur)
                 last_accept = i
         history.append((j_cur, x.copy()))
-        if not warned_stuck and i - last_accept >= config.stuck_window:
+        if not warned_stuck and i - last_accept >= STUCK_WINDOW:
             warnings.warn(
-                f"no accepted proposal in {config.stuck_window} draws; "
+                f"no accepted proposal in {STUCK_WINDOW} draws; "
                 "check step_scale and sigma",
                 RuntimeWarning,
             )
             warned_stuck = True
 
     burn = int(config.burn_in * config.draws)
-    kept = [k for k, d in enumerate(accepted_draws) if d >= burn]
+    n_accepted = int(log["accepted"].sum())
+    kept = burn + np.flatnonzero(log["accepted"][burn:])
     diagnostics = {
         "decisions": log,
         "sigma": sigma,
         "step_scale": scale,
         "burn_in_draws": burn,
-        "n_accepted": len(accepted_states),
+        "n_accepted": n_accepted,
         "stuck": warned_stuck,
     }
-    if kept:
-        sample = np.array([accepted_states[k] for k in kept])
+    if kept.size:
+        sample = np.array([history[k][1] for k in kept])
         mean = sample.mean(axis=0)
-        std = sample.std(axis=0, ddof=1) if len(kept) > 1 else np.zeros(dim)
-        diagnostics["mean_accepted_J"] = float(np.mean([accepted_j[k] for k in kept]))
+        std = sample.std(axis=0, ddof=1) if kept.size > 1 else np.zeros(dim)
+        diagnostics["mean_accepted_J"] = float(np.mean(log["j_new"][kept]))
     else:
         warnings.warn("no accepted draws after burn-in; reporting the last chain state", RuntimeWarning)
         mean, std = x.copy(), np.full(dim, np.nan)
@@ -329,7 +341,7 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
         init_fields=problem.build_u0(params_hat),
         objective=j_hat,
         history=history,
-        acceptance_rate=len(accepted_states) / config.draws,
+        acceptance_rate=n_accepted / config.draws,
         posterior_std=dict(zip(problem.param_names, std)),
         n_evaluations=n_eval,
         diagnostics=diagnostics,
@@ -479,38 +491,43 @@ def gradient_check(
 ) -> dict:
     """Adjoint gradient vs central finite differences of Problem.objective.
 
-    Returns per-component adjoint and FD values with their relative errors.
+    Returns per-component adjoint and FD values with two error figures.
+    ``rel_err`` is |adj - FD| / |FD|, which is large for a correct component
+    near zero.  ``scaled_err`` is |adj - FD| * s / max(|FD| * s) with
+    s = max(|x|, 1e-2), the scale of each component's FD step, so every
+    component is measured against the largest sensitivity to a relative change.
     Evaluation points must keep chi strictly inside the bounds so that the
     two-sided stencil stays admissible.
     """
     grad = adjoint_gradient(problem, params)
-    x0 = problem.pack(params)
     names = list(CHI_NAMES)
     adjoint = list(grad.chi)
     if include_seeds:
         names += [f"I0_{r}" for r in problem.region_names]
         adjoint += list(grad.seeds)
+    x0 = problem.pack(params)
+    size = np.maximum(np.abs(x0[:len(names)]), 1e-2)
     fd = []
     for i in range(len(names)):
-        h = rel_step * max(abs(x0[i]), 1e-2)
-        for sign in (+1.0, -1.0):
-            trial = x0.copy()
-            trial[i] += sign * h
-            if not problem.in_bounds(trial):
-                raise ParameterError(
-                    f"FD stencil for '{names[i]}' leaves the bounds; move the evaluation point inward"
-                )
-        plus = problem.objective(problem.unpack(np.concatenate([x0[:i], [x0[i] + h], x0[i + 1:]])))
-        minus = problem.objective(problem.unpack(np.concatenate([x0[:i], [x0[i] - h], x0[i + 1:]])))
-        fd.append((plus - minus) / (2.0 * h))
+        h = rel_step * size[i]
+        plus, minus = x0.copy(), x0.copy()
+        plus[i] += h
+        minus[i] -= h
+        if not (problem.in_bounds(plus) and problem.in_bounds(minus)):
+            raise ParameterError(
+                f"FD stencil for '{names[i]}' leaves the bounds; move the evaluation point inward"
+            )
+        fd.append((problem.objective(problem.unpack(plus))
+                   - problem.objective(problem.unpack(minus))) / (2.0 * h))
     adjoint = np.array(adjoint)
     fd = np.array(fd)
-    denom = np.maximum(np.abs(fd), 1e-12)
+    err = np.abs(adjoint - fd)
     return {
         "names": names,
         "adjoint": adjoint,
         "fd": fd,
-        "rel_err": np.abs(adjoint - fd) / denom,
+        "rel_err": err / np.maximum(np.abs(fd), 1e-12),
+        "scaled_err": err * size / max(float((np.abs(fd) * size).max()), 1e-300),
     }
 
 
@@ -520,29 +537,20 @@ def gradient_check(
 
 @dataclass
 class AdjointConfig:
-    tol: float = 1e-6
-    gtol: float = 1e-12
+    """Which unknowns the fit moves and for how many iterations.
+
+    ``optimize_initial`` adds the initial infected values to chi, as
+    per-region seed counts or, with ``per_cell_initial``, as the infected
+    fraction of every cell.  The search settings are module constants.
+    """
+
     max_outer: int = 50
-    armijo_c: float = 1e-3
-    armijo_shrink: float = 0.5
-    alpha_min: float = 1e-10
-    bfgs_memory: int = 10
     optimize_initial: bool = False
     per_cell_initial: bool = False
-    max_seed_step: float = 50.0       # persons, per-region mode
-    max_initial_step: float = 0.05    # fraction units, per-cell mode
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ConfigError(f"armijo_c must lie in (0, 1), got {self.armijo_c}", key="armijo_c")
-        if not (0.0 < self.armijo_shrink < 1.0):
-            raise ConfigError(
-                f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}", key="armijo_shrink"
-            )
-        if self.tol <= 0.0 or self.max_outer < 1:
-            raise ConfigError("tol must be > 0 and max_outer >= 1")
-        if self.gtol < 0.0:
-            raise ConfigError(f"gtol must be >= 0, got {self.gtol}", key="gtol")
+        if self.max_outer < 1:
+            raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}", key="max_outer")
 
 
 class _Lbfgs:
@@ -606,17 +614,13 @@ def _region_counts(problem: Problem, frac: np.ndarray) -> np.ndarray:
     ])
 
 
-def _seed_targets(problem: Problem, grad: AdjointGradient) -> np.ndarray:
-    """Per-region person counts implied by the optimality condition on u0."""
-    return np.maximum(_region_counts(problem, _target_fraction(problem, grad)), 0.0)
-
-
 def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     """Forward-backward sweeps with L-BFGS on chi and Armijo backtracking.
 
-    When ``optimize_initial`` is on (requires w2 > 0) the initial conditions
-    move along s2 = u0_tilde - u0 in the same line search; per-region seed
-    counts by default, the raw infected field with ``per_cell_initial``.
+    When ``optimize_initial`` is on (requires w2 > 0) the initial condition
+    moves along s2 = target - x in the same line search.  The iterate x is
+    the per-region seed counts by default and the infected-fraction field
+    with ``per_cell_initial``; its target comes from u0_tilde.
     """
     if config.optimize_initial and problem.weights.w2 <= 0.0:
         raise ConfigError("initial-condition optimization requires w2 > 0", key="w2")
@@ -624,23 +628,34 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         raise ConfigError("per_cell_initial needs optimize_initial enabled", key="per_cell_initial")
     _require_exact_adjoint(problem)
 
-    params = problem.initial
+    model, names = problem.model, problem.region_names
     per_cell = config.per_cell_initial
-    u0_field = problem.build_u0(params) if per_cell else None
-    idx_i = problem.model.infected_index
+    params = problem.initial
+    u0 = problem.build_u0(params)
+    if per_cell:
+        x, upper, cap = u0[model.infected_index], 1.0, MAX_INITIAL_STEP
+    else:
+        x, upper, cap = problem.pack(params)[5:], np.inf, MAX_SEED_STEP
 
-    traj = problem.simulate(params, store_every=1, u0_override=u0_field)
+    def place(base: ParameterVector, x_t: np.ndarray) -> tuple[ParameterVector, np.ndarray]:
+        """The parameters and initial state of iterate x_t; a field reports its region totals."""
+        if per_cell:
+            counts = _region_counts(problem, x_t)
+            return base.with_seeds(dict(zip(names, counts))), seed_state(model, x_t)
+        trial = base.with_seeds(dict(zip(names, x_t)))
+        return trial, problem.build_u0(trial)
+
+    traj = problem.simulate(params, store_every=1, u0_override=u0)
     grad = adjoint_gradient(problem, params, traj)
     j_cur = grad.breakdown.total
     n_eval = 1
-    seeds = problem.pack(params)[5:]
     history = [(j_cur, problem.pack(params))]
     gnorms = [float(np.linalg.norm(grad.full))]
     diagnostics: dict = {"resets": 0, "line_search_failed": False, "stop": "max_outer"}
-    lbfgs = _Lbfgs(config.bfgs_memory)
+    lbfgs = _Lbfgs(BFGS_MEMORY)
 
-    for outer in range(config.max_outer):
-        if gnorms[-1] <= config.gtol:
+    for _ in range(config.max_outer):
+        if gnorms[-1] <= GTOL:
             diagnostics["stop"] = "stationary"
             break
         g_chi = grad.chi
@@ -648,75 +663,48 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         if float(s1 @ g_chi) >= 0.0:
             s1 = -g_chi
             diagnostics["resets"] += 1
-
-        s2_seeds = np.zeros_like(seeds)
-        s2_field = None
         slope = float(s1 @ g_chi)
+
+        s2 = np.zeros_like(x)
         if config.optimize_initial:
+            frac = _target_fraction(problem, grad)
             if per_cell:
-                target = np.clip(_target_fraction(problem, grad), 0.0, 1.0)
-                s2_field = target - u0_field[idx_i]
-                peak = float(np.abs(s2_field).max())
-                if peak > config.max_initial_step:
-                    s2_field *= config.max_initial_step / peak
-                basis = np.multiply.outer(seed_direction(problem.model), s2_field)
-                slope2 = float((grad.du0 * basis).sum())
-                if slope2 > 0.0:
-                    s2_field = None
-                else:
-                    slope += slope2
+                target = np.clip(frac, 0.0, 1.0)
+                g_x = np.tensordot(seed_direction(model), grad.du0, axes=1)
             else:
-                s2_seeds = _seed_targets(problem, grad) - seeds
-                peak = float(np.abs(s2_seeds).max())
-                if peak > config.max_seed_step:
-                    s2_seeds *= config.max_seed_step / peak
-                slope2 = float(s2_seeds @ grad.seeds)
-                if slope2 > 0.0:
-                    s2_seeds[:] = 0.0
-                else:
-                    slope += slope2
+                target = np.maximum(_region_counts(problem, frac), 0.0)
+                g_x = grad.seeds
+            s2 = target - x
+            peak = float(np.abs(s2).max())
+            if peak > cap:
+                s2 *= cap / peak
+            slope2 = float(np.vdot(s2, g_x))
+            if slope2 > 0.0:
+                s2[...] = 0.0
+            else:
+                slope += slope2
 
         alpha = 1.0
-        accepted = False
-        chi_cur = params.chi
-        while alpha >= config.alpha_min:
-            chi_t = problem.project_chi(chi_cur + alpha * s1)
-            trial = params.with_chi(chi_t)
-            u0_t = None
-            if per_cell:
-                u0_t = u0_field.copy()
-                if s2_field is not None:
-                    frac = np.clip(u0_field[idx_i] + alpha * s2_field, 0.0, 1.0)
-                    u0_t = seed_state(problem.model, frac)
-            else:
-                seeds_t = np.maximum(seeds + alpha * s2_seeds, 0.0)
-                trial = trial.with_seeds(dict(zip(problem.region_names, seeds_t)))
+        while alpha >= ALPHA_MIN:
+            x_t = np.clip(x + alpha * s2, 0.0, upper)
+            trial, u0_t = place(params.with_chi(problem.project_chi(params.chi + alpha * s1)), x_t)
             # every level is stored so that an accepted trial's run feeds the gradient
             traj_t = problem.simulate(trial, store_every=1, u0_override=u0_t)
             j_t = evaluate_terms(traj_t, trial, problem.weights, problem._require_data()).total
             n_eval += 1
-            if j_t <= j_cur + config.armijo_c * alpha * slope:
-                accepted = True
+            if j_t <= j_cur + ARMIJO_C * alpha * slope:
                 break
-            alpha *= config.armijo_shrink
-        if not accepted:
+            alpha *= ARMIJO_SHRINK
+        else:
             diagnostics["line_search_failed"] = True
             diagnostics["stop"] = "line_search"
             break
 
-        j_prev, chi_prev, g_prev = j_cur, chi_cur, g_chi
-        params = trial
-        if per_cell:
-            # the iterate is the field; its region totals are the seeds it reports
-            u0_field = u0_t
-            counts = _region_counts(problem, u0_field[idx_i])
-            params = params.with_seeds(dict(zip(problem.region_names, counts)))
-        else:
-            seeds = problem.pack(params)[5:]
-        j_cur = j_t
+        j_prev, chi_prev, g_prev = j_cur, params.chi, g_chi
+        params, u0, x, j_cur = trial, u0_t, x_t, j_t
         history.append((j_cur, problem.pack(params)))
 
-        if abs(j_prev - j_cur) <= config.tol * max(abs(j_prev), 1e-300):
+        if abs(j_prev - j_cur) <= TOL * max(abs(j_prev), 1e-300):
             diagnostics["stop"] = "tol"
             break
 
@@ -726,7 +714,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
 
     return FitResult(
         params=params,
-        init_fields=u0_field if per_cell else problem.build_u0(params),
+        init_fields=u0,
         objective=j_cur,
         history=history,
         gradient_norms=gnorms,

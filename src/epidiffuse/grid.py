@@ -24,45 +24,32 @@ import numpy as np
 
 from .errors import DegenerateRegionError, DimensionError, ParameterError
 
-#: Refuse to build grids bigger than this unless the caller raises the limit.
-DEFAULT_MAX_CELLS = 1_000_000
+#: Grids with more nodes than this are refused.
+MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a node-centered grid on [0, Lx] x [0, Ly].
-
-    ``hx`` and ``hy`` are normally derived; they may be passed explicitly
-    (e.g. when read back from a file) and are then checked against the
-    derived values to relative 1e-12.
-    """
+    """Geometry of a node-centered grid on [0, Lx] x [0, Ly]; ``hx`` and ``hy`` are derived."""
 
     nx: int
     ny: int
     Lx: float
     Ly: float
-    hx: float = field(default=0.0)
-    hy: float = field(default=0.0)
-    max_cells: int = field(default=DEFAULT_MAX_CELLS, repr=False, compare=False)
+    hx: float = field(init=False)
+    hy: float = field(init=False)
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ParameterError(f"grid needs at least 2 nodes per axis, got {self.nx}x{self.ny}")
-        if self.nx * self.ny > self.max_cells:
+        if self.nx * self.ny > MAX_CELLS:
             raise ParameterError(
-                f"grid has {self.nx * self.ny} cells, exceeding the maximum of {self.max_cells}"
+                f"grid has {self.nx * self.ny} cells, exceeding the maximum of {MAX_CELLS}"
             )
         if not (self.Lx > 0.0 and self.Ly > 0.0):
             raise ParameterError(f"window extents must be positive, got {self.Lx} x {self.Ly}")
-        hx = self.Lx / (self.nx - 1)
-        hy = self.Ly / (self.ny - 1)
-        for name, given, derived in (("hx", self.hx, hx), ("hy", self.hy, hy)):
-            if given and abs(given - derived) > 1e-12 * abs(derived):
-                raise ParameterError(
-                    f"{name}={given} inconsistent with derived value {derived}"
-                )
-        object.__setattr__(self, "hx", hx)
-        object.__setattr__(self, "hy", hy)
+        object.__setattr__(self, "hx", self.Lx / (self.nx - 1))
+        object.__setattr__(self, "hy", self.Ly / (self.ny - 1))
 
     @property
     def shape(self) -> tuple[int, int]:

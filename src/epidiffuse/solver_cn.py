@@ -55,6 +55,9 @@ NEGATIVITY_TOL = 1e-10
 #: Longest admissible time step, in days.
 MAX_TAU = 1.0
 
+#: The halving time steps of temporal_refinement_study, in days.
+STUDY_TAUS = (0.4, 0.2, 0.1)
+
 
 @dataclass
 class CNWorkspace:
@@ -324,26 +327,19 @@ def temporal_refinement_study(
     schedule: RateSchedule,
     kappa: float,
     t_end: float,
-    taus: list[float] | None = None,
     corrected: bool = False,
-    ref_refine: int = 64,
 ) -> dict:
     """Observed temporal convergence order against a fine-step reference.
 
     ``kind`` selects the regime: "diffusion" switches the reaction off
     (kappa-only, where the trapezoidal rule is second order) and "coupled"
     runs the full model (first order with the default explicit reaction
-    coupling).  Errors are L2 norms over all compartments at t_end; orders
-    are log2 ratios of consecutive errors for tau halvings.
+    coupling).  The steps are STUDY_TAUS and the reference runs at a step
+    64 times finer than the last.  Errors are L2 norms over all compartments
+    at t_end; orders are log2 ratios of consecutive errors.
     """
     if kind not in ("diffusion", "coupled"):
         raise ParameterError(f"unknown study kind '{kind}'")
-    if taus is None:
-        taus = [0.4, 0.2, 0.1]
-    taus = sorted(taus, reverse=True)
-    for coarse, fine in zip(taus, taus[1:]):
-        if abs(coarse / fine - 2.0) > 1e-9:
-            raise ParameterError("taus must halve between consecutive entries")
 
     # Smooth initial bump from low cosine modes (zero normal derivative at
     # the window edges) with a positive floor, so the coarse steps stay clear
@@ -366,10 +362,10 @@ def temporal_refinement_study(
             )
         return traj.states[-1].reshape(model.n_compartments, -1)
 
-    ref = final_state(taus[-1] / ref_refine)
+    ref = final_state(STUDY_TAUS[-1] / 64)
     errors = []
-    for tau in taus:
+    for tau in STUDY_TAUS:
         diff = final_state(tau) - ref
         errors.append(float(np.sqrt((diff ** 2).sum() * grid.cell_area)))
     orders = [float(np.log2(e0 / e1)) for e0, e1 in zip(errors, errors[1:])]
-    return {"kind": kind, "taus": list(taus), "errors": errors, "orders": orders}
+    return {"kind": kind, "taus": list(STUDY_TAUS), "errors": errors, "orders": orders}

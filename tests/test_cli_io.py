@@ -764,8 +764,20 @@ class TestCommandLine:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metrics"]["max_rel_error"] < 1e-3
         header, rows = self.read_table(out / "gradient_check.csv")
-        assert header == ["component", "adjoint", "finite_difference", "rel_error"]
+        assert header == ["component", "adjoint", "finite_difference", "rel_error",
+                          "scaled_error"]
         assert [r[0] for r in rows] == ["beta0", "beta1", "beta2", "kappa", "delta"]
+        scaled = [float(r[4]) for r in rows]
+        assert summary["metrics"]["max_scaled_error"] == pytest.approx(max(scaled), rel=1e-11)
+        assert all(s <= float(r[3]) for s, r in zip(scaled, rows))
+
+    def test_retired_adjoint_setting_exits_config_code(self, scenario, capsys):
+        raw = dict(scenario["raw"])
+        raw["estimator"] = {"kind": "adjoint", "adjoint": {"max_outer": 2, "armijo_c": 0.5}}
+        config_path = dump_config(scenario["dir"], raw, "retired.yaml")
+        rc = main(["fit", "--config", str(config_path), "--out", str(scenario["dir"] / "retired")])
+        assert rc == 2
+        assert "estimator.adjoint" in capsys.readouterr().err
 
     def test_corrected_adjoint_exits_config_code(self, scenario, capsys):
         raw = dict(scenario["raw"])

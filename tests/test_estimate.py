@@ -9,6 +9,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epidiffuse import estimate
 from epidiffuse.errors import ConfigError, ParameterError, SequencingError
 from epidiffuse.estimate import (
     AdjointConfig,
@@ -166,11 +167,10 @@ class TestMetropolisFit:
         assert result.objective == pytest.approx(problem.objective(result.params), rel=1e-12)
         assert len(result.history) == 200
 
-    def test_stuck_chain_warns(self, twin9):
+    def test_stuck_chain_warns(self, twin9, monkeypatch):
         problem = twin9["problem"]
-        config = MetropolisConfig(
-            draws=60, seed=2, sigma=1e-12, stuck_window=50, step_scale=0.05
-        )
+        monkeypatch.setattr(estimate, "STUCK_WINDOW", 50)
+        config = MetropolisConfig(draws=60, seed=2, sigma=1e-12, step_scale=0.05)
         with pytest.warns(RuntimeWarning, match="no accepted"):
             result = metropolis_fit(problem, config)
         assert result.diagnostics["stuck"]
@@ -207,6 +207,20 @@ class TestAdjointGradient:
         )
         report = gradient_check(problem, start, include_seeds=True)
         assert report["rel_err"].max() < 1e-4, report
+
+    def test_scaled_error_definition(self, twin9):
+        """scaled_err weighs each error by its FD step's scale against the largest |FD| * s."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        start = truth.with_chi(truth.chi * 0.9).with_seeds(
+            {k: v * 1.3 for k, v in truth.init_infected.items()}
+        )
+        report = gradient_check(problem, start, include_seeds=True)
+        err = np.abs(report["adjoint"] - report["fd"])
+        size = np.maximum(np.abs(problem.pack(start)), 1e-2)
+        npt.assert_array_equal(report["scaled_err"], err * size / (np.abs(report["fd"]) * size).max())
+        npt.assert_array_equal(report["rel_err"], err / np.maximum(np.abs(report["fd"]), 1e-12))
+        assert (report["scaled_err"] <= report["rel_err"]).all()
+        assert report["scaled_err"].max() < 1e-6, report
 
     @pytest.mark.parametrize("model", [ModelKind.SIS, ModelKind.SIR])
     def test_other_models_match_finite_differences(self, twin9, model):
@@ -347,6 +361,7 @@ class TestAdjointFit:
         seeds1 = problem.pack(result.params)[5:]
         truth_seeds = problem.pack(truth)[5:]
         assert np.abs(seeds1 - truth_seeds).sum() < np.abs(seeds0 - truth_seeds).sum()
+        npt.assert_array_equal(result.init_fields, problem.build_u0(result.params))
 
     def test_per_cell_mode_runs_and_reduces_J(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, kappa=0.0)
@@ -372,12 +387,8 @@ class TestAdjointFit:
         npt.assert_array_equal(result.history[-1][1], problem.pack(result.params))
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            AdjointConfig(armijo_c=1.5)
-        with pytest.raises(ConfigError):
-            AdjointConfig(armijo_shrink=0.0)
-        with pytest.raises(ConfigError):
-            AdjointConfig(tol=0.0)
+        with pytest.raises(ConfigError, match="max_outer"):
+            AdjointConfig(max_outer=0)
 
 
 def random_mask_problem(model, nx, ny, n_regions, seed):

@@ -377,8 +377,4 @@ class TestRefinementStudy:
     def test_tau_sequence_validation(self):
         grid = GridSpec(5, 5, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            temporal_refinement_study(
-                "diffusion", grid, ModelKind.SIS, SCHED, 0.1, 2.0, taus=[0.4, 0.3]
-            )
-        with pytest.raises(ParameterError):
             temporal_refinement_study("bogus", grid, ModelKind.SIS, SCHED, 0.1, 2.0)
