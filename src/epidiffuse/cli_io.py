@@ -57,7 +57,7 @@ from .models import (
     RateSchedule,
 )
 from .objective import CaseSeries, ObjectiveWeights, detected_daily_cases, interpolate_data
-from .solver_cn import Trajectory, conservation_drift, temporal_refinement_study
+from .solver_cn import conservation_drift, temporal_refinement_study
 from .estimate import (
     AdjointConfig,
     FitResult,
@@ -104,19 +104,17 @@ def read_mask(path) -> tuple[GridSpec, RegionMask]:
         Lx, Ly = float(head[2]), float(head[3])
     except ValueError as exc:
         raise MaskFormatError(f"{path}: malformed header {lines[0]!r}") from exc
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    rows = [ln.split() for ln in lines[1:] if ln.strip()]
     if len(rows) != ny:
         raise MaskFormatError(f"{path}: expected {ny} mask rows, found {len(rows)}")
-    cells = np.zeros((ny, nx), dtype=bool)
-    for i, ln in enumerate(rows):
-        vals = ln.split()
+    for i, vals in enumerate(rows):
         if len(vals) != nx:
             raise MaskFormatError(f"{path}: row {i} has {len(vals)} entries, expected {nx}")
-        for j, v in enumerate(vals):
-            if v == "1":
-                cells[i, j] = True
-            elif v != "0":
-                raise MaskFormatError(f"{path}: row {i} contains {v!r}; only 0/1 allowed")
+        if not {"0", "1"}.issuperset(vals):
+            bad = next(v for v in vals if v not in ("0", "1"))
+            raise MaskFormatError(f"{path}: row {i} contains {bad!r}; only 0/1 allowed")
+    flags = "".join("".join(vals) for vals in rows).encode()
+    cells = (np.frombuffer(flags, dtype=np.uint8) == ord("1")).reshape(ny, nx)
     grid = GridSpec(nx, ny, Lx, Ly)
     return grid, RegionMask(path.stem, cells)
 
@@ -239,7 +237,31 @@ class RunConfig:
         return (self.start + dt.timedelta(days=int(day))).isoformat()
 
 
-def _cfg_get(raw: dict, path: str, key: str, default=None, required: bool = False):
+def _iso_date(value) -> dt.date:
+    return value if isinstance(value, dt.date) else dt.date.fromisoformat(str(value))
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def _mapping(value) -> dict:
+    return dict(value or {})
+
+
+def _typed(value, kind, path: str, key: str):
+    """``kind(value)``, or a ConfigError naming ``key`` when the value has the wrong type."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expected {kind.__name__.lstrip('_')}, got {value!r}",
+                          path=path, key=key) from exc
+
+
+def _cfg_get(raw: dict, path: str, key: str, kind=None, default=None, required: bool = False):
+    """The value at the dotted ``key`` converted by ``kind``; ``default`` when it is absent."""
     cur = raw
     for part in key.split("."):
         if not isinstance(cur, dict) or part not in cur:
@@ -247,16 +269,14 @@ def _cfg_get(raw: dict, path: str, key: str, default=None, required: bool = Fals
                 raise ConfigError("missing required key", path=path, key=key)
             return default
         cur = cur[part]
-    return cur
+    return cur if kind is None else _typed(cur, kind, path, key)
 
 
-def _as_date(value, path: str, key: str) -> dt.date:
-    if isinstance(value, dt.date):
-        return value
-    try:
-        return dt.date.fromisoformat(str(value))
-    except ValueError as exc:
-        raise ConfigError(f"expected an ISO date, got {value!r}", path=path, key=key) from exc
+def _existing_file(base: Path, value, path: str, key: str, what: str) -> str:
+    resolved = (base / str(value)).resolve()
+    if not resolved.exists():
+        raise ConfigError(f"{what} not found: {resolved}", path=path, key=key)
+    return str(resolved)
 
 
 def load_config(path) -> RunConfig:
@@ -266,14 +286,14 @@ def load_config(path) -> RunConfig:
         raw = yaml.safe_load(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path=str(path))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a timestamp that is no date
         raise ConfigError(f"invalid YAML: {exc}", path=str(path))
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping", path=str(path))
     p = str(path)
     base = path.parent
 
-    model_name = str(_cfg_get(raw, p, "model", default="seir")).lower()
+    model_name = _cfg_get(raw, p, "model", str, "seir").lower()
     try:
         model = ModelKind(model_name)
     except ValueError:
@@ -284,100 +304,88 @@ def load_config(path) -> RunConfig:
         raise ConfigError("grid.regions must map region names to mask/population", path=p, key="grid.regions")
     region_masks, populations = {}, {}
     for name, entry in regions_cfg.items():
+        key = f"grid.regions.{name}"
         if not isinstance(entry, dict) or "mask" not in entry or "population" not in entry:
-            raise ConfigError("each region needs 'mask' and 'population'", path=p, key=f"grid.regions.{name}")
-        mask_path = (base / str(entry["mask"])).resolve()
-        if not mask_path.exists():
-            raise ConfigError(f"mask file not found: {mask_path}", path=p, key=f"grid.regions.{name}.mask")
-        pop = float(entry["population"])
+            raise ConfigError("each region needs 'mask' and 'population'", path=p, key=key)
+        region_masks[str(name)] = _existing_file(base, entry["mask"], p, f"{key}.mask", "mask file")
+        pop = _typed(entry["population"], float, p, f"{key}.population")
         if pop <= 0:
-            raise ConfigError(f"population must be positive, got {pop}", path=p, key=f"grid.regions.{name}.population")
-        region_masks[str(name)] = str(mask_path)
+            raise ConfigError(f"population must be positive, got {pop}", path=p, key=f"{key}.population")
         populations[str(name)] = pop
 
     district = _cfg_get(raw, p, "grid.district_mask")
     if district is not None:
-        district = str((base / str(district)).resolve())
-        if not Path(district).exists():
-            raise ConfigError(f"mask file not found: {district}", path=p, key="grid.district_mask")
+        district = _existing_file(base, district, p, "grid.district_mask", "mask file")
 
-    start = _as_date(_cfg_get(raw, p, "window.start", required=True), p, "window.start")
-    n_days = int(_cfg_get(raw, p, "window.days", required=True))
+    start = _cfg_get(raw, p, "window.start", _iso_date, required=True)
+    n_days = _cfg_get(raw, p, "window.days", int, required=True)
     if n_days < 2:
         raise ConfigError(f"window.days must be >= 2, got {n_days}", path=p, key="window.days")
     bps = _cfg_get(raw, p, "window.breakpoints", default=[32, 77])
     if not isinstance(bps, (list, tuple)) or len(bps) != 2:
         raise ConfigError("window.breakpoints must be a pair", path=p, key="window.breakpoints")
-    resolved = []
-    for i, b in enumerate(bps):
-        if isinstance(b, (int, float)) and not isinstance(b, bool):
-            resolved.append(float(b))
-        else:
-            resolved.append(float((_as_date(b, p, "window.breakpoints") - start).days))
-    t0, t1 = resolved
+    t0, t1 = (
+        float(b) if isinstance(b, (int, float)) and not isinstance(b, bool)
+        else float((_typed(b, _iso_date, p, "window.breakpoints") - start).days)
+        for b in bps
+    )
     if not (0.0 < t0 < t1 < n_days):
         raise ConfigError(
             f"breakpoints must satisfy 0 < t0 < t1 < {n_days}, got {t0}, {t1}",
             path=p, key="window.breakpoints",
         )
 
-    gamma = float(_cfg_get(raw, p, "rates.gamma", default=DEFAULT_GAMMA))
-    theta = float(_cfg_get(raw, p, "rates.theta", default=DEFAULT_THETA))
+    gamma = _cfg_get(raw, p, "rates.gamma", float, DEFAULT_GAMMA)
+    theta = _cfg_get(raw, p, "rates.theta", float, DEFAULT_THETA)
     if gamma <= 0 or theta <= 0:
         raise ConfigError(f"rates must be positive, got gamma={gamma}, theta={theta}", path=p, key="rates")
 
-    weights = {
-        "w0": float(_cfg_get(raw, p, "weights.w0", default=1.0)),
-        "w1": float(_cfg_get(raw, p, "weights.w1", default=0.0)),
-        "w2": float(_cfg_get(raw, p, "weights.w2", default=0.0)),
-    }
+    weights = {w: _cfg_get(raw, p, f"weights.{w}", float, default)
+               for w, default in (("w0", 1.0), ("w1", 0.0), ("w2", 0.0))}
 
     cases = _cfg_get(raw, p, "data.cases")
     if cases is not None:
-        cases = str((base / str(cases)).resolve())
-        if not Path(cases).exists():
-            raise ConfigError(f"case file not found: {cases}", path=p, key="data.cases")
+        cases = _existing_file(base, cases, p, "data.cases", "case file")
 
-    backend = str(_cfg_get(raw, p, "solver.backend", default="cn"))
+    backend = _cfg_get(raw, p, "solver.backend", str, "cn")
     if backend not in ("cn", "fem-split"):
         raise ConfigError(f"backend must be 'cn' or 'fem-split', got {backend!r}", path=p, key="solver.backend")
-    tau = float(_cfg_get(raw, p, "solver.tau", default=0.1))
+    tau = _cfg_get(raw, p, "solver.tau", float, 0.1)
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}", path=p, key="solver.tau")
-    corrected = bool(_cfg_get(raw, p, "solver.corrected", default=False))
+    corrected = _cfg_get(raw, p, "solver.corrected", _boolean, False)
 
-    estimator = str(_cfg_get(raw, p, "estimator.kind", default="simulate-only"))
+    estimator = _cfg_get(raw, p, "estimator.kind", str, "simulate-only")
     if estimator not in ("metropolis", "adjoint", "simulate-only"):
         raise ConfigError(f"unknown estimator {estimator!r}", path=p, key="estimator.kind")
 
     betas = _cfg_get(raw, p, "initial.betas", default=[0.1, 0.1, 0.1])
     if not isinstance(betas, (list, tuple)) or len(betas) != 3:
         raise ConfigError("initial.betas must list three values", path=p, key="initial.betas")
-    betas = tuple(float(b) for b in betas)
-    kappa = float(_cfg_get(raw, p, "initial.kappa", default=0.1))
-    delta = float(_cfg_get(raw, p, "initial.delta", default=0.5))
     infected = _cfg_get(raw, p, "initial.infected")
     if infected is not None:
         bad = sorted(set(infected) - set(region_masks))
         if bad:
             raise ConfigError(f"initial.infected names unknown regions: {', '.join(bad)}",
                               path=p, key="initial.infected")
-        infected = {str(k): float(v) for k, v in infected.items()}
+        infected = {str(k): _typed(v, float, p, f"initial.infected.{k}") for k, v in infected.items()}
 
-    out_dir = str(_cfg_get(raw, p, "output", default="out"))
+    out_dir = _cfg_get(raw, p, "output", str, "out")
     if not Path(out_dir).is_absolute():
         out_dir = str((base / out_dir).resolve())
-    seed = int(_cfg_get(raw, p, "seed", default=0))
 
     return RunConfig(
         path=p, model=model, region_masks=region_masks, populations=populations,
         district_mask=district, cases=cases, start=start, n_days=n_days,
         breakpoints=(t0, t1), gamma=gamma, theta=theta, weights=weights,
         backend=backend, tau=tau, corrected=corrected, estimator=estimator,
-        metropolis=dict(_cfg_get(raw, p, "estimator.metropolis", default={}) or {}),
-        adjoint=dict(_cfg_get(raw, p, "estimator.adjoint", default={}) or {}),
-        initial_betas=betas, initial_kappa=kappa, initial_delta=delta,
-        initial_infected=infected, out_dir=out_dir, seed=seed, raw=raw,
+        metropolis=_cfg_get(raw, p, "estimator.metropolis", _mapping, {}),
+        adjoint=_cfg_get(raw, p, "estimator.adjoint", _mapping, {}),
+        initial_betas=tuple(_typed(b, float, p, "initial.betas") for b in betas),
+        initial_kappa=_cfg_get(raw, p, "initial.kappa", float, 0.1),
+        initial_delta=_cfg_get(raw, p, "initial.delta", float, 0.5),
+        initial_infected=infected, out_dir=out_dir,
+        seed=_cfg_get(raw, p, "seed", int, 0), raw=raw,
     )
 
 
@@ -395,8 +403,6 @@ def load_scenario(config: RunConfig) -> Problem:
                 f"mask grids disagree: {name} has {g.nx}x{g.ny} on {g.Lx}x{g.Ly}",
                 path=config.path, key=f"grid.regions.{name}.mask",
             )
-        if mask.cell_count == 0:
-            raise DegenerateRegionError(f"region '{name}' covers no cells")
         masks[name] = mask
     if config.district_mask is not None:
         g, district = read_mask(config.district_mask)
@@ -411,9 +417,7 @@ def load_scenario(config: RunConfig) -> Problem:
     else:
         district = union_mask(masks.values())
 
-    population = np.zeros(grid.shape)
-    for name, mask in masks.items():
-        population += distribute_uniform(config.populations[name], mask, grid)
+    population = demo_population(grid, masks, config.populations)
 
     schedule = RateSchedule(
         betas=config.initial_betas,
@@ -443,11 +447,8 @@ def load_scenario(config: RunConfig) -> Problem:
         schedule=schedule, kappa=config.initial_kappa, delta=config.initial_delta,
         init_infected=infected,
     )
-    w = config.weights
-    weights = ObjectiveWeights(
-        w0=w["w0"], w1=w["w1"], w2=w["w2"],
-        chi_ref=initial.chi if w["w1"] > 0 else None,
-    )
+    chi_ref = initial.chi if config.weights["w1"] > 0 else None
+    weights = ObjectiveWeights(**config.weights, chi_ref=chi_ref)
     try:
         return Problem(
             grid=grid, model=config.model, masks=masks, district=district,
@@ -488,6 +489,7 @@ def demo_geometry(nx: int = 101, ny: int = 101) -> tuple[GridSpec, dict[str, Reg
 
 def demo_population(grid: GridSpec, masks: dict[str, RegionMask],
                     populations: dict[str, float]) -> np.ndarray:
+    """Population density with each region's total spread uniformly over its cells."""
     out = np.zeros(grid.shape)
     for name, mask in masks.items():
         out += distribute_uniform(populations[name], mask, grid)
@@ -574,53 +576,13 @@ def _write_table(path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def export_region_series(path, traj: Trajectory, params: ParameterVector,
-                         masks: dict[str, RegionMask], population: np.ndarray,
-                         config: RunConfig) -> None:
-    """Daily per-region model outputs: detected cases and infected persons."""
-    grid = traj.grid
-    populations = {name: region_total(population, mask, grid) for name, mask in masks.items()}
-    detected = detected_daily_cases(traj, params, masks, populations)
-    names = sorted(masks)
-    infected = {
-        name: traj.infected_total(masks[name])[traj.daily_indices] * populations[name]
-        / masks[name].area(grid)
-        for name in names
-    }
-    header = ["day", "date"] + [f"detected_{n}" for n in names] + [f"infected_{n}" for n in names]
-    rows = []
-    for pos, day in enumerate(traj.days):
-        row = [int(day), config.date_of(int(day))]
-        row += [_FLOAT_FMT % detected[n][pos] for n in names]
-        row += [_FLOAT_FMT % infected[n][pos] for n in names]
-        rows.append(row)
-    _write_table(path, header, rows)
-
-
-def export_mass(path, traj: Trajectory, config: RunConfig) -> None:
-    mass = traj.mass()
-    rows = [
-        [int(day), config.date_of(int(day)), _FLOAT_FMT % mass[level]]
-        for level, day in zip(traj.daily_indices, traj.days)
-    ]
-    _write_table(path, ["day", "date", "total_population"], rows)
-
-
-def export_case_tables(out_dir: Path, series: dict[str, CaseSeries], config: RunConfig) -> list[str]:
-    """Daily new-case and cumulative tables, one column per region."""
-    names = sorted(series)
-    days = series[names[0]].days
-    daily_rows, cum_rows = [], []
-    cumulative = {n: series[n].cumulative for n in names}
-    for pos, day in enumerate(days):
-        stamp = [int(day), config.date_of(int(day))]
-        daily_rows.append(stamp + [_FLOAT_FMT % series[n].new_cases[pos] for n in names])
-        cum_rows.append(stamp + [_FLOAT_FMT % cumulative[n][pos] for n in names])
-    daily = out_dir / "daily_cases.csv"
-    cum = out_dir / "cumulative_cases.csv"
-    _write_table(daily, ["day", "date"] + names, daily_rows)
-    _write_table(cum, ["day", "date"] + names, cum_rows)
-    return [str(daily), str(cum)]
+def export_days(path, config: RunConfig, days, columns: dict[str, np.ndarray]) -> None:
+    """A day table: ``day``, its date, and one column per entry of ``columns``."""
+    rows = (
+        [int(day), config.date_of(day)] + [_FLOAT_FMT % values[pos] for values in columns.values()]
+        for pos, day in enumerate(days)
+    )
+    _write_table(path, ["day", "date", *columns], rows)
 
 
 def _params_record(params: ParameterVector) -> dict:
@@ -665,11 +627,9 @@ def write_fit_report(path, problem: Problem, result: FitResult, config: RunConfi
 
 
 def _write_history(path, problem: Problem, result: FitResult) -> None:
-    header = ["iteration", "J"] + list(problem.param_names)
-    rows = []
-    for i, (j, packed) in enumerate(result.history):
-        rows.append([i, _FLOAT_FMT % j] + [_FLOAT_FMT % v for v in packed])
-    _write_table(path, header, rows)
+    rows = ([i, _FLOAT_FMT % j] + [_FLOAT_FMT % v for v in packed]
+            for i, (j, packed) in enumerate(result.history))
+    _write_table(path, ["iteration", "J", *problem.param_names], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -692,26 +652,35 @@ def _write_summary(out_dir: Path, command: str, config: RunConfig, outputs: list
     )
 
 
-def _cmd_simulate(config: RunConfig, out_dir: Path) -> dict:
+def _cmd_simulate(config: RunConfig, out_dir: Path, args) -> dict:
     problem = load_scenario(config)
     traj = problem.simulate(problem.initial, evolve_population=True)
-    series_path = out_dir / "region_series.csv"
-    mass_path = out_dir / "mass.csv"
-    export_region_series(series_path, traj, problem.initial, problem.masks,
-                         problem.population, config)
-    export_mass(mass_path, traj, config)
-    drift = conservation_drift(traj)
+    grid, masks, daily = problem.grid, problem.masks, traj.daily_indices
+    populations = {name: region_total(problem.population, mask, grid) for name, mask in masks.items()}
+    detected = detected_daily_cases(traj, problem.initial, masks, populations)
+    names = sorted(masks)
+    columns = {f"detected_{n}": detected[n] for n in names}
+    columns.update({
+        f"infected_{n}": traj.infected_total(masks[n])[daily] * populations[n] / masks[n].area(grid)
+        for n in names
+    })
+    outputs = [str(out_dir / "region_series.csv"), str(out_dir / "mass.csv")]
+    export_days(outputs[0], config, traj.days, columns)
+    export_days(outputs[1], config, traj.days, {"total_population": traj.mass()[daily]})
+    final = traj.states[-1, problem.model.infected_index]
     metrics = {
         "days": int(config.n_days),
-        "population_drift": drift,
-        "final_infected_total": float(
-            traj.infected_total(problem.district)[-1]
-        ),
+        "population_drift": conservation_drift(traj),
+        "final_infected_total": float(region_total(final, problem.district, grid)),
     }
-    return {"outputs": [str(series_path), str(mass_path)], "metrics": metrics}
+    return {"outputs": outputs, "metrics": metrics}
 
 
-def _cmd_fit(config: RunConfig, out_dir: Path) -> dict:
+def _cmd_fit(config: RunConfig, out_dir: Path, args) -> dict:
+    if args.estimator is not None:
+        config.estimator = args.estimator
+    if args.draws is not None:
+        config.metropolis = dict(config.metropolis, draws=args.draws)
     problem = load_scenario(config)
     if problem.data is None:
         raise ConfigError("fitting requires data.cases", path=config.path, key="data.cases")
@@ -746,7 +715,7 @@ def _cmd_fit(config: RunConfig, out_dir: Path) -> dict:
     return {"outputs": [str(report_path), str(history_path)], "metrics": metrics}
 
 
-def _cmd_gradient_check(config: RunConfig, out_dir: Path) -> dict:
+def _cmd_gradient_check(config: RunConfig, out_dir: Path, args) -> dict:
     problem = load_scenario(config)
     if problem.data is None:
         raise ConfigError("gradient-check requires data.cases", path=config.path, key="data.cases")
@@ -761,7 +730,8 @@ def _cmd_gradient_check(config: RunConfig, out_dir: Path) -> dict:
     return {"outputs": [str(table_path)], "metrics": metrics}
 
 
-def _cmd_convergence_study(config: RunConfig, out_dir: Path, kinds: list[str]) -> dict:
+def _cmd_convergence_study(config: RunConfig, out_dir: Path, args) -> dict:
+    kinds = ["diffusion", "coupled"] if args.kind == "both" else [args.kind]
     if config.backend != "cn":
         raise ConfigError("convergence-study refines the cn scheme only; use --backend cn",
                           path=config.path, key="solver.backend")
@@ -783,11 +753,15 @@ def _cmd_convergence_study(config: RunConfig, out_dir: Path, kinds: list[str]) -
     return {"outputs": [str(table_path)], "metrics": metrics}
 
 
-def _cmd_export_plots(config: RunConfig, out_dir: Path) -> dict:
+def _cmd_export_plots(config: RunConfig, out_dir: Path, args) -> dict:
     if config.cases is None:
         raise ConfigError("export-plots requires data.cases", path=config.path, key="data.cases")
     series = read_cases(config.cases, config.start, config.n_days, sorted(config.region_masks))
-    outputs = export_case_tables(out_dir, series, config)
+    names = sorted(series)
+    days = series[names[0]].days
+    outputs = [str(out_dir / "daily_cases.csv"), str(out_dir / "cumulative_cases.csv")]
+    export_days(outputs[0], config, days, {n: series[n].new_cases for n in names})
+    export_days(outputs[1], config, days, {n: series[n].cumulative for n in names})
     metrics = {
         "regions": sorted(series),
         "total_cases": float(sum(s.new_cases.sum() for s in series.values())),
@@ -823,6 +797,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "fit": _cmd_fit,
+    "gradient-check": _cmd_gradient_check,
+    "convergence-study": _cmd_convergence_study,
+    "export-plots": _cmd_export_plots,
+}
+
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 _EXIT_IO = 4
@@ -844,26 +826,9 @@ def main(argv=None) -> int:
             config.backend = args.backend
         if args.out is not None:
             config.out_dir = str(Path(args.out).resolve())
-        if args.command == "fit":
-            if args.estimator is not None:
-                config.estimator = args.estimator
-            if args.draws is not None:
-                config.metropolis = dict(config.metropolis, draws=args.draws)
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "simulate":
-            result = _cmd_simulate(config, out_dir)
-        elif args.command == "fit":
-            result = _cmd_fit(config, out_dir)
-        elif args.command == "gradient-check":
-            result = _cmd_gradient_check(config, out_dir)
-        elif args.command == "convergence-study":
-            kinds = ["diffusion", "coupled"] if args.kind == "both" else [args.kind]
-            result = _cmd_convergence_study(config, out_dir, kinds)
-        else:
-            result = _cmd_export_plots(config, out_dir)
-
+        result = _COMMANDS[args.command](config, out_dir, args)
         _write_summary(out_dir, args.command, config, result["outputs"], result["metrics"])
         print(f"{args.command}: ok ({out_dir / 'summary.json'})")
         return 0

@@ -53,6 +53,7 @@ from .models import (
     ParameterVector,
     beta_interval,
     initial_fractions,
+    max_seed_fraction,
     reaction_jacobian,
     seed_direction,
     seed_jacobian,
@@ -85,6 +86,7 @@ GTOL = 1e-12
 BFGS_MEMORY = 10
 MAX_SEED_STEP = 50.0        # persons, per-region initial-condition mode
 MAX_INITIAL_STEP = 0.05     # infected fraction, per-cell initial-condition mode
+FD_REL_STEP = 1e-5          # gradient_check's central-difference step, relative to max(|x|, 1e-2)
 
 
 @dataclass
@@ -486,7 +488,6 @@ def adjoint_gradient(
 def gradient_check(
     problem: Problem,
     params: ParameterVector,
-    rel_step: float = 1e-5,
     include_seeds: bool = False,
 ) -> dict:
     """Adjoint gradient vs central finite differences of Problem.objective.
@@ -494,7 +495,7 @@ def gradient_check(
     Returns per-component adjoint and FD values with two error figures.
     ``rel_err`` is |adj - FD| / |FD|, which is large for a correct component
     near zero.  ``scaled_err`` is |adj - FD| * s / max(|FD| * s) with
-    s = max(|x|, 1e-2), the scale of each component's FD step, so every
+    s = max(|x|, 1e-2), each component's FD step over FD_REL_STEP, so every
     component is measured against the largest sensitivity to a relative change.
     Evaluation points must keep chi strictly inside the bounds so that the
     two-sided stencil stays admissible.
@@ -509,7 +510,7 @@ def gradient_check(
     size = np.maximum(np.abs(x0[:len(names)]), 1e-2)
     fd = []
     for i in range(len(names)):
-        h = rel_step * size[i]
+        h = FD_REL_STEP * size[i]
         plus, minus = x0.copy(), x0.copy()
         plus[i] += h
         minus[i] -= h
@@ -633,7 +634,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     params = problem.initial
     u0 = problem.build_u0(params)
     if per_cell:
-        x, upper, cap = u0[model.infected_index], 1.0, MAX_INITIAL_STEP
+        x, upper, cap = u0[model.infected_index], max_seed_fraction(model), MAX_INITIAL_STEP
     else:
         x, upper, cap = problem.pack(params)[5:], np.inf, MAX_SEED_STEP
 
@@ -669,7 +670,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         if config.optimize_initial:
             frac = _target_fraction(problem, grad)
             if per_cell:
-                target = np.clip(frac, 0.0, 1.0)
+                target = np.clip(frac, 0.0, upper)
                 g_x = np.tensordot(seed_direction(model), grad.du0, axes=1)
             else:
                 target = np.maximum(_region_counts(problem, frac), 0.0)

@@ -226,6 +226,11 @@ def seed_direction(model: ModelKind) -> np.ndarray:
     return np.array([-1.0 - r, r, 1.0])
 
 
+def max_seed_fraction(model: ModelKind) -> float:
+    """The largest infected fraction ``seed_state`` can take with S = 1 - E - I >= 0."""
+    return 1.0 / (1.0 + EXPOSED_PER_INFECTED) if model is ModelKind.SEIR else 1.0
+
+
 def seed_state(model: ModelKind, frac: np.ndarray) -> np.ndarray:
     """The seeding map: the t = 0 state from an infected-fraction field.
 
@@ -266,7 +271,8 @@ def initial_fractions(
     The infected persons are spread uniformly over each region and divided by
     the local population density; ``seed_state`` turns that fraction into the
     state (for SEIR with EXPOSED_PER_INFECTED exposed per infected person).
-    Outside the covered regions the state is disease free.
+    Outside the covered regions the state is disease free; a fraction above
+    ``max_seed_fraction``, which would leave S negative, is refused.
     """
     if population.shape != grid.shape:
         raise DimensionError(
@@ -284,6 +290,8 @@ def initial_fractions(
         raise NormalizationError("population must be positive wherever cases are placed")
     frac = np.zeros(grid.shape)
     frac[covered] = infected[covered] / population[covered]
-    if (frac > 1.0).any():
-        raise ParameterError("initial infected exceed the local population")
+    bound = max_seed_fraction(model)
+    if (frac > bound).any():
+        raise ParameterError(f"initial infected exceed {bound:.4g} of the local population "
+                             f"({frac.max():.4g}), which leaves {model.name}'s S negative")
     return seed_state(model, frac)

@@ -197,7 +197,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     population: np.ndarray | None = None
-    backend: str = "cn"
     _daily: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -246,7 +245,6 @@ def _drive(
     population: np.ndarray | None,
     store_every: int,
     advance: Callable[[np.ndarray, float], np.ndarray],
-    backend: str = "cn",
 ) -> Trajectory:
     """The time-stepping loop behind every forward run.
 
@@ -286,7 +284,7 @@ def _drive(
         if (n + 1) % store_every == 0:
             store((n + 1) // store_every, (n + 1) * tau)
 
-    return Trajectory(grid, model, tau, store_every, times, states, pops, backend=backend)
+    return Trajectory(grid, model, tau, store_every, times, states, pops)
 
 
 def run_from_state(

@@ -127,5 +127,4 @@ def run_fem_from_state(
             np.clip(q[:m], 0.0, None, out=q[:m])
         return q
 
-    return _drive(grid, u0, model, t_end, tau, population, store_every, advance,
-                  backend="fem-split")
+    return _drive(grid, u0, model, t_end, tau, population, store_every, advance)

@@ -1,6 +1,8 @@
 """File formats, run configs, and the command-line entry point."""
 
+import copy
 import datetime as dt
+import importlib.util
 import json
 import tempfile
 from pathlib import Path
@@ -427,6 +429,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown regions: Z"):
             load_config(dump_config(tmp_path, raw))
 
+    def test_quoted_boolean_rejected(self, scenario_dir):
+        """A quoted 'false' is a string, and a string is not a switch."""
+        tmp_path, mask_paths = scenario_dir
+        raw = scenario_raw(mask_paths, solver={"tau": 0.25, "corrected": "false"})
+        with pytest.raises(ConfigError, match="expected boolean") as err:
+            load_config(dump_config(tmp_path, raw))
+        assert err.value.key == "solver.corrected"
+
+    def test_impossible_yaml_date_rejected(self, scenario_dir):
+        tmp_path, mask_paths = scenario_dir
+        path = dump_config(tmp_path, scenario_raw(mask_paths))
+        path.write_text(path.read_text().replace("start: '2020-10-01'", "start: 2020-13-01"))
+        with pytest.raises(ConfigError, match="invalid YAML: month must be in 1..12"):
+            load_config(path)
+
     def test_missing_regions_section(self, scenario_dir):
         tmp_path, _ = scenario_dir
         path = dump_config(tmp_path, {"window": {"start": "2020-10-01", "days": 10}})
@@ -849,6 +866,30 @@ class TestCommandLine:
         assert summary["seed"] == 99
         assert summary["backend"] == "fem-split"
 
+    @pytest.mark.parametrize("key, value", [
+        ("solver.tau", "fast"),
+        ("window.days", "many"),
+        ("grid.regions.A.population", "lots"),
+        ("seed", "x"),
+        ("solver.corrected", "false"),
+        ("initial.betas", [0.3, "a", 0.2]),
+        ("initial.infected.B", "n"),
+    ])
+    def test_wrong_type_exits_config_code(self, scenario, capsys, key, value):
+        """A value of the wrong type exits 2 and names its key; 'false' is a string."""
+        raw = copy.deepcopy(scenario["raw"])
+        *parents, last = key.split(".")
+        section = raw
+        for part in parents:
+            section = section[part]
+        section[last] = value
+        config_path = dump_config(scenario["dir"], raw, "typed.yaml")
+        rc = main(["simulate", "--config", str(config_path),
+                   "--out", str(scenario["dir"] / "typed")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error (config/data)" in err and f"[{key}]" in err
+
     def test_missing_config_exits_config_code(self, scenario, capsys):
         rc = main(["simulate", "--config", str(scenario["dir"] / "gone.yaml")])
         assert rc == 2
@@ -900,6 +941,27 @@ class TestBundledScenario:
         assert sorted(problem.masks) == ["BA", "BI", "HR", "IO"]
         assert problem.data is not None
         assert problem.t_end == 148.0
+
+    def test_fixture_script_rebuilds_the_bundle(self, tmp_path):
+        """Masks and scenario byte for byte; case counts to rounding, since the
+        bundle predates the eigenbasis solve (its counts differ in the 12th digit)."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "build_demo_fixture.py"
+        spec = importlib.util.spec_from_file_location("build_demo_fixture", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main(tmp_path)
+        base = demo_scenario_path().parent
+        for name in ("BA.mask", "BI.mask", "HR.mask", "IO.mask", "district.mask", "scenario.yaml"):
+            assert (tmp_path / name).read_bytes() == (base / name).read_bytes(), name
+        regions = sorted(DEMO_POPULATIONS)
+        built = read_cases(tmp_path / "synthetic_cases.csv", START, 148, regions)
+        bundled = read_cases(base / "synthetic_cases.csv", START, 148, regions)
+        for name in regions:
+            assert_allclose(built[name].new_cases, bundled[name].new_cases, rtol=1e-10, atol=0.0)
+        truth = yaml.safe_load((tmp_path / "truth.yaml").read_text())
+        record = yaml.safe_load((base / "truth.yaml").read_text())
+        del truth["cases_sha256"], record["cases_sha256"]
+        assert truth == record
 
     def test_bundled_case_file_matches_sidecar_hash(self):
         base = demo_scenario_path().parent

@@ -7,19 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epidiffuse.errors import DimensionError, NormalizationError, ParameterError
-from epidiffuse.grid import GridSpec, RegionMask, region_total
+from epidiffuse.estimate import Problem
+from epidiffuse.grid import GridSpec, RegionMask, distribute_uniform, region_total
 from epidiffuse.models import (
+    EXPOSED_PER_INFECTED,
     ModelKind,
     ParameterVector,
     RateSchedule,
     beta_at,
     beta_interval,
     initial_fractions,
+    max_seed_fraction,
     reaction,
     reaction_jacobian,
     seed_jacobian,
     transmission_bilinear,
 )
+from epidiffuse.objective import ObjectiveWeights
 
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 30.0)
 
@@ -243,6 +247,32 @@ class TestInitialFractions:
         with pytest.raises(DimensionError):
             initial_fractions(ModelKind.SIS, grid, masks, params, np.ones((2, 2)))
 
+    def test_seir_over_seeding_is_refused(self):
+        """S = 1 - (1 + r) * frac: SEIR seeds at most 1/(1 + r), the others at most 1.
+
+        800 of 1000 persons is a fraction of 0.8, which would start S at -0.2;
+        the run must refuse it before a step, not blame tau afterwards.
+        """
+        grid = GridSpec(9, 9, 4.0, 4.0)
+        cells = np.zeros(grid.shape, dtype=bool)
+        cells[2:6, 2:6] = True
+        masks = {"HR": RegionMask("HR", cells)}
+        population = distribute_uniform(1000.0, masks["HR"], grid)
+        assert max_seed_fraction(ModelKind.SEIR) == 1.0 / (1.0 + EXPOSED_PER_INFECTED)
+        assert max_seed_fraction(ModelKind.SIR) == max_seed_fraction(ModelKind.SIS) == 1.0
+
+        def problem(model, seeds):
+            params = ParameterVector(SCHED, 0.1, 0.5, {"HR": seeds})
+            return Problem(grid, model, masks, masks["HR"], population, 2.0, 0.1,
+                           ObjectiveWeights(), None, params), params
+
+        seir, over = problem(ModelKind.SEIR, 800.0)
+        with pytest.raises(ParameterError, match="exceed 0.6667 of the local population"):
+            seir.simulate(over)
+        for model, seeds in ((ModelKind.SEIR, 600.0), (ModelKind.SIR, 800.0), (ModelKind.SIS, 800.0)):
+            prob, params = problem(model, seeds)
+            assert (prob.simulate(params).states >= 0.0).all()
+
 
 class TestSeedMapProperties:
     """The seeding map over random grids, region masks, seed counts and models."""
@@ -270,7 +300,7 @@ class TestSeedMapProperties:
         if empty_outside:
             population[~seeded] = 0.0
         # counts that put 2-20% of each region's thinnest cell's people in I,
-        # so that regions may overlap and still stay below a fraction of 1
+        # so that three regions may overlap and still stay below SEIR's 2/3
         counts = {
             name: float(rng.uniform(0.02, 0.2) * m.cell_count * grid.cell_area
                         * population[m.cells].min())

@@ -319,7 +319,6 @@ class TestRunForwardFem:
             grid, u0, ModelKind.SIS, SCHED, 0.05, 2.0, 0.25,
             population=np.full(grid.shape, 100.0), store_every=4,
         )
-        assert traj.backend == "fem-split"
         npt.assert_allclose(traj.times, [0.0, 1.0, 2.0])
         assert traj.population.shape == (3,) + grid.shape
 
