@@ -13,8 +13,8 @@ and flagged, duplicates are rejected.
 Run config: a YAML document (schema documented in the README) naming the
 model variant, mask files with region populations, the study window and
 breakpoints, rates, weights, solver settings, estimator blocks, output
-directory, and seed.  All validation errors carry the config path and the
-offending key.
+directory, and seed.  Validation errors carry the config path, and the key of
+the offending value wherever the reader or an estimator config refuses it.
 
 Every command writes a ``summary.json`` embedding the config hash; outputs
 contain no timestamps, so re-running with an unchanged config and seed
@@ -59,6 +59,7 @@ from .models import (
 from .objective import CaseSeries, ObjectiveWeights, detected_daily_cases, interpolate_data
 from .solver_cn import conservation_drift, temporal_refinement_study
 from .estimate import (
+    CHI_NAMES,
     AdjointConfig,
     FitResult,
     MetropolisConfig,
@@ -247,6 +248,18 @@ def _boolean(value) -> bool:
     return value
 
 
+def _int(value) -> int:
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise TypeError(value)
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not np.isfinite(float(value)):
+        raise TypeError(value)
+    return float(value)
+
+
 def _mapping(value) -> dict:
     return dict(value or {})
 
@@ -255,7 +268,7 @@ def _typed(value, kind, path: str, key: str):
     """``kind(value)``, or a ConfigError naming ``key`` when the value has the wrong type."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"expected {kind.__name__.lstrip('_')}, got {value!r}",
                           path=path, key=key) from exc
 
@@ -308,7 +321,7 @@ def load_config(path) -> RunConfig:
         if not isinstance(entry, dict) or "mask" not in entry or "population" not in entry:
             raise ConfigError("each region needs 'mask' and 'population'", path=p, key=key)
         region_masks[str(name)] = _existing_file(base, entry["mask"], p, f"{key}.mask", "mask file")
-        pop = _typed(entry["population"], float, p, f"{key}.population")
+        pop = _typed(entry["population"], _float, p, f"{key}.population")
         if pop <= 0:
             raise ConfigError(f"population must be positive, got {pop}", path=p, key=f"{key}.population")
         populations[str(name)] = pop
@@ -318,7 +331,7 @@ def load_config(path) -> RunConfig:
         district = _existing_file(base, district, p, "grid.district_mask", "mask file")
 
     start = _cfg_get(raw, p, "window.start", _iso_date, required=True)
-    n_days = _cfg_get(raw, p, "window.days", int, required=True)
+    n_days = _cfg_get(raw, p, "window.days", _int, required=True)
     if n_days < 2:
         raise ConfigError(f"window.days must be >= 2, got {n_days}", path=p, key="window.days")
     bps = _cfg_get(raw, p, "window.breakpoints", default=[32, 77])
@@ -335,12 +348,10 @@ def load_config(path) -> RunConfig:
             path=p, key="window.breakpoints",
         )
 
-    gamma = _cfg_get(raw, p, "rates.gamma", float, DEFAULT_GAMMA)
-    theta = _cfg_get(raw, p, "rates.theta", float, DEFAULT_THETA)
-    if gamma <= 0 or theta <= 0:
-        raise ConfigError(f"rates must be positive, got gamma={gamma}, theta={theta}", path=p, key="rates")
+    gamma = _cfg_get(raw, p, "rates.gamma", _float, DEFAULT_GAMMA)
+    theta = _cfg_get(raw, p, "rates.theta", _float, DEFAULT_THETA)
 
-    weights = {w: _cfg_get(raw, p, f"weights.{w}", float, default)
+    weights = {w: _cfg_get(raw, p, f"weights.{w}", _float, default)
                for w, default in (("w0", 1.0), ("w1", 0.0), ("w2", 0.0))}
 
     cases = _cfg_get(raw, p, "data.cases")
@@ -350,7 +361,7 @@ def load_config(path) -> RunConfig:
     backend = _cfg_get(raw, p, "solver.backend", str, "cn")
     if backend not in ("cn", "fem-split"):
         raise ConfigError(f"backend must be 'cn' or 'fem-split', got {backend!r}", path=p, key="solver.backend")
-    tau = _cfg_get(raw, p, "solver.tau", float, 0.1)
+    tau = _cfg_get(raw, p, "solver.tau", _float, 0.1)
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}", path=p, key="solver.tau")
     corrected = _cfg_get(raw, p, "solver.corrected", _boolean, False)
@@ -368,7 +379,7 @@ def load_config(path) -> RunConfig:
         if bad:
             raise ConfigError(f"initial.infected names unknown regions: {', '.join(bad)}",
                               path=p, key="initial.infected")
-        infected = {str(k): _typed(v, float, p, f"initial.infected.{k}") for k, v in infected.items()}
+        infected = {str(k): _typed(v, _float, p, f"initial.infected.{k}") for k, v in infected.items()}
 
     out_dir = _cfg_get(raw, p, "output", str, "out")
     if not Path(out_dir).is_absolute():
@@ -381,11 +392,11 @@ def load_config(path) -> RunConfig:
         backend=backend, tau=tau, corrected=corrected, estimator=estimator,
         metropolis=_cfg_get(raw, p, "estimator.metropolis", _mapping, {}),
         adjoint=_cfg_get(raw, p, "estimator.adjoint", _mapping, {}),
-        initial_betas=tuple(_typed(b, float, p, "initial.betas") for b in betas),
-        initial_kappa=_cfg_get(raw, p, "initial.kappa", float, 0.1),
-        initial_delta=_cfg_get(raw, p, "initial.delta", float, 0.5),
+        initial_betas=tuple(_typed(b, _float, p, "initial.betas") for b in betas),
+        initial_kappa=_cfg_get(raw, p, "initial.kappa", _float, 0.1),
+        initial_delta=_cfg_get(raw, p, "initial.delta", _float, 0.5),
         initial_infected=infected, out_dir=out_dir,
-        seed=_cfg_get(raw, p, "seed", int, 0), raw=raw,
+        seed=_cfg_get(raw, p, "seed", _int, 0), raw=raw,
     )
 
 
@@ -418,15 +429,6 @@ def load_scenario(config: RunConfig) -> Problem:
         district = union_mask(masks.values())
 
     population = demo_population(grid, masks, config.populations)
-
-    schedule = RateSchedule(
-        betas=config.initial_betas,
-        breakpoints=config.breakpoints,
-        t_end=float(config.n_days),
-        gamma=config.gamma,
-        theta=config.theta,
-    )
-
     data = None
     series = None
     if config.cases is not None:
@@ -443,13 +445,17 @@ def load_scenario(config: RunConfig) -> Problem:
             path=config.path, key="initial.infected",
         )
 
-    initial = ParameterVector(
-        schedule=schedule, kappa=config.initial_kappa, delta=config.initial_delta,
-        init_infected=infected,
-    )
-    chi_ref = initial.chi if config.weights["w1"] > 0 else None
-    weights = ObjectiveWeights(**config.weights, chi_ref=chi_ref)
-    try:
+    try:  # the parameter types own their bounds
+        schedule = RateSchedule(
+            betas=config.initial_betas, breakpoints=config.breakpoints,
+            t_end=float(config.n_days), gamma=config.gamma, theta=config.theta,
+        )
+        initial = ParameterVector(
+            schedule=schedule, kappa=config.initial_kappa, delta=config.initial_delta,
+            init_infected=infected,
+        )
+        chi_ref = initial.chi if config.weights["w1"] > 0 else None
+        weights = ObjectiveWeights(**config.weights, chi_ref=chi_ref)
         return Problem(
             grid=grid, model=config.model, masks=masks, district=district,
             population=population, t_end=float(config.n_days), tau=config.tau,
@@ -513,11 +519,10 @@ def generate_synthetic(
     seed: int,
     out_dir,
     start: dt.date = dt.date(2020, 10, 1),
-    backend: str = "cn",
 ) -> dict[str, str]:
     """Forward-run the truth and write a case file plus a truth sidecar.
 
-    The run is ``Problem.simulate`` on the given backend.  Daily detected
+    The run is ``Problem.simulate`` on the cn backend.  Daily detected
     cases per region get multiplicative noise c -> c * (1 + noise * eta)
     with standard normal eta, clipped at zero.
     """
@@ -526,7 +531,7 @@ def generate_synthetic(
     problem = Problem(
         grid=grid, model=model, masks=masks, district=union_mask(masks.values()),
         population=population, t_end=t_end, tau=tau, weights=ObjectiveWeights(),
-        data=None, initial=truth, backend=backend,
+        data=None, initial=truth,
     )
     traj = problem.simulate(truth)
     out_dir = Path(out_dir)
@@ -555,7 +560,7 @@ def generate_synthetic(
         "tau": float(tau),
         "noise": float(noise),
         "seed": int(seed),
-        "backend": backend,
+        "backend": "cn",
         "start": start.isoformat(),
         "cases_sha256": sha256_of(cases_path),
     }
@@ -586,14 +591,9 @@ def export_days(path, config: RunConfig, days, columns: dict[str, np.ndarray]) -
 
 
 def _params_record(params: ParameterVector) -> dict:
-    return {
-        "beta0": params.schedule.betas[0],
-        "beta1": params.schedule.betas[1],
-        "beta2": params.schedule.betas[2],
-        "kappa": params.kappa,
-        "delta": params.delta,
-        "init_infected": {k: float(v) for k, v in sorted(params.init_infected.items())},
-    }
+    record = {name: float(value) for name, value in zip(CHI_NAMES, params.chi)}
+    record["init_infected"] = {k: float(v) for k, v in sorted(params.init_infected.items())}
+    return record
 
 
 def write_fit_report(path, problem: Problem, result: FitResult, config: RunConfig,

@@ -6,7 +6,7 @@ Both engines minimize the same J (objective.evaluate_terms) over
     initially infected counts I0 (spread uniformly by distribute_uniform).
 
 The Metropolis sampler proposes symmetric normal steps on the packed
-parameter vector, rejects anything outside the admissible bounds, accepts
+parameter vector, rejects what the parameter types refuse, accepts
 with probability min{1, exp((J_old^2 - J_new^2) / (2 sigma^2))}, and reports
 means and standard deviations over the accepted post-burn-in draws.  Every
 decision is logged so the rule can be re-checked offline.
@@ -22,10 +22,10 @@ gradient cannot drift from the objective it differentiates.  The search
 direction for chi comes from a damped limited-memory BFGS (identity
 initialization); the initial-condition direction follows the
 optimality-condition target u0_tilde = u0_ref - z(0)/w2.
-A shared Armijo backtracking step is applied to both directions at once, and
-accepted iterates are projected onto the bounds
-
-    beta_j > 0,   0 <= kappa <= 1,   0 <= delta <= 1,   I0 >= 0.
+A shared Armijo backtracking step is applied to both directions at once.
+Trial chi are projected onto the parameter types' box (beta_j > 0, kappa and
+delta in [0, 1]) and trial seeds onto I0 >= 0; Problem.in_bounds also asks
+initial_fractions, which caps a cell's seeded fraction at max_seed_fraction.
 
 The search settings are module constants, not options: ARMIJO_C (sufficient
 decrease), ARMIJO_SHRINK and ALPHA_MIN (backtracking), TOL (relative change
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -131,10 +132,6 @@ class Problem:
         return tuple(sorted(self.masks))
 
     @property
-    def n_params(self) -> int:
-        return 5 + len(self.masks)
-
-    @property
     def param_names(self) -> tuple[str, ...]:
         return CHI_NAMES + tuple(f"I0_{name}" for name in self.region_names)
 
@@ -144,18 +141,18 @@ class Problem:
 
     def unpack(self, vec: np.ndarray) -> ParameterVector:
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_params,):
-            raise ParameterError(f"expected {self.n_params} packed parameters, got {vec.shape}")
+        if vec.shape != (len(self.param_names),):
+            raise ParameterError(f"expected {len(self.param_names)} parameters, got {vec.shape}")
         seeds = dict(zip(self.region_names, vec[5:]))
         return self.initial.with_chi(vec[:5]).with_seeds(seeds)
 
     def in_bounds(self, vec: np.ndarray) -> bool:
-        return bool(
-            (vec[:3] > 0.0).all()
-            and 0.0 <= vec[3] <= 1.0
-            and 0.0 <= vec[4] <= 1.0
-            and (vec[5:] >= 0.0).all()
-        )
+        """Whether ``vec`` unpacks into valid parameters that seed a valid state."""
+        try:
+            self.build_u0(self.unpack(vec))
+        except ParameterError:
+            return False
+        return True
 
     def project_chi(self, chi: np.ndarray) -> np.ndarray:
         out = chi.copy()
@@ -222,6 +219,14 @@ class FitResult:
 # Metropolis sampler
 # ---------------------------------------------------------------------------
 
+def _check_kinds(config, **kinds) -> None:
+    """ConfigError keyed by the first field not of its kind; only a bool kind takes a bool."""
+    for key, kind in kinds.items():
+        value = getattr(config, key)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ConfigError(f"{value!r} has the wrong type ({type(value).__name__})", key=key)
+
+
 @dataclass
 class MetropolisConfig:
     draws: int = 2000
@@ -231,6 +236,7 @@ class MetropolisConfig:
     burn_in: float = 0.2
 
     def __post_init__(self):
+        _check_kinds(self, draws=Integral, burn_in=Real, sigma=(Real, type(None)))
         if self.draws < 1:
             raise ConfigError(f"draws must exceed the burn-in, got draws={self.draws}", key="draws")
         if not (0.0 <= self.burn_in < 1.0):
@@ -259,8 +265,6 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
     """Random-walk Metropolis over (chi, I0) with bounds enforced by rejection."""
     rng = np.random.default_rng(config.seed)
     x = problem.pack(problem.initial)
-    if not problem.in_bounds(x):
-        raise ConfigError("initial parameters violate the bounds")
     dim = len(x)
     if config.step_scale is None:
         scale = default_step_scale(x)
@@ -332,9 +336,6 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
         warnings.warn("no accepted draws after burn-in; reporting the last chain state", RuntimeWarning)
         mean, std = x.copy(), np.full(dim, np.nan)
         diagnostics["empty_posterior"] = True
-    if not problem.in_bounds(mean):
-        # means of in-bounds draws can only leave the box through beta -> 0
-        mean[:3] = np.maximum(mean[:3], BETA_MIN)
     params_hat = problem.unpack(mean)
     j_hat = problem.objective(params_hat)
     n_eval += 1
@@ -501,14 +502,11 @@ def gradient_check(
     two-sided stencil stays admissible.
     """
     grad = adjoint_gradient(problem, params)
-    names = list(CHI_NAMES)
-    adjoint = list(grad.chi)
-    if include_seeds:
-        names += [f"I0_{r}" for r in problem.region_names]
-        adjoint += list(grad.seeds)
+    adjoint = grad.full if include_seeds else grad.chi
+    names = problem.param_names[:len(adjoint)]
     x0 = problem.pack(params)
     size = np.maximum(np.abs(x0[:len(names)]), 1e-2)
-    fd = []
+    fd = np.empty(len(names))
     for i in range(len(names)):
         h = FD_REL_STEP * size[i]
         plus, minus = x0.copy(), x0.copy()
@@ -518,10 +516,8 @@ def gradient_check(
             raise ParameterError(
                 f"FD stencil for '{names[i]}' leaves the bounds; move the evaluation point inward"
             )
-        fd.append((problem.objective(problem.unpack(plus))
-                   - problem.objective(problem.unpack(minus))) / (2.0 * h))
-    adjoint = np.array(adjoint)
-    fd = np.array(fd)
+        fd[i] = (problem.objective(problem.unpack(plus))
+                 - problem.objective(problem.unpack(minus))) / (2.0 * h)
     err = np.abs(adjoint - fd)
     return {
         "names": names,
@@ -550,6 +546,7 @@ class AdjointConfig:
     per_cell_initial: bool = False
 
     def __post_init__(self):
+        _check_kinds(self, max_outer=Integral, optimize_initial=bool, per_cell_initial=bool)
         if self.max_outer < 1:
             raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}", key="max_outer")
 

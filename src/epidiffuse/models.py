@@ -60,14 +60,14 @@ class RateSchedule:
     def __post_init__(self):
         if len(self.betas) != 3:
             raise ParameterError(f"expected 3 plateau values, got {len(self.betas)}")
-        if min(self.betas) <= 0.0:
+        if not all(b > 0.0 for b in self.betas):
             raise ParameterError(f"transmission rates must be positive, got {self.betas}")
         t0, t1 = self.breakpoints
         if not (0.0 < t0 < t1 < self.t_end):
             raise ParameterError(
                 f"breakpoints must satisfy 0 < t0 < t1 < t_end, got t0={t0}, t1={t1}, t_end={self.t_end}"
             )
-        if self.gamma <= 0.0 or self.theta <= 0.0:
+        if not (self.gamma > 0.0 and self.theta > 0.0):
             raise ParameterError(f"gamma and theta must be positive, got {self.gamma}, {self.theta}")
 
     def with_betas(self, betas) -> "RateSchedule":
@@ -111,7 +111,7 @@ class ParameterVector:
         if not (0.0 <= self.delta <= 1.0):
             raise ParameterError(f"delta must lie in [0, 1], got {self.delta}")
         for name, value in self.init_infected.items():
-            if value < 0.0:
+            if not value >= 0.0:
                 raise ParameterError(f"initial infected in '{name}' must be >= 0, got {value}")
 
     @property

@@ -134,9 +134,11 @@ def assemble(grid: GridSpec, kappa: float, tau: float) -> CNWorkspace:
 
 
 def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
-    """Return the minimum of u; below -NEGATIVITY_TOL, raise StabilityError naming the remedy."""
+    """Return the minimum of u; raise StabilityError if it is NaN or below -NEGATIVITY_TOL."""
     low = float(u.min())
-    if low < -NEGATIVITY_TOL:
+    if not low >= -NEGATIVITY_TOL:
+        if np.isnan(low):
+            raise StabilityError(f"state is not finite at t={t:.4f}")
         raise StabilityError(f"state went negative ({low:.3e}) at t={t:.4f}; {remedy}")
     return low
 

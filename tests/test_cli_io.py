@@ -437,6 +437,14 @@ class TestLoadConfig:
             load_config(dump_config(tmp_path, raw))
         assert err.value.key == "solver.corrected"
 
+    def test_integral_float_count_loads_as_int(self, scenario_dir):
+        tmp_path, mask_paths = scenario_dir
+        raw = scenario_raw(mask_paths, seed=3.0)
+        raw["window"]["days"] = 10.0
+        config = load_config(dump_config(tmp_path, raw))
+        assert config.n_days == 10 and isinstance(config.n_days, int)
+        assert config.seed == 3 and isinstance(config.seed, int)
+
     def test_impossible_yaml_date_rejected(self, scenario_dir):
         tmp_path, mask_paths = scenario_dir
         path = dump_config(tmp_path, scenario_raw(mask_paths))
@@ -600,15 +608,6 @@ class TestGenerateSynthetic:
         for s in series.values():
             assert np.all(np.diff(s.cumulative) >= 0.0)
             assert np.all(s.new_cases >= 0.0)
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        grid, masks, population, truth = self.setup_geometry()
-        with pytest.raises(ConfigError, match="backend"):
-            generate_synthetic(
-                truth, grid, masks, population, ModelKind.SEIR, 10.0, 0.25, 0.1, 7, tmp_path,
-                backend="bogus",
-            )
-        assert not (tmp_path / "truth.yaml").exists()
 
     def test_negative_noise_rejected(self, tmp_path):
         grid, masks, population, truth = self.setup_geometry()
@@ -874,14 +873,26 @@ class TestCommandLine:
         ("solver.corrected", "false"),
         ("initial.betas", [0.3, "a", 0.2]),
         ("initial.infected.B", "n"),
+        ("initial.betas", [float("nan"), 0.1, 0.1]),
+        ("rates.gamma", float("nan")),
+        ("grid.regions.A.population", float("nan")),
+        ("solver.tau", float("nan")),
+        ("solver.tau", float("inf")),
+        ("solver.tau", True),
+        ("window.days", 10.5),
+        ("seed", 3.9),
     ])
     def test_wrong_type_exits_config_code(self, scenario, capsys, key, value):
-        """A value of the wrong type exits 2 and names its key; 'false' is a string."""
+        """A value of the wrong type exits 2 and names its key; 'false' is a string.
+
+        A non-finite or boolean number and a fractional count are wrong types too:
+        none of them may be silently changed into something that runs.
+        """
         raw = copy.deepcopy(scenario["raw"])
         *parents, last = key.split(".")
         section = raw
         for part in parents:
-            section = section[part]
+            section = section.setdefault(part, {})
         section[last] = value
         config_path = dump_config(scenario["dir"], raw, "typed.yaml")
         rc = main(["simulate", "--config", str(config_path),
@@ -889,6 +900,31 @@ class TestCommandLine:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error (config/data)" in err and f"[{key}]" in err
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("adjoint", "optimize_initial", "false"),
+        ("adjoint", "per_cell_initial", "true"),
+        ("adjoint", "max_outer", True),
+        ("adjoint", "max_outer", 2.5),
+        ("metropolis", "draws", 2.5),
+        ("metropolis", "draws", True),
+        ("metropolis", "burn_in", False),
+        ("metropolis", "sigma", True),
+    ])
+    def test_wrong_typed_estimator_option_exits_config_code(self, scenario, capsys, kind,
+                                                            field, value):
+        """An estimator block is typed by its own dataclass; the rest of the config is valid."""
+        raw = copy.deepcopy(scenario["raw"])
+        raw["weights"]["w2"] = 1e-5
+        block = {"optimize_initial": True} if kind == "adjoint" else {}
+        raw["estimator"] = {"kind": kind, kind: {**block, field: value}}
+        config_path = dump_config(scenario["dir"], raw, "typed_fit.yaml")
+        out = scenario["dir"] / "typed_fit"
+        rc = main(["fit", "--config", str(config_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"[estimator.{kind}]" in err and f"[{field}]" in err
+        assert not (out / "summary.json").exists()
 
     def test_missing_config_exits_config_code(self, scenario, capsys):
         rc = main(["simulate", "--config", str(scenario["dir"] / "gone.yaml")])
@@ -970,3 +1006,4 @@ class TestBundledScenario:
         assert record["noise"] == 0.05
         assert DEMO_POPULATIONS == {"BA": 14500.0, "BI": 19000.0,
                                     "HR": 19500.0, "IO": 28000.0}
+

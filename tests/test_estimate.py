@@ -22,7 +22,7 @@ from epidiffuse.estimate import (
     gradient_check,
     metropolis_fit,
 )
-from epidiffuse.grid import GridSpec, RegionMask, region_total, union_mask
+from epidiffuse.grid import GridSpec, RegionMask, distribute_uniform, region_total, union_mask
 from epidiffuse.models import ModelKind, ParameterVector, RateSchedule
 from epidiffuse.objective import (
     CaseSeries,
@@ -78,6 +78,44 @@ class TestProblem:
             y[idx] = value
             assert not problem.in_bounds(y)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_in_bounds_is_the_box_and_the_seed_cap(self, twin9, data):
+        """in_bounds is the box (NaN refused) and every cell seeded at most 2/3 (SEIR).
+
+        The vectors straddle every bound, seeds run to 1.2 times each region's
+        cap, and some carry one NaN.  The seeded fraction is computed here from
+        the masks and the population, not by initial_fractions.
+        """
+        problem = twin9["problem"]
+        grid, pop = problem.grid, problem.population
+        masks = [problem.masks[name] for name in problem.region_names]
+        caps = [2.0 / 3.0 * region_total(pop, mask, grid) for mask in masks]
+        vec = np.array([data.draw(st.floats(-0.05, 0.5)) for _ in range(3)]
+                       + [data.draw(st.floats(-0.1, 1.1)) for _ in range(2)]
+                       + [data.draw(st.floats(-5.0, 1.2 * cap)) for cap in caps])
+        nan_at = data.draw(st.none() | st.integers(0, len(vec) - 1))
+        if nan_at is not None:
+            vec[nan_at] = np.nan
+        box = bool((vec[:3] > 0.0).all() and 0.0 <= vec[3] <= 1.0 and 0.0 <= vec[4] <= 1.0
+                   and (vec[5:] >= 0.0).all())
+        frac = np.zeros(grid.shape)
+        for mask, seeds in zip(masks, vec[5:]):
+            frac[mask.cells] += seeds / (mask.cell_count * grid.cell_area) / pop[mask.cells]
+        assert problem.in_bounds(vec) == (box and bool((frac <= 2.0 / 3.0).all()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(chi=st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5))
+    def test_projected_chi_is_admissible(self, twin9, chi):
+        """project_chi, the one copy of the box that stays, lands inside the admissible set."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        projected = problem.project_chi(np.array(chi))
+        assert problem.in_bounds(problem.pack(truth.with_chi(projected)))
+
+    def test_unknown_backend_rejected(self, twin9):
+        with pytest.raises(ConfigError, match="unknown backend 'bogus'"):
+            dataclasses.replace(twin9["problem"], backend="bogus")
+
     def test_project_chi(self, twin9):
         problem = twin9["problem"]
         chi = np.array([-1.0, 0.2, 0.3, 1.7, -0.2])
@@ -105,6 +143,19 @@ class TestMetropolisConfigDefaults:
             MetropolisConfig(burn_in=1.0)
         with pytest.raises(ConfigError):
             MetropolisConfig(sigma=-1.0)
+
+    def test_config_types(self):
+        """Counts take Python or numpy integers, switches only booleans; bools are no numbers."""
+        assert MetropolisConfig(draws=np.int64(5), sigma=np.float32(0.1)).draws == 5
+        assert AdjointConfig(max_outer=np.int32(3), optimize_initial=True).max_outer == 3
+        for cls, bad in ((MetropolisConfig, {"draws": True}), (MetropolisConfig, {"draws": 5.0}),
+                         (MetropolisConfig, {"burn_in": False}), (MetropolisConfig, {"sigma": True}),
+                         (AdjointConfig, {"max_outer": True}),
+                         (AdjointConfig, {"optimize_initial": "false"}),
+                         (AdjointConfig, {"per_cell_initial": 0})):
+            with pytest.raises(ConfigError, match="wrong type") as err:
+                cls(**bad)
+            assert err.value.key == next(iter(bad))
 
     def test_default_step_scale(self):
         x = np.array([0.2, 0.1, 0.1, 1e-9, 0.5, 40.0, 0.0])
@@ -157,6 +208,44 @@ class TestMetropolisFit:
         # the chain itself never left the box
         for _, x in result.history:
             assert problem.in_bounds(x)
+
+    def test_seir_over_seeding_is_rejected(self):
+        """A proposal seeding a cell above SEIR's 2/3 is logged out of bounds, not fatal.
+
+        One 4x4 region of 1000 persons starts with 650 seeds, a step of 20 from
+        the 667-person cap.
+        """
+        grid = GridSpec(9, 9, 4.0, 4.0)
+        cells = np.zeros(grid.shape, dtype=bool)
+        cells[2:6, 2:6] = True
+        region = RegionMask("R", cells)
+        masks = {"R": region}
+        population = distribute_uniform(1000.0, region, grid)
+        series = {"R": CaseSeries("R", np.arange(11), np.full(11, 3000.0))}
+        initial = ParameterVector(RateSchedule((0.2, 0.1, 0.1), (3.0, 6.0), 10.0), 0.1, 0.5,
+                                  {"R": 650.0})
+        problem = Problem(
+            grid=grid, model=ModelKind.SEIR, masks=masks, district=region,
+            population=population, t_end=10.0, tau=0.1, weights=ObjectiveWeights(),
+            data=interpolate_data(series, masks, grid, population), initial=initial,
+        )
+        config = MetropolisConfig(draws=200, sigma=2e-3, seed=1, step_scale=[1e-4] * 5 + [20.0])
+        result = metropolis_fit(problem, config)
+        log = result.diagnostics["decisions"]
+        # regenerate the proposals from the chain seed
+        rng = np.random.default_rng(config.seed)
+        x = problem.pack(initial)
+        over = np.zeros(config.draws, dtype=bool)
+        for i in range(config.draws):
+            prop = x + result.diagnostics["step_scale"] * rng.standard_normal(len(x))
+            over[i] = prop[5] > 1000.0 * 2.0 / 3.0
+            if log["in_bounds"][i]:
+                rng.uniform()
+                if log["accepted"][i]:
+                    x = prop
+        assert over.any()
+        assert not log["in_bounds"][over].any()
+        assert 0.0 < result.acceptance_rate < 1.0
 
     def test_acceptance_bookkeeping(self, twin9):
         problem = twin9["problem"]

@@ -119,6 +119,17 @@ class TestStepForward:
             with pytest.raises(StabilityError, match="smaller tau"):
                 run_from_state(grid, u, ModelKind.SIS, hot, kappa, 1.0, 1.0)
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_nan_state_raises(self, kappa, corrected):
+        """One NaN cell makes the guard's minimum NaN; the run stops instead of returning NaN."""
+        grid = GridSpec(4, 4, 1.0, 1.0)
+        u = np.full((3,) + grid.shape, 0.1)
+        u[1, 2, 1] = np.nan
+        with pytest.raises(StabilityError, match="not finite") as err:
+            run_from_state(grid, u, ModelKind.SEIR, SCHED, kappa, 1.0, 0.25, corrected=corrected)
+        assert "smaller tau" not in str(err.value)
+
     def test_corrected_step_is_second_order(self):
         """Single-cell logistic dynamics against a tight Runge-Kutta reference."""
         grid = GridSpec(2, 2, 1.0, 1.0)

@@ -208,8 +208,13 @@ class TestQ1Eigenbasis:
 
 
 def test_import_loads_no_scipy():
-    """The package runs on numpy alone: importing it pulls in no scipy module."""
-    code = "import sys, epidiffuse; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    """The package runs on its runtime dependencies, numpy and pyyaml, alone.
+
+    Importing it in a fresh interpreter pulls in no scipy module and none of
+    the test tools (hypothesis, pytest).
+    """
+    code = ("import sys, epidiffuse; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -349,3 +354,13 @@ class TestRunForwardFem:
         for tau in (0.25, 0.01):
             with pytest.raises(StabilityError, match="Q1 diffusion.*--backend cn"):
                 run_fem_from_state(grid, u0, ModelKind.SEIR, SCHED, 0.1, 1.0, tau)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    def test_nan_state_raises(self, kappa):
+        """One NaN cell makes the guard's minimum NaN; the run stops instead of returning NaN."""
+        grid = GridSpec(5, 5, 1.0, 1.0)
+        u0 = smooth_state(grid, 3)
+        u0[2, 1, 3] = np.nan
+        with pytest.raises(StabilityError, match="not finite") as err:
+            run_fem_from_state(grid, u0, ModelKind.SEIR, SCHED, kappa, 1.0, 0.25)
+        assert "smaller tau" not in str(err.value)
