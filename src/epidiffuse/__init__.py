@@ -28,7 +28,7 @@ from .models import (
     beta_at,
     initial_fractions,
     reaction,
-    reaction_jacobian,
+    reaction_split,
 )
 from .solver_cn import (
     CNWorkspace,

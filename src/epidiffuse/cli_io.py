@@ -689,15 +689,15 @@ def _cmd_fit(config: RunConfig, out_dir: Path, args) -> dict:
         raise ConfigError("estimator.kind must be 'metropolis' or 'adjoint' for fit",
                           path=config.path, key="estimator.kind")
     try:
-        if estimator == "metropolis":
-            mcfg = MetropolisConfig(seed=config.seed, **config.metropolis)
-            result = metropolis_fit(problem, mcfg)
-        else:
-            acfg = AdjointConfig(**config.adjoint)
-            result = adjoint_fit(problem, acfg)
-    except TypeError as exc:
-        raise ConfigError(f"bad estimator options: {exc}", path=config.path,
-                          key=f"estimator.{estimator}") from exc
+        try:
+            if estimator == "metropolis":
+                fit, options = metropolis_fit, MetropolisConfig(seed=config.seed, **config.metropolis)
+            else:
+                fit, options = adjoint_fit, AdjointConfig(**config.adjoint)
+        except TypeError as exc:  # an unknown option; one raised inside the fit is a defect
+            raise ConfigError(f"bad estimator options: {exc}", path=config.path,
+                              key=f"estimator.{estimator}") from exc
+        result = fit(problem, options)
     except ConfigError as exc:
         if exc.path is None:
             raise ConfigError(str(exc), path=config.path, key=f"estimator.{estimator}") from exc

@@ -13,7 +13,8 @@ decision is logged so the rule can be re-checked offline.
 
 The adjoint engine computes the exact gradient of the discrete objective.
 The backward sweep uses solver_cn.step_backward with the source
-p_n = (df/du)^T z_n + impulses of the data misfit at the daily marks; because
+p_n = (df/du)^T z_n + impulses of the data misfit at the daily marks, where
+(df/du)^T z = K^T z + beta (d phi/du) (e . z) from models.reaction_split; because
 A and B are the same operators as in the forward step, the sweep is the exact
 transpose of the linearized forward recursion and the gradient matches finite
 differences to solver precision.  The impulses and the direct beta and delta
@@ -52,10 +53,11 @@ from .grid import GridSpec, RegionMask, laplacian, laplacian_pairing, region_tot
 from .models import (
     ModelKind,
     ParameterVector,
+    beta_at,
     beta_interval,
     initial_fractions,
     max_seed_fraction,
-    reaction_jacobian,
+    reaction_split,
     seed_direction,
     seed_jacobian,
     seed_state,
@@ -439,9 +441,17 @@ def adjoint_gradient(
     ws = assemble(grid, params.kappa, problem.tau)
     tau = problem.tau
     fields = (m,) + grid.shape
+    K, e = reaction_split(model, schedule)
+
+    def jacobian_t(n: int, z: np.ndarray, ez: np.ndarray) -> np.ndarray:
+        """(df/du)^T z at level n: K^T z + beta(t_n) (d phi / du) (e . z)."""
+        dphi = transmission_derivative(model, states[n])
+        return K.T @ z + beta_at(schedule, n * tau) * dphi * ez
+
     z = np.zeros((m, n_cells))
+    ez = np.zeros(n_cells)  # e . z, the gain of z along the force's direction
     for n in range(n_steps, 0, -1):
-        source = np.einsum("jic,jc->ic", reaction_jacobian(model, states[n], n * tau, schedule), z)
+        source = jacobian_t(n, z, ez)
         if n % spd == 0:
             source += impulse(n // spd) / tau
         z = step_backward(ws, z, source)
@@ -451,17 +461,15 @@ def adjoint_gradient(
         g_kappa += 0.5 * tau * laplacian_pairing(
             z.reshape(fields), (u_prev + states[n]).reshape(fields), grid
         )
-        # (df/dbeta) . z: the force phi leaves S for the next compartment
-        # (E in SEIR, I in SIR); in SIS it is the gain of I
-        dz = z[0] if model is ModelKind.SIS else z[1] - z[0]
+        # (df/dbeta) . z = phi (e . z): the force phi leaves S for the next
+        # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
+        ez = e @ z
         g_beta[beta_interval(schedule, t_prev)] += tau * float(
-            transmission_bilinear(model, u_prev) @ dz
+            transmission_bilinear(model, u_prev) @ ez
         )
 
     # close the chain at q_0: zeta_0 = total dJ/dq_0 (misfit part)
-    zeta0 = z + tau * np.einsum(
-        "jic,jc->ic", reaction_jacobian(model, states[0], 0.0, schedule), z
-    )
+    zeta0 = z + tau * jacobian_t(0, z, ez)
     zeta0 += 0.5 * tau * params.kappa * laplacian(z.reshape(fields), grid).reshape(m, n_cells)
     zeta0 += impulse(0)
     z0_field = (zeta0 / area).reshape(fields)

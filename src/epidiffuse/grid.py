@@ -18,6 +18,7 @@ integral of a diffused field exactly (up to round-off).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,7 @@ def laplacian_pairing(z: np.ndarray, w: np.ndarray, grid: GridSpec) -> float:
     return -float(px / grid.hx ** 2 + py / grid.hy ** 2)
 
 
+@functools.lru_cache(maxsize=16)
 def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of the 1-D Neumann second difference.
 
@@ -165,13 +167,34 @@ def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     DCT-II basis diagonalizes (Strang, SIAM Review 41(1), 1999): it equals
     ``Q @ diag(lam) @ Q.T`` with the orthonormal columns
     ``Q[j, k] ∝ cos(pi k (j + 1/2) / n)`` and ``lam[k] = -4 sin^2(pi k / 2n) / h^2``.
-    ``lam[0] = 0`` belongs to the constant vector.
+    ``lam[0] = 0`` belongs to the constant vector.  The pair depends on the
+    axis alone, so it is cached per (n, h) and returned read-only.
     """
     k = np.arange(n)
     Q = np.cos(np.pi * np.outer(k + 0.5, k) / n) * np.sqrt(2.0 / n)
     Q[:, 0] = 1.0 / np.sqrt(n)
     lam = -4.0 * np.sin(0.5 * np.pi * k / n) ** 2 / h ** 2
-    return Q, lam
+    Q.setflags(write=False)
+    lam.setflags(write=False)
+    # views of read-only arrays cannot be made writeable again
+    return Q.view(), lam.view()
+
+
+def _to_eigen(fields: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Coefficients ``Fy^T F Fx`` of each field F in a stack (..., ny * nx), as (k, ny * nx)."""
+    fy, fx = basis
+    ny, nx = fy.shape[1], fx.shape[1]
+    # rows of all fields go through the x-transform in one product
+    coef = fields.reshape(-1, nx) @ fx
+    return (fy.T @ coef.reshape(-1, ny, nx)).reshape(-1, ny * nx)
+
+
+def _from_eigen(coef: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Fields ``By C Bx^T`` of coefficient stacks C (k, ny * nx), as (k, ny * nx)."""
+    by, bx = basis
+    ny, nx = by.shape[1], bx.shape[1]
+    out = (by @ coef.reshape(-1, ny, nx)).reshape(-1, nx) @ bx.T
+    return out.reshape(len(coef), -1)
 
 
 def _eigen_apply(fields: np.ndarray, fwd: tuple[np.ndarray, np.ndarray], gain: np.ndarray,
@@ -180,14 +203,9 @@ def _eigen_apply(fields: np.ndarray, fwd: tuple[np.ndarray, np.ndarray], gain: n
 
     ``fwd = (Fy, Fx)`` and ``back = (By, Bx)`` hold one basis per axis.
     """
-    (fy, fx), (by, bx) = fwd, back
-    ny, nx = gain.shape
-    # rows of all fields go through the x-transform in one product
-    coef = fields.reshape(-1, nx) @ fx
-    coef = fy.T @ coef.reshape(-1, ny, nx)
-    coef *= gain
-    out = (by @ coef).reshape(-1, nx) @ bx.T
-    return out.reshape(fields.shape)
+    coef = _to_eigen(fields, fwd)
+    coef *= gain.reshape(-1)
+    return _from_eigen(coef, back).reshape(fields.shape)
 
 
 def region_total(u: np.ndarray, mask: RegionMask, grid: GridSpec) -> float:

@@ -8,6 +8,10 @@ eliminated through S + I (+ E + R) = 1, which leaves
 * SEIR  -> (u1, u2, u3) = (S, E, I)/N  f = (-beta u1 u3, beta u1 u3 - theta u2,
                                             theta u2 - gamma u3)
 
+Each f is linear in u apart from the transmission force beta u_S u_I:
+``reaction_split`` gives f = K u + e * beta(t) * u_S u_I with constant K
+and e, and ``reaction`` evaluates that split.
+
 The transmission rate is piecewise constant in time with two breakpoints
 (three plateau values), mirroring the way contact restrictions change a
 rate abruptly on known dates.  ``beta_at`` is right-continuous: the value
@@ -21,6 +25,7 @@ the adjoint's seed gradient uses.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +42,7 @@ class ModelKind(enum.Enum):
     SIR = "sir"
     SEIR = "seir"
 
-    @property
+    @functools.cached_property
     def n_compartments(self) -> int:
         """Number of retained (solved-for) compartments."""
         return {ModelKind.SIS: 1, ModelKind.SIR: 2, ModelKind.SEIR: 3}[self]
@@ -141,51 +146,30 @@ def _check_arity(model: ModelKind, u: np.ndarray):
         )
 
 
+def reaction_split(model: ModelKind, schedule: RateSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The split f(u, t) = K u + e * beta(t) * transmission_bilinear(u).
+
+    K (m, m) holds the constant-coefficient transitions, e (m,) the way the
+    transmission force moves between compartments: SIS K = [-gamma],
+    e = (1); SIR K = diag(0, -gamma), e = (-1, 1); SEIR
+    K = [[0, 0, 0], [0, -theta, 0], [0, theta, -gamma]], e = (-1, 1, 0).
+    K commutes with the Laplacian, so only the force needs physical space.
+    """
+    g, th = schedule.gamma, schedule.theta
+    if model is ModelKind.SIS:
+        return np.array([[-g]]), np.array([1.0])
+    if model is ModelKind.SIR:
+        return np.array([[0.0, 0.0], [0.0, -g]]), np.array([-1.0, 1.0])
+    K = np.array([[0.0, 0.0, 0.0], [0.0, -th, 0.0], [0.0, th, -g]])
+    return K, np.array([-1.0, 1.0, 0.0])
+
+
 def reaction(model: ModelKind, u: np.ndarray, t: float, schedule: RateSchedule) -> np.ndarray:
-    """Pointwise reaction term f(u, t); u has shape (m,) or (m, ...)."""
+    """Pointwise reaction term f(u, t) from ``reaction_split``; u has shape (m,) or (m, ...)."""
     u = np.asarray(u, dtype=float)
-    _check_arity(model, u)
-    b = beta_at(schedule, t)
-    g, th = schedule.gamma, schedule.theta
-    out = np.empty_like(u)
-    if model is ModelKind.SIS:
-        out[0] = b * (1.0 - u[0]) * u[0] - g * u[0]
-    elif model is ModelKind.SIR:
-        force = b * u[0] * u[1]
-        out[0] = -force
-        out[1] = force - g * u[1]
-    else:
-        force = b * u[0] * u[2]
-        out[0] = -force
-        out[1] = force - th * u[1]
-        out[2] = th * u[1] - g * u[2]
-    return out
-
-
-def reaction_jacobian(model: ModelKind, u: np.ndarray, t: float, schedule: RateSchedule) -> np.ndarray:
-    """Jacobian df/du, shape (m, m) plus any trailing field axes of u."""
-    u = np.asarray(u, dtype=float)
-    _check_arity(model, u)
-    b = beta_at(schedule, t)
-    g, th = schedule.gamma, schedule.theta
-    m = model.n_compartments
-    out = np.zeros((m,) + u.shape)
-    if model is ModelKind.SIS:
-        out[0, 0] = b * (1.0 - 2.0 * u[0]) - g
-    elif model is ModelKind.SIR:
-        out[0, 0] = -b * u[1]
-        out[0, 1] = -b * u[0]
-        out[1, 0] = b * u[1]
-        out[1, 1] = b * u[0] - g
-    else:
-        out[0, 0] = -b * u[2]
-        out[0, 2] = -b * u[0]
-        out[1, 0] = b * u[2]
-        out[1, 1] = -th
-        out[1, 2] = b * u[0]
-        out[2, 1] = th
-        out[2, 2] = -g
-    return out
+    K, e = reaction_split(model, schedule)
+    force = beta_at(schedule, t) * transmission_bilinear(model, u)
+    return np.tensordot(K, u, axes=1) + np.multiply.outer(e, force)
 
 
 def transmission_bilinear(model: ModelKind, u: np.ndarray) -> np.ndarray:

@@ -167,9 +167,9 @@ class ObjectiveWeights:
     u0_ref: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.w0 <= 0.0:
+        if not self.w0 > 0.0:
             raise ParameterError(f"w0 must be positive, got {self.w0}")
-        if self.w1 < 0.0 or self.w2 < 0.0:
+        if not (self.w1 >= 0.0 and self.w2 >= 0.0):
             raise ParameterError(f"w1 and w2 must be >= 0, got {self.w1}, {self.w2}")
         if self.chi_ref is not None:
             self.chi_ref = np.asarray(self.chi_ref, dtype=float)

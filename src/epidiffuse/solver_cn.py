@@ -3,20 +3,52 @@
 Each compartment field q advances through
 
     A q_{n+1} = B q_n + tau * f(q_n, t_n),
-    A = I - (tau kappa / 2) L,   B = I + (tau kappa / 2) L,
+    A = I - c L,   B = I + c L,   c = tau kappa / 2,
 
 with L the Neumann Laplacian from :mod:`epidiffuse.grid`: diffusion is treated
 by the trapezoidal rule, the nonlinear reaction explicitly.  Neither A nor B
 is ever formed.  L = Dyy (x) I + I (x) Dxx is diagonalized by the cosine
-(DCT-II) basis Q_y (x) Q_x in closed form, so
+(DCT-II) basis Q_y (x) Q_x in closed form, so in that basis A^{-1} is the
+pointwise gain g = 1 / (1 - c (lam_y + lam_x)) and, through A + B = 2 I,
+A^{-1} B is 2 g - 1.  Only g depends on kappa and tau.
 
-    A^{-1} R = Q_y (g o (Q_y^T R Q_x)) Q_x^T,   g = 1 / (1 - (tau kappa / 2)(lam_y + lam_x)),
+The forward run carries the coefficients U^ = Q_y^T U Q_x of its state from
+step to step.  The reaction splits as f(u) = K u + e beta(t) phi(u)
+(``models.reaction_split``): K and e are constant, so K commutes with L,
+and only the transmission force phi = u_S u_I needs physical space.  A step
 
-i.e. two small dense transforms per axis and a pointwise gain, applied to all
-compartments (and the population) of a step at once.  Only g depends on
-kappa and tau.  B is eliminated through A + B = 2 I:
+    phi_n = beta(t_n) phi(u_n)                        on the read-out u_n,
+    U^_{n+1} = (2 g - 1) o U^_n + tau g o (K U^_n + e (x) phi^_n),
+    u_{n+1} = Q_y U^_{n+1} Q_x^T                      (the read-out),
 
-    A^{-1}(B u + r) = A^{-1}(2 u + r) - u = A^{-1}(2 d + r) - d + s,
+is the recursion above in the eigenbasis.  It transforms one field into the
+basis (the force) and the m compartments back: 4 field transforms per SEIR
+step, 3 for SIR and 2 for SIS, against 2m for a solve in physical space.
+The population, when it is evolved, diffuses in closed form,
+p^ <- (2 g - 1) o p^, and is transformed back only at the stored levels.
+Because the constant mode has gain 1, its integral is conserved exactly up
+to round-off, regardless of tau.
+
+The negativity guard checks the read-out and clips its round-off negatives
+(down to -NEGATIVITY_TOL) to zero; the clipped read-out is what the next
+force reads and what is stored.  The carried coefficients are not clipped:
+a clip would have to be transformed back into them, and round-off negatives
+of about 1e-16 appear on most steps of the bundled demo.  So a clip does not
+feed into the linear part of the next step.  That moves the states by
+round-off only: over the bundled demo's first 10 days they differ by at
+most 5e-14 from steps taken in physical space that clip the state itself.
+
+An optional correction adds the second-order Taylor term
+(tau^2 / 2) * df/du [kappa L q + f] to the increment, restoring formal
+second order for the coupled system.  The corrected step transforms its
+whole increment, 2m transforms.  It is off by default; the plain scheme is
+the reference behaviour and the backward sweep mirrors it exactly (the
+adjoint refuses corrected problems).
+
+The backward sweep and the diffusion regime of the convergence study step in
+physical space with ``CNWorkspace.step``, A^{-1}(B u + r) computed as
+
+    A^{-1}(2 u + r) - u = A^{-1}(2 d + r) - d + s,
 
 where s is each field's mean and d = u - s.  The second form uses that
 A^{-1} maps a constant field to itself, so a step costs one A^{-1} solve and
@@ -26,28 +58,36 @@ and over the 2560 steps of the fine reference run in the temporal
 convergence check the rounding error pulls the observed order of pure
 diffusion from 2.0 below its limit of 1.8.  With it the transforms see only
 the deviation d, and each field's mean bypasses them.
-
-Because L has zero column sums and the constant mode has gain 1, the scheme
-conserves the integral of a purely diffused field (the population N) exactly
-up to round-off, regardless of tau.
-
-An optional correction adds the second-order Taylor term
-(tau^2 / 2) * df/du [kappa L q + f] to the right-hand side, restoring formal
-second order for the coupled system.  It is off by default; the plain scheme
-is the reference behaviour and the backward sweep mirrors it exactly (the
-adjoint refuses corrected problems).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SequencingError, StabilityError
-from .grid import GridSpec, RegionMask, _eigen_apply, laplacian, neumann_eigenbasis, region_total
-from .models import ModelKind, RateSchedule, reaction, reaction_jacobian, seed_state
+from .grid import (
+    GridSpec,
+    RegionMask,
+    _eigen_apply,
+    _from_eigen,
+    _to_eigen,
+    laplacian,
+    neumann_eigenbasis,
+    region_total,
+)
+from .models import (
+    ModelKind,
+    RateSchedule,
+    beta_at,
+    reaction,
+    reaction_split,
+    seed_state,
+    transmission_bilinear,
+    transmission_derivative,
+)
 
 #: Absolute tolerance below zero before a step is declared unstable.
 NEGATIVITY_TOL = 1e-10
@@ -109,6 +149,18 @@ class CNWorkspace:
         out += s
         return out
 
+    def _coef(self, fields: np.ndarray) -> np.ndarray:
+        """Eigenbasis coefficients of fields (..., n_cells), as (k, n_cells); a copy when trivial."""
+        if self.trivial:
+            return fields.reshape(-1, self.grid.n_cells).copy()
+        return _to_eigen(fields, (self.Qy, self.Qx))
+
+    def _fields(self, coef: np.ndarray) -> np.ndarray:
+        """Fields (k, n_cells) of eigenbasis coefficients (k, n_cells); a copy when trivial."""
+        if self.trivial:
+            return coef.copy()
+        return _from_eigen(coef, (self.Qy, self.Qx))
+
 
 def _check_step(kappa: float, tau: float) -> None:
     """Raise ParameterError for kappa < 0 or tau outside (0, MAX_TAU]."""
@@ -141,35 +193,6 @@ def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
             raise StabilityError(f"state is not finite at t={t:.4f}")
         raise StabilityError(f"state went negative ({low:.3e}) at t={t:.4f}; {remedy}")
     return low
-
-
-def _advance(
-    ws: CNWorkspace,
-    u: np.ndarray,
-    model: ModelKind,
-    schedule: RateSchedule,
-    t: float,
-    corrected: bool = False,
-) -> np.ndarray:
-    """One step on the flattened state u of shape (m, n_cells).
-
-    u may carry one extra row after the m compartments: the population,
-    which diffuses without reaction in the same solve and is not guarded.
-    """
-    m = model.n_compartments
-    q = u[:m]
-    f = reaction(model, q, t, schedule)
-    incr = ws.tau * f
-    if corrected:
-        lap = laplacian(q.reshape((m,) + ws.grid.shape), ws.grid)
-        rate = ws.kappa * lap.reshape(m, -1) + f
-        jac = reaction_jacobian(model, q, t, schedule)
-        incr = incr + (0.5 * ws.tau ** 2) * np.einsum("ijc,jc->ic", jac, rate)
-    new = ws.step(u, incr)
-    low = _check_sign(new[:m], t + ws.tau, "use a smaller tau")
-    if low < 0.0:
-        np.clip(new[:m], 0.0, None, out=new[:m])
-    return new
 
 
 def step_backward(ws: CNWorkspace, z: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -246,13 +269,17 @@ def _drive(
     tau: float,
     population: np.ndarray | None,
     store_every: int,
-    advance: Callable[[np.ndarray, float], np.ndarray],
+    advance: Callable[[Any, float], Any],
+    start: Callable[[np.ndarray], Any] | None = None,
+    read: Callable[[Any], np.ndarray] | None = None,
 ) -> Trajectory:
     """The time-stepping loop behind every forward run.
 
-    The state is u0 flattened to (m, n_cells), with the population stacked
-    as row m when it is given.  ``advance(u, t)`` returns the state one step
-    of tau after t; every ``store_every``-th level is kept.
+    The physical state is u0 flattened to (m, n_cells), with the population
+    stacked as row m when it is given.  ``advance(state, t)`` returns the
+    state one step of tau after t; every ``store_every``-th level is kept.
+    The loop carries the physical state unless ``start`` maps it to another
+    form; ``read`` then maps a carried state back to physical rows to store.
     """
     m = model.n_compartments
     if u0.shape != (m,) + grid.shape:
@@ -274,17 +301,18 @@ def _drive(
     states = np.empty((n_levels, m) + grid.shape)
     pops = np.empty((n_levels,) + grid.shape) if evolve_pop else None
 
-    def store(k: int, t: float):
+    def store(k: int, t: float, fields: np.ndarray):
         times[k] = t
-        states[k] = u[:m].reshape((m,) + grid.shape)
+        states[k] = fields[:m].reshape((m,) + grid.shape)
         if evolve_pop:
-            pops[k] = u[m].reshape(grid.shape)
+            pops[k] = fields[m].reshape(grid.shape)
 
-    store(0, 0.0)
+    store(0, 0.0, u)
+    state = u if start is None else start(u)
     for n in range(steps):
-        u = advance(u, n * tau)
+        state = advance(state, n * tau)
         if (n + 1) % store_every == 0:
-            store((n + 1) // store_every, (n + 1) * tau)
+            store((n + 1) // store_every, (n + 1) * tau, state if read is None else read(state))
 
     return Trajectory(grid, model, tau, store_every, times, states, pops)
 
@@ -303,15 +331,47 @@ def run_from_state(
 ) -> Trajectory:
     """Integrate from an explicit initial state with the Crank-Nicolson step.
 
-    The population, when given, diffuses with the same kappa in the same
-    solve as the compartments.
+    The run carries the eigenbasis coefficients of the compartments and of
+    the population, when given, and steps them as the module docstring
+    describes; the population diffuses with the same kappa.
     """
     ws = assemble(grid, kappa, tau)
+    m = model.n_compartments
+    K, e = reaction_split(model, schedule)
+    gain = 1.0 if ws.trivial else ws.gain.reshape(-1)
+    decay = 2.0 * gain - 1.0  # A^{-1} B
+    kick = tau * gain
+    fields = (m,) + grid.shape
 
-    def advance(u: np.ndarray, t: float) -> np.ndarray:
-        return _advance(ws, u, model, schedule, t, corrected)
+    def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return u[:m], ws._coef(u)
 
-    return _drive(grid, u0, model, t_end, tau, population, store_every, advance)
+    def advance(state: tuple[np.ndarray, np.ndarray], t: float) -> tuple[np.ndarray, np.ndarray]:
+        q, coef = state
+        beta = beta_at(schedule, t)
+        new = coef * decay
+        if corrected:
+            f = reaction(model, q, t, schedule)
+            flow = kappa * laplacian(q.reshape(fields), grid).reshape(m, -1) + f
+            dphi = (transmission_derivative(model, q) * flow).sum(axis=0)  # (d phi/du) . flow
+            incr = tau * f + (0.5 * tau ** 2) * (K @ flow + np.multiply.outer(e, beta * dphi))
+            new[:m] += gain * ws._coef(incr)
+        else:
+            rate = K @ coef[:m]
+            rate += e[:, None] * ws._coef(beta * transmission_bilinear(model, q))
+            rate *= kick
+            new[:m] += rate
+        q = ws._fields(new[:m])
+        low = _check_sign(q, t + tau, "use a smaller tau")
+        if low < 0.0:
+            np.clip(q, 0.0, None, out=q)
+        return q, new
+
+    def read(state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        q, coef = state
+        return q if population is None else np.vstack([q, ws._fields(coef[m:])])
+
+    return _drive(grid, u0, model, t_end, tau, population, store_every, advance, start, read)
 
 
 def conservation_drift(traj: Trajectory) -> float:

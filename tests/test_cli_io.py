@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import make_twin
-from epidiffuse import ObjectiveWeights
+from epidiffuse import ObjectiveWeights, cli_io
 from epidiffuse.cli_io import (
     DEMO_POPULATIONS,
     demo_geometry,
@@ -794,6 +794,18 @@ class TestCommandLine:
         rc = main(["fit", "--config", str(config_path), "--out", str(scenario["dir"] / "retired")])
         assert rc == 2
         assert "estimator.adjoint" in capsys.readouterr().err
+
+    def test_type_error_inside_fit_is_not_a_config_error(self, scenario, monkeypatch):
+        """Only building the estimator's config maps TypeError to exit 2."""
+        def broken_fit(problem, config):
+            raise TypeError("defect inside the fit")
+
+        monkeypatch.setattr(cli_io, "metropolis_fit", broken_fit)
+        raw = dict(scenario["raw"])
+        raw["estimator"] = {"kind": "metropolis", "metropolis": {"draws": 4}}
+        config_path = dump_config(scenario["dir"], raw, "broken.yaml")
+        with pytest.raises(TypeError, match="defect inside the fit"):
+            main(["fit", "--config", str(config_path), "--out", str(scenario["dir"] / "broken")])
 
     def test_corrected_adjoint_exits_config_code(self, scenario, capsys):
         raw = dict(scenario["raw"])

@@ -213,6 +213,17 @@ class TestNeumannEigenbasis:
         assert lam[0] == 0.0
         assert (np.diff(lam) < 0.0).all()
 
+    def test_cached_basis_is_read_only(self):
+        """One basis per (n, h), shared by every caller, so no caller may write into it."""
+        Q, lam = neumann_eigenbasis(7, 0.25)
+        again = neumann_eigenbasis(7, 0.25)
+        assert again[0] is Q and again[1] is lam
+        for arr in (Q, lam):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
 
 class TestRegionAggregation:
     def test_region_total_brute_force(self):

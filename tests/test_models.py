@@ -19,9 +19,10 @@ from epidiffuse.models import (
     initial_fractions,
     max_seed_fraction,
     reaction,
-    reaction_jacobian,
+    reaction_split,
     seed_jacobian,
     transmission_bilinear,
+    transmission_derivative,
 )
 from epidiffuse.objective import ObjectiveWeights
 
@@ -148,7 +149,16 @@ class TestReaction:
             reaction(ModelKind.SIR, np.zeros((3, 2, 2)), 0.0, SCHED)
 
 
+def split_jacobian(model, u, t):
+    """df/du from the split, K + e (x) beta(t) d(u_S u_I)/du: shape (m, m) plus u's field axes."""
+    K, e = reaction_split(model, SCHED)
+    dphi = beta_at(SCHED, t) * transmission_derivative(model, u)
+    return K.reshape(K.shape + (1,) * (u.ndim - 1)) + np.multiply.outer(e, dphi)
+
+
 class TestJacobian:
+    """The Jacobian the adjoint's source assembles from the split."""
+
     def test_matches_finite_differences(self):
         """Central differences on random states, all three models."""
         rng = np.random.default_rng(17)
@@ -158,7 +168,7 @@ class TestJacobian:
             for _ in range(20):
                 u = rng.uniform(0.05, 0.6, size=m)
                 t = float(rng.uniform(0.0, 30.0))
-                jac = reaction_jacobian(model, u, t, SCHED)
+                jac = split_jacobian(model, u, t)
                 for j in range(m):
                     up, um = u.copy(), u.copy()
                     up[j] += eps
@@ -167,9 +177,13 @@ class TestJacobian:
                     npt.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-9)
 
     def test_field_shape(self):
-        u = np.zeros((3, 4, 5)) + 0.1
-        jac = reaction_jacobian(ModelKind.SEIR, u, 0.0, SCHED)
+        """The split evaluates stacks of fields cell by cell."""
+        rng = np.random.default_rng(0)
+        u = rng.uniform(0.05, 0.4, size=(3, 4, 5))
+        assert transmission_derivative(ModelKind.SEIR, u).shape == u.shape
+        jac = split_jacobian(ModelKind.SEIR, u, 0.0)
         assert jac.shape == (3, 3, 4, 5)
+        npt.assert_allclose(jac[:, :, 2, 3], split_jacobian(ModelKind.SEIR, u[:, 2, 3], 0.0))
 
     def test_column_sums_match_loss_rate(self):
         """Summing df_i/du_j over i gives the derivative of the summed rate."""
@@ -177,7 +191,7 @@ class TestJacobian:
         for model in (ModelKind.SIR, ModelKind.SEIR):
             m = model.n_compartments
             u = rng.uniform(0.05, 0.5, size=m)
-            jac = reaction_jacobian(model, u, 0.0, SCHED)
+            jac = split_jacobian(model, u, 0.0)
             expected = np.zeros(m)
             expected[model.infected_index] = -SCHED.gamma
             npt.assert_allclose(jac.sum(axis=0), expected, atol=1e-13)

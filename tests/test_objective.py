@@ -124,6 +124,12 @@ class TestObjectiveWeights:
             ObjectiveWeights(w0=1.0, w1=0.5, chi_ref=np.zeros(3))
         ObjectiveWeights(w0=1.0, w1=0.5, chi_ref=np.zeros(5))
 
+    @pytest.mark.parametrize("name", ["w0", "w1", "w2"])
+    def test_nan_weight_refused(self, name):
+        """A NaN weight would pass the sign checks and silently drop its term."""
+        with pytest.raises(ParameterError, match=name):
+            ObjectiveWeights(**{name: float("nan")}, chi_ref=np.zeros(5))
+
 
 class TestTrapezoidWeights:
     def test_values(self):

@@ -26,7 +26,9 @@ from epidiffuse.models import (
     RateSchedule,
     initial_fractions,
     reaction,
+    seed_state,
 )
+from epidiffuse import solver_cn
 from epidiffuse.objective import ObjectiveWeights
 from epidiffuse.solver_cn import (
     CNWorkspace,
@@ -86,23 +88,59 @@ class TestAssemble:
 
 class TestStepForward:
     def test_matches_dense_reference(self):
-        """One step equals the dense solve A^{-1} (B u + tau f) per compartment."""
+        """Stored levels equal dense steps u <- A^{-1} (B u + tau f(u)), p <- A^{-1} B p.
+
+        Every model, with and without the population row, over four steps of
+        which every second is stored, so the population is read out only there.
+        """
         rng = np.random.default_rng(9)
         grid = GridSpec(6, 5, 1.2, 0.8)
-        kappa, tau = 0.15, 0.2
-        ws = assemble(grid, kappa, tau)
+        kappa, tau, steps, every = 0.15, 0.2, 4, 2
         A, B = dense_operators(grid, kappa, tau)
-        u = rng.uniform(0.05, 0.3, size=(3,) + grid.shape)
-        u[0] = 1.0 - u[1] - u[2]
-        out = run_from_state(grid, u, ModelKind.SEIR, SCHED, kappa, tau, tau)
-        f = reaction(ModelKind.SEIR, u, 0.0, SCHED)
-        expected = np.empty_like(u)
-        for i in range(3):
-            rhs = B @ u[i].ravel() + tau * f[i].ravel()
-            expected[i] = np.linalg.solve(A, rhs).reshape(grid.shape)
-        npt.assert_allclose(out.states[-1], expected, atol=1e-12)
-        npt.assert_array_equal(out.states[0], u)
-        assert out.times[-1] == pytest.approx(0.2)
+        for model in ModelKind:
+            m = model.n_compartments
+            u = rng.uniform(0.05, 0.3, size=(m,) + grid.shape)
+            if m > 1:
+                u[0] = 1.0 - u[1:].sum(axis=0)
+            pop = rng.uniform(100.0, 900.0, size=grid.shape)
+            expected, exp_pop = [u.reshape(m, -1)], [pop.ravel()]
+            for n in range(steps):
+                f = reaction(model, expected[-1], n * tau, SCHED)
+                rhs = B @ expected[-1].T + tau * f.T
+                expected.append(np.linalg.solve(A, rhs).T)
+                exp_pop.append(np.linalg.solve(A, B @ exp_pop[-1]))
+            expected = np.array(expected[::every]).reshape((-1, m) + grid.shape)
+            exp_pop = np.array(exp_pop[::every]).reshape((-1,) + grid.shape)
+            for population in (None, pop):
+                out = run_from_state(grid, u, model, SCHED, kappa, steps * tau, tau,
+                                     population=population, store_every=every)
+                npt.assert_allclose(out.states, expected, rtol=0.0, atol=1e-12)
+                npt.assert_array_equal(out.states[0], u)
+                npt.assert_allclose(out.times, [0.0, 0.4, 0.8])
+                if population is None:
+                    assert out.population is None
+                else:
+                    npt.assert_allclose(out.population, exp_pop, rtol=1e-12)
+
+    def test_stored_levels_are_clipped_read_outs(self, monkeypatch):
+        """Where the read-out dips below zero by round-off, the stored level is clipped."""
+        lows = []
+        check_sign = solver_cn._check_sign
+
+        def recording_check(u, t, remedy):
+            lows.append(check_sign(u, t, remedy))
+            return lows[-1]
+
+        monkeypatch.setattr(solver_cn, "_check_sign", recording_check)
+        # far from a corner seed the fields are smaller than the transforms' round-off
+        grid = GridSpec(17, 17, 1.0, 1.0)
+        frac = np.zeros(grid.shape)
+        frac[:3, :3] = 0.01
+        for model in ModelKind:
+            lows.clear()
+            traj = run_from_state(grid, seed_state(model, frac), model, SCHED, 0.001, 2.0, 0.25)
+            assert min(lows) < 0.0
+            assert traj.states.min() == 0.0
 
     def test_trivial_step_is_explicit_euler(self):
         grid = GridSpec(3, 3, 1.0, 1.0)
