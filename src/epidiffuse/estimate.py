@@ -443,15 +443,14 @@ def adjoint_gradient(
     fields = (m,) + grid.shape
     K, e = reaction_split(model, schedule)
 
-    def jacobian_t(n: int, z: np.ndarray, ez: np.ndarray) -> np.ndarray:
+    def jacobian_t(n: int, z: np.ndarray) -> np.ndarray:
         """(df/du)^T z at level n: K^T z + beta(t_n) (d phi / du) (e . z)."""
         dphi = transmission_derivative(model, states[n])
-        return K.T @ z + beta_at(schedule, n * tau) * dphi * ez
+        return K.T @ z + beta_at(schedule, n * tau) * dphi * (e @ z)
 
     z = np.zeros((m, n_cells))
-    ez = np.zeros(n_cells)  # e . z, the gain of z along the force's direction
     for n in range(n_steps, 0, -1):
-        source = jacobian_t(n, z, ez)
+        source = jacobian_t(n, z)
         if n % spd == 0:
             source += impulse(n // spd) / tau
         z = step_backward(ws, z, source)
@@ -463,13 +462,12 @@ def adjoint_gradient(
         )
         # (df/dbeta) . z = phi (e . z): the force phi leaves S for the next
         # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
-        ez = e @ z
         g_beta[beta_interval(schedule, t_prev)] += tau * float(
-            transmission_bilinear(model, u_prev) @ ez
+            transmission_bilinear(model, u_prev) @ (e @ z)
         )
 
     # close the chain at q_0: zeta_0 = total dJ/dq_0 (misfit part)
-    zeta0 = z + tau * jacobian_t(0, z, ez)
+    zeta0 = z + tau * jacobian_t(0, z)
     zeta0 += 0.5 * tau * params.kappa * laplacian(z.reshape(fields), grid).reshape(m, n_cells)
     zeta0 += impulse(0)
     z0_field = (zeta0 / area).reshape(fields)

@@ -10,7 +10,7 @@ by the trapezoidal rule, the nonlinear reaction explicitly.  Neither A nor B
 is ever formed.  L = Dyy (x) I + I (x) Dxx is diagonalized by the cosine
 (DCT-II) basis Q_y (x) Q_x in closed form, so in that basis A^{-1} is the
 pointwise gain g = 1 / (1 - c (lam_y + lam_x)) and, through A + B = 2 I,
-A^{-1} B is 2 g - 1.  Only g depends on kappa and tau.
+B is b = 2 - 1/g.  Only g depends on kappa and tau.
 
 The forward run carries the coefficients U^ = Q_y^T U Q_x of its state from
 step to step.  The reaction splits as f(u) = K u + e beta(t) phi(u)
@@ -18,14 +18,14 @@ step to step.  The reaction splits as f(u) = K u + e beta(t) phi(u)
 and only the transmission force phi = u_S u_I needs physical space.  A step
 
     phi_n = beta(t_n) phi(u_n)                        on the read-out u_n,
-    U^_{n+1} = (2 g - 1) o U^_n + tau g o (K U^_n + e (x) phi^_n),
+    U^_{n+1} = g o (b o U^_n + tau (K U^_n + e (x) phi^_n)),
     u_{n+1} = Q_y U^_{n+1} Q_x^T                      (the read-out),
 
 is the recursion above in the eigenbasis.  It transforms one field into the
 basis (the force) and the m compartments back: 4 field transforms per SEIR
 step, 3 for SIR and 2 for SIS, against 2m for a solve in physical space.
 The population, when it is evolved, diffuses in closed form,
-p^ <- (2 g - 1) o p^, and is transformed back only at the stored levels.
+p^ <- g o b o p^, and is transformed back only at the stored levels.
 Because the constant mode has gain 1, its integral is conserved exactly up
 to round-off, regardless of tau.
 
@@ -339,8 +339,7 @@ def run_from_state(
     m = model.n_compartments
     K, e = reaction_split(model, schedule)
     gain = 1.0 if ws.trivial else ws.gain.reshape(-1)
-    decay = 2.0 * gain - 1.0  # A^{-1} B
-    kick = tau * gain
+    b = 2.0 - 1.0 / gain  # B = 2 I - A in the eigenbasis
     fields = (m,) + grid.shape
 
     def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,18 +348,19 @@ def run_from_state(
     def advance(state: tuple[np.ndarray, np.ndarray], t: float) -> tuple[np.ndarray, np.ndarray]:
         q, coef = state
         beta = beta_at(schedule, t)
-        new = coef * decay
+        new = coef * b
         if corrected:
             f = reaction(model, q, t, schedule)
             flow = kappa * laplacian(q.reshape(fields), grid).reshape(m, -1) + f
             dphi = (transmission_derivative(model, q) * flow).sum(axis=0)  # (d phi/du) . flow
             incr = tau * f + (0.5 * tau ** 2) * (K @ flow + np.multiply.outer(e, beta * dphi))
-            new[:m] += gain * ws._coef(incr)
+            new[:m] += ws._coef(incr)
         else:
             rate = K @ coef[:m]
             rate += e[:, None] * ws._coef(beta * transmission_bilinear(model, q))
-            rate *= kick
+            rate *= tau
             new[:m] += rate
+        new *= gain
         q = ws._fields(new[:m])
         low = _check_sign(q, t + tau, "use a smaller tau")
         if low < 0.0:
