@@ -308,7 +308,11 @@ class TestAdjointGradient:
         size = np.maximum(np.abs(problem.pack(start)), 1e-2)
         npt.assert_array_equal(report["scaled_err"], err * size / (np.abs(report["fd"]) * size).max())
         npt.assert_array_equal(report["rel_err"], err / np.maximum(np.abs(report["fd"]), 1e-12))
-        assert (report["scaled_err"] <= report["rel_err"]).all()
+        # At the component with the largest |FD| * s the two errors are
+        # roundings of the same number, which the two lines above pin bit for
+        # bit; everywhere else the scaled error is strictly the smaller.
+        others = np.arange(len(size)) != np.argmax(np.abs(report["fd"]) * size)
+        assert (report["scaled_err"][others] <= report["rel_err"][others]).all()
         assert report["scaled_err"].max() < 1e-6, report
 
     @pytest.mark.parametrize("model", [ModelKind.SIS, ModelKind.SIR])
