@@ -36,7 +36,6 @@ from .solver_cn import (
     assemble,
     conservation_drift,
     run_from_state,
-    step_backward,
     temporal_refinement_study,
 )
 from .solver_fem import (

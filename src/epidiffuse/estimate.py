@@ -11,15 +11,29 @@ with probability min{1, exp((J_old^2 - J_new^2) / (2 sigma^2))}, and reports
 means and standard deviations over the accepted post-burn-in draws.  Every
 decision is logged so the rule can be re-checked offline.
 
-The adjoint engine computes the exact gradient of the discrete objective.
-The backward sweep uses solver_cn.step_backward with the source
-p_n = (df/du)^T z_n + impulses of the data misfit at the daily marks, where
-(df/du)^T z = K^T z + beta (d phi/du) (e . z) from models.reaction_split; because
-A and B are the same operators as in the forward step, the sweep is the exact
-transpose of the linearized forward recursion and the gradient matches finite
-differences to solver precision.  The impulses and the direct beta and delta
-terms read objective.daily_residuals, the residuals J itself sums, so the
-gradient cannot drift from the objective it differentiates.  The search
+The adjoint engine computes the exact gradient of the discrete objective
+by reverse mode (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
+2008): its backward sweep is the transpose of the forward's carried
+recursion (solver_cn).  It carries Z = Q^T z, the multiplier in the cosine
+eigenbasis, and steps it with the forward's step and K^T:
+
+    Z <- g o (b o Z + tau (K^T Z + Q^T[(d phi/du)(u_n) o s_n])),
+    s_n = beta(t_n) (e . z_n) + (the day's impulse coefficient * residual) / tau,
+
+the impulse only on day marks, where it shares the step's d phi/du and so
+costs no transform.  The kappa derivative pairs (tau/2) Z_{n-1} with
+lam (U^_{n-1} + U^_n), and the trajectory does not store the carried
+coefficients U^.  So the sweep carries a second multiplier
+W <- a_n + g o (b o W + tau K^T W), a_n = (tau/2) lam (Z_n + Z_{n-1}), and
+summation by parts gives sum_n a_n . U^_n = W_0 . Q^T u_0
++ sum_n (g tau e . W_{n+1}) . phi^_n: g tau e . W leaves the basis with
+e . Z and pairs, by Parseval, with the stored force beta phi(u_n).  A SEIR
+backward step transforms those two fields out and the two nonzero rows of
+(d phi/du) o s in, 4 field transforms; SIR takes 4 and SIS 3.  At kappa = 0
+the forward takes none, and the sweep steps in the basis with g = b = 1.
+The impulses and the direct beta and delta terms read
+objective.daily_residuals, the residuals J itself sums, so the gradient
+cannot drift from the objective it differentiates.  The search
 direction for chi comes from a damped limited-memory BFGS (identity
 initialization); the initial-condition direction follows the
 optimality-condition target u0_tilde = u0_ref - z(0)/w2.
@@ -49,10 +63,11 @@ from .errors import (
     ParameterError,
     SequencingError,
 )
-from .grid import GridSpec, RegionMask, laplacian, laplacian_pairing, region_total
+from .grid import GridSpec, RegionMask, _from_eigen, _to_eigen, region_total
 from .models import (
     ModelKind,
     ParameterVector,
+    RateSchedule,
     beta_at,
     beta_interval,
     initial_fractions,
@@ -72,7 +87,7 @@ from .objective import (
     evaluate_terms,
     trapezoid_day_weights,
 )
-from .solver_cn import Trajectory, assemble, run_from_state, step_backward
+from .solver_cn import CNWorkspace, Trajectory, assemble, run_from_state
 from . import solver_fem
 
 BETA_MIN = 1e-8
@@ -388,6 +403,59 @@ def _require_exact_adjoint(problem: Problem):
         )
 
 
+def _sweep(ws: CNWorkspace, model: ModelKind, schedule: RateSchedule, states: np.ndarray,
+           spd: int, impulses: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The backward sweep of adjoint_gradient, as the module docstring describes.
+
+    ``states`` holds every forward level, (n_levels, m, n_cells), and
+    ``impulses`` each day's misfit impulse over tau, (n_days, n_cells).
+    Returns dJ/dq_0 (misfit part) as (m, n_cells) and the sweep's parts of
+    dJ/dbeta, per plateau, and of dJ/dkappa.
+    """
+    tau = ws.tau
+    basis = ws.basis
+    m, n_cells = states.shape[1:]
+    K, e = reaction_split(model, schedule)
+    idx = model.infected_index
+    rows = slice(0, idx + 1, max(idx, 1))  # rows 0 and idx, the ones d phi / du fills
+    half_tau = 0.5 * tau
+    g_beta = np.zeros(3)
+    g_kappa = 0.0
+
+    # Z carries Q^T z_n, the multiplier of the step out of level n; W is the
+    # module docstring's W over tau/2, so a_n is lam (Z_n + Z_{n-1}).
+    Z = np.zeros((m, n_cells))
+    W = np.zeros((m, n_cells))
+    for n in range(len(states) - 1, -1, -1):
+        u = states[n]
+        t = n * tau
+        beta = beta_at(schedule, t)
+        out = np.stack([e @ Z, e @ W])
+        out[1] *= ws.gain
+        ez, gw = _from_eigen(out, basis)
+        phi = transmission_bilinear(model, u)
+        # (df/dbeta) . z = phi (e . z): the force phi leaves S for the next
+        # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
+        g_beta[beta_interval(schedule, t)] += tau * float(phi @ ez)
+        g_kappa += half_tau * tau * beta * float(phi @ gw)
+        s = ez
+        s *= beta
+        if n % spd == 0:
+            s += impulses[n // spd]
+        source = _to_eigen(transmission_derivative(model, u)[rows] * s, basis)
+        # W <- a_n + M^T W, with Z_{-1} = 0 in a_0
+        ws._step(W, K.T)
+        W += ws.lam * Z
+        ws._step(Z, K.T, source, rows)
+        if n:
+            W += ws.lam * Z
+
+    # the chain closes at level 0 without A^{-1}: Z becomes Q^T dJ/dq_0
+    Z /= ws.gain
+    g_kappa += half_tau * float(np.vdot(W, _to_eigen(states[0], basis)))
+    return _from_eigen(Z, basis), g_beta, g_kappa
+
+
 def adjoint_gradient(
     problem: Problem,
     params: ParameterVector,
@@ -395,10 +463,11 @@ def adjoint_gradient(
 ) -> AdjointGradient:
     """Exact gradient of the discrete J via one backward sweep.
 
-    The trajectory must contain every time level (store_every == 1); the sweep
-    applies solver_cn.step_backward with the adjoint source
-    p_n = (df/du)^T z_n + data-misfit impulses at the daily marks, then closes
-    with the q_0 chain rule for the seed gradients.
+    The trajectory must contain every time level (store_every == 1).  The
+    sweep steps the multipliers Z and W in the eigenbasis, as the module
+    docstring describes, with the data-misfit impulses at the daily marks; its
+    last step, without A^{-1}, gives dJ/du_0, which the seed gradients chain
+    through.
     """
     _require_exact_adjoint(problem)
     data = problem._require_data()
@@ -416,60 +485,27 @@ def adjoint_gradient(
     m = model.n_compartments
     n_cells = grid.n_cells
     states = trajectory.states.reshape(trajectory.n_levels, m, n_cells)
-    n_steps = trajectory.n_levels - 1
-    spd = problem.steps_per_day
+    fields = (m,) + grid.shape
 
     breakdown = evaluate_terms(trajectory, params, weights, data)
 
     # J's daily residuals drive the impulses and the direct beta/delta terms.
     days = trajectory.days
-    res = daily_residuals(trajectory, params, data)
-    phi_d = res.phi.reshape(len(days), n_cells)
-    resid_d = res.resid.reshape(len(days), n_cells)
+    beta_d, phi_d, resid_d = daily_residuals(trajectory, params, data)
+    resid_d = resid_d.reshape(len(days), n_cells)
     w0a_omega = weights.w0 * area * trapezoid_day_weights(len(days))
-    coeff_d = w0a_omega * res.beta * params.delta
-    dj_d = w0a_omega * (phi_d * resid_d).sum(axis=1)     # dJ/d(delta * beta(d))
+    # dJ/d(delta * beta(d))
+    dj_d = w0a_omega * (phi_d.reshape(len(days), n_cells) * resid_d).sum(axis=1)
+    del phi_d  # the sweep reads only the residuals
     intervals_d = [beta_interval(schedule, float(d)) for d in days]
     g_beta = np.bincount(intervals_d, weights=params.delta * dj_d, minlength=3)
-    g_delta = float(res.beta @ dj_d)
-    g_kappa = 0.0
+    g_delta = float(beta_d @ dj_d)
 
-    def impulse(pos: int) -> np.ndarray:
-        u_day = states[days[pos] * spd]
-        return coeff_d[pos] * transmission_derivative(model, u_day) * resid_d[pos]
-
-    ws = assemble(grid, params.kappa, problem.tau)
-    tau = problem.tau
-    fields = (m,) + grid.shape
-    K, e = reaction_split(model, schedule)
-
-    def jacobian_t(n: int, z: np.ndarray) -> np.ndarray:
-        """(df/du)^T z at level n: K^T z + beta(t_n) (d phi / du) (e . z)."""
-        dphi = transmission_derivative(model, states[n])
-        return K.T @ z + beta_at(schedule, n * tau) * dphi * (e @ z)
-
-    z = np.zeros((m, n_cells))
-    for n in range(n_steps, 0, -1):
-        source = jacobian_t(n, z)
-        if n % spd == 0:
-            source += impulse(n // spd) / tau
-        z = step_backward(ws, z, source)
-        # z now equals the multiplier paired with the step q_{n-1} -> q_n
-        t_prev = (n - 1) * tau
-        u_prev = states[n - 1]
-        g_kappa += 0.5 * tau * laplacian_pairing(
-            z.reshape(fields), (u_prev + states[n]).reshape(fields), grid
-        )
-        # (df/dbeta) . z = phi (e . z): the force phi leaves S for the next
-        # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
-        g_beta[beta_interval(schedule, t_prev)] += tau * float(
-            transmission_bilinear(model, u_prev) @ (e @ z)
-        )
-
-    # close the chain at q_0: zeta_0 = total dJ/dq_0 (misfit part)
-    zeta0 = z + tau * jacobian_t(0, z)
-    zeta0 += 0.5 * tau * params.kappa * laplacian(z.reshape(fields), grid).reshape(m, n_cells)
-    zeta0 += impulse(0)
+    impulses = resid_d  # scaled in place: each day's misfit impulse over tau
+    impulses *= (w0a_omega * beta_d * (params.delta / problem.tau))[:, None]
+    zeta0, g_beta_sweep, g_kappa = _sweep(assemble(grid, params.kappa, problem.tau), model,
+                                          schedule, states, problem.steps_per_day, impulses)
+    g_beta += g_beta_sweep
     z0_field = (zeta0 / area).reshape(fields)
 
     if weights.w1 > 0.0:

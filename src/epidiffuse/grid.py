@@ -142,22 +142,6 @@ def laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def laplacian_pairing(z: np.ndarray, w: np.ndarray, grid: GridSpec) -> float:
-    """The sum of z * (L w) over stacks of fields (..., ny, nx), by summation by parts.
-
-    L = -(Dx^T Dx / hx^2 + Dy^T Dy / hy^2) with Dx, Dy the one-sided
-    differences along each axis, so z . L w = -(Dx z).(Dx w) / hx^2
-    - (Dy z).(Dy w) / hy^2: two differences and two dot products, no L.
-    """
-    if z.shape != w.shape or z.shape[-2:] != grid.shape:
-        raise DimensionError(
-            f"fields of shapes {z.shape} and {w.shape} do not pair on grid {grid.shape}"
-        )
-    px = np.vdot(np.diff(z, axis=-1), np.diff(w, axis=-1))
-    py = np.vdot(np.diff(z, axis=-2), np.diff(w, axis=-2))
-    return -float(px / grid.hx ** 2 + py / grid.hy ** 2)
-
-
 @functools.lru_cache(maxsize=16)
 def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of the 1-D Neumann second difference.

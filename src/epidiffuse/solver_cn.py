@@ -41,23 +41,17 @@ most 5e-14 from steps taken in physical space that clip the state itself.
 An optional correction adds the second-order Taylor term
 (tau^2 / 2) * df/du [kappa L q + f] to the increment, restoring formal
 second order for the coupled system.  The corrected step transforms its
-whole increment, 2m transforms.  It is off by default; the plain scheme is
-the reference behaviour and the backward sweep mirrors it exactly (the
-adjoint refuses corrected problems).
+e-force and that term, m fields, into the basis.  It is off by default; the
+plain scheme is the reference behaviour and the backward sweep mirrors it
+exactly (the adjoint refuses corrected problems).
 
-The backward sweep and the diffusion regime of the convergence study step in
-physical space with ``CNWorkspace.step``, A^{-1}(B u + r) computed as
-
-    A^{-1}(2 u + r) - u = A^{-1}(2 d + r) - d + s,
-
-where s is each field's mean and d = u - s.  The second form uses that
-A^{-1} maps a constant field to itself, so a step costs one A^{-1} solve and
-nothing else.  The shift by s is there for round-off: without it the
-transforms carry 2u, whose values sit near 2 for the susceptible fraction,
-and over the 2560 steps of the fine reference run in the temporal
-convergence check the rounding error pulls the observed order of pure
-diffusion from 2.0 below its limit of 1.8.  With it the transforms see only
-the deviation d, and each field's mean bypasses them.
+The step X <- g o (b o X + tau (K X + S)) is written once,
+``CNWorkspace._step``, and no recursion steps in physical space.  The
+forward run steps its coefficients with K and S = e (x) phi^.  The adjoint
+sweep (``estimate``) steps the multiplier Q^T z with K^T, the transpose of
+the same recursion, at 4 field transforms per SEIR step, 4 for SIR and 3 for
+SIS.  The diffusion regime of ``temporal_refinement_study`` steps with K = 0
+and no source, so its fields are transformed in once and out once.
 """
 
 from __future__ import annotations
@@ -71,7 +65,6 @@ from .errors import DimensionError, ParameterError, SequencingError, StabilityEr
 from .grid import (
     GridSpec,
     RegionMask,
-    _eigen_apply,
     _from_eigen,
     _to_eigen,
     laplacian,
@@ -82,7 +75,6 @@ from .models import (
     ModelKind,
     RateSchedule,
     beta_at,
-    reaction,
     reaction_split,
     seed_state,
     transmission_bilinear,
@@ -101,65 +93,60 @@ STUDY_TAUS = (0.4, 0.2, 0.1)
 
 @dataclass
 class CNWorkspace:
-    """Step operators for one (grid, kappa, tau) combination.
+    """The Crank-Nicolson step for one (grid, kappa, tau) combination.
 
-    A^{-1} is the pointwise ``gain`` in the eigenbasis ``Qy`` (x) ``Qx`` of L.
-    All three are None when kappa == 0.  Fields are stacks of shape
-    (..., n_cells), flattened in C order.
+    ``Qy`` (x) ``Qx`` is the eigenbasis of L and ``lam`` its eigenvalues;
+    A^{-1} is the pointwise ``gain`` and B is ``b`` = 2 - 1/gain, all flat
+    over the n_cells modes.  At kappa == 0 gain and b are ones.  Fields and
+    coefficients are stacks of shape (k, n_cells), flattened in C order.
     """
 
     grid: GridSpec
     kappa: float
     tau: float
-    Qy: np.ndarray | None
-    Qx: np.ndarray | None
-    gain: np.ndarray | None
+    Qy: np.ndarray
+    Qx: np.ndarray
+    lam: np.ndarray
+    gain: np.ndarray
+    b: np.ndarray
 
     @property
     def trivial(self) -> bool:
-        """True when kappa == 0, i.e. A = B = I."""
-        return self.gain is None
+        """True when kappa == 0, i.e. A = B = I: the forward run skips the transforms."""
+        return self.kappa == 0.0
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply A^{-1} to fields of shape (..., n_cells)."""
-        if self.trivial:
-            return rhs
-        Q = (self.Qy, self.Qx)
-        return _eigen_apply(rhs, Q, self.gain, Q)
+    @property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.Qy, self.Qx
 
-    def step(self, u: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
-        """One step A^{-1}(B u + r) for fields u of shape (k, n_cells).
+    def _step(self, x: np.ndarray, K: np.ndarray, source: np.ndarray | None = None,
+              rows=slice(None)) -> np.ndarray:
+        """x <- g o (b o x + tau (K x + source)) in place, for coefficient stacks x.
 
-        ``r`` may cover only the leading rows of u; the rows past it diffuse
-        without a source.  Computed as A^{-1}(2 d + r) - d + s with s the
-        field means and d = u - s (see the module docstring).
+        K (m, m) acts on the leading m rows of x, the rows past them only
+        diffuse; ``source`` covers the ``rows`` of those m that it names.
         """
-        if self.trivial:
-            out = u.copy()
-            if r is not None:
-                out[: len(r)] += r
-            return out
-        s = u.mean(axis=1, keepdims=True)
-        d = u - s
-        rhs = 2.0 * d
-        if r is not None:
-            rhs[: len(r)] += r
-        out = self.solve(rhs)
-        out -= d
-        out += s
-        return out
+        m = len(K)
+        rate = K @ x[:m]
+        if source is not None:
+            rate[rows] += source
+        rate *= self.tau
+        x *= self.b
+        x[:m] += rate
+        x *= self.gain
+        return x
 
     def _coef(self, fields: np.ndarray) -> np.ndarray:
         """Eigenbasis coefficients of fields (..., n_cells), as (k, n_cells); a copy when trivial."""
         if self.trivial:
             return fields.reshape(-1, self.grid.n_cells).copy()
-        return _to_eigen(fields, (self.Qy, self.Qx))
+        return _to_eigen(fields, self.basis)
 
     def _fields(self, coef: np.ndarray) -> np.ndarray:
         """Fields (k, n_cells) of eigenbasis coefficients (k, n_cells); a copy when trivial."""
         if self.trivial:
             return coef.copy()
-        return _from_eigen(coef, (self.Qy, self.Qx))
+        return _from_eigen(coef, self.basis)
 
 
 def _check_step(kappa: float, tau: float) -> None:
@@ -176,13 +163,11 @@ def assemble(grid: GridSpec, kappa: float, tau: float) -> CNWorkspace:
     Raises ParameterError for kappa < 0 or tau outside (0, MAX_TAU].
     """
     _check_step(kappa, tau)
-    if kappa == 0.0:
-        return CNWorkspace(grid, kappa, tau, None, None, None)
-    c = 0.5 * tau * kappa
     Qy, lam_y = neumann_eigenbasis(grid.ny, grid.hy)
     Qx, lam_x = neumann_eigenbasis(grid.nx, grid.hx)
-    gain = 1.0 / (1.0 - c * (lam_y[:, None] + lam_x[None, :]))
-    return CNWorkspace(grid, kappa, tau, Qy, Qx, gain)
+    lam = (lam_y[:, None] + lam_x[None, :]).reshape(-1)
+    gain = 1.0 / (1.0 - 0.5 * tau * kappa * lam)
+    return CNWorkspace(grid, kappa, tau, Qy, Qx, lam, gain, 2.0 - 1.0 / gain)
 
 
 def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
@@ -193,18 +178,6 @@ def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
             raise StabilityError(f"state is not finite at t={t:.4f}")
         raise StabilityError(f"state went negative ({low:.3e}) at t={t:.4f}; {remedy}")
     return low
-
-
-def step_backward(ws: CNWorkspace, z: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """One backward sweep step: solve A z_prev = B z + tau * source.
-
-    The same A and B as in the forward step appear; z and source are flattened
-    states of shape (m, n_cells).  No positivity is enforced, adjoint values
-    may carry either sign.
-    """
-    if z.shape != source.shape:
-        raise DimensionError(f"z shape {z.shape} differs from source shape {source.shape}")
-    return ws.step(z, ws.tau * source)
 
 
 @dataclass
@@ -338,8 +311,6 @@ def run_from_state(
     ws = assemble(grid, kappa, tau)
     m = model.n_compartments
     K, e = reaction_split(model, schedule)
-    gain = 1.0 if ws.trivial else ws.gain.reshape(-1)
-    b = 2.0 - 1.0 / gain  # B = 2 I - A in the eigenbasis
     fields = (m,) + grid.shape
 
     def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,24 +319,22 @@ def run_from_state(
     def advance(state: tuple[np.ndarray, np.ndarray], t: float) -> tuple[np.ndarray, np.ndarray]:
         q, coef = state
         beta = beta_at(schedule, t)
-        new = coef * b
+        phi = beta * transmission_bilinear(model, q)
         if corrected:
-            f = reaction(model, q, t, schedule)
-            flow = kappa * laplacian(q.reshape(fields), grid).reshape(m, -1) + f
+            flow = kappa * laplacian(q.reshape(fields), grid).reshape(m, -1)
+            flow += K @ q
+            flow += np.multiply.outer(e, phi)  # kappa L q + f
             dphi = (transmission_derivative(model, q) * flow).sum(axis=0)  # (d phi/du) . flow
-            incr = tau * f + (0.5 * tau ** 2) * (K @ flow + np.multiply.outer(e, beta * dphi))
-            new[:m] += ws._coef(incr)
+            source = ws._coef((0.5 * tau) * (K @ flow)
+                              + np.multiply.outer(e, phi + (0.5 * tau * beta) * dphi))
         else:
-            rate = K @ coef[:m]
-            rate += e[:, None] * ws._coef(beta * transmission_bilinear(model, q))
-            rate *= tau
-            new[:m] += rate
-        new *= gain
-        q = ws._fields(new[:m])
+            source = e[:, None] * ws._coef(phi)
+        ws._step(coef, K, source)
+        q = ws._fields(coef[:m])
         low = _check_sign(q, t + tau, "use a smaller tau")
         if low < 0.0:
             np.clip(q, 0.0, None, out=q)
-        return q, new
+        return q, coef
 
     def read(state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         q, coef = state
@@ -415,7 +384,9 @@ def temporal_refinement_study(
         steps = _resolve_steps(t_end, tau)
         if kind == "diffusion":
             ws = assemble(grid, kappa, tau)
-            traj = _drive(grid, u0, model, t_end, tau, None, steps, lambda u, t: ws.step(u))
+            no_reaction = np.zeros((model.n_compartments,) * 2)
+            traj = _drive(grid, u0, model, t_end, tau, None, steps,
+                          lambda x, t: ws._step(x, no_reaction), ws._coef, ws._fields)
         else:
             traj = run_from_state(
                 grid, u0, model, schedule, kappa, t_end, tau, store_every=steps, corrected=corrected

@@ -327,7 +327,7 @@ class TestAdjointGradient:
         assert report["rel_err"].max() < 1e-6, report
 
     def test_no_sparse_operator_is_built(self, twin9, monkeypatch):
-        """Objective and gradient apply L by its stencil; no sparse L or B is assembled."""
+        """Objective and gradient apply L in its eigenbasis; no sparse L or B is assembled."""
         problem, truth = twin9["problem"], twin9["truth"]
         start = truth.with_chi(truth.chi * 1.05)
 
@@ -347,6 +347,24 @@ class TestAdjointGradient:
         npt.assert_allclose(grad.chi, 0.7 * (truth.chi - chi_ref), atol=1e-12)
         npt.assert_allclose(grad.seeds, 0.0, atol=1e-12)
         npt.assert_allclose(grad.z0, 0.0, atol=1e-12)
+
+    def test_kappa_derivative_at_zero_kappa(self, tmp_path):
+        """On a kappa = 0 twin, off the truth, dJ/dkappa matches a one-sided difference.
+
+        The forward run at kappa = 0 takes no transforms, so the sweep builds
+        the eigenbasis its kappa pairing needs on its own.  The two-sided
+        stencil of gradient_check would leave the box here.
+        """
+        problem, truth, _ = make_twin(tmp_path, kappa=0.0)
+        start = truth.with_chi(truth.chi * np.array([1.1, 0.9, 1.2, 1.0, 1.1]))
+        grad = adjoint_gradient(problem, start)
+
+        def objective_at(kappa):
+            return problem.objective(start.with_chi(np.r_[start.chi[:3], kappa, start.chi[4]]))
+
+        h = 1e-5
+        fd = (-3.0 * objective_at(0.0) + 4.0 * objective_at(h) - objective_at(2.0 * h)) / (2.0 * h)
+        assert abs(grad.chi[3] - fd) <= 1e-6 * abs(fd), (grad.chi[3], fd)
 
     def test_needs_every_level(self, twin9):
         problem, truth = twin9["problem"], twin9["truth"]

@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epidiffuse.errors import (
@@ -16,7 +16,6 @@ from epidiffuse.grid import (
     RegionMask,
     distribute_uniform,
     laplacian,
-    laplacian_pairing,
     neumann_eigenbasis,
     region_total,
     union_mask,
@@ -164,39 +163,6 @@ class TestLaplacian:
             npt.assert_array_equal(out[idx], laplacian(u[idx], grid))
         with pytest.raises(DimensionError):
             laplacian(np.zeros((2, 3, 4)), grid)
-
-
-class TestLaplacianPairing:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        nx=st.integers(2, 40),
-        ny=st.integers(2, 40),
-        Lx=st.floats(0.5, 100.0),
-        Ly=st.floats(0.5, 100.0),
-        k=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(nx=2, ny=7, Lx=1.0, Ly=3.0, k=2, seed=0)
-    @example(nx=9, ny=2, Lx=5.0, Ly=0.5, k=1, seed=1)
-    @example(nx=2, ny=2, Lx=1.0, Ly=1.0, k=3, seed=2)
-    def test_matches_operator_matrix(self, nx, ny, Lx, Ly, k, seed):
-        """Summation by parts gives z . (L w) without L, to round-off."""
-        grid = GridSpec(nx, ny, Lx, Ly)
-        rng = np.random.default_rng(seed)
-        z = rng.normal(size=(k,) + grid.shape)
-        w = rng.normal(size=(k,) + grid.shape)
-        L = laplacian_operator(grid)
-        zf, wf = z.reshape(k, -1), w.reshape(k, -1)
-        expected = sum(float(zf[i] @ (L @ wf[i])) for i in range(k))
-        scale = sum(float(np.abs(zf[i]) @ (abs(L) @ np.abs(wf[i]))) for i in range(k))
-        assert abs(laplacian_pairing(z, w, grid) - expected) <= 1e-12 * scale
-
-    def test_shape_mismatch(self):
-        grid = GridSpec(4, 3, 1.0, 1.0)
-        with pytest.raises(DimensionError):
-            laplacian_pairing(np.zeros((1, 3, 4)), np.zeros((2, 3, 4)), grid)
-        with pytest.raises(DimensionError):
-            laplacian_pairing(np.zeros((4, 3)), np.zeros((4, 3)), grid)
 
 
 class TestNeumannEigenbasis:

@@ -16,6 +16,8 @@ from epidiffuse.estimate import Problem
 from epidiffuse.grid import (
     GridSpec,
     RegionMask,
+    _from_eigen,
+    _to_eigen,
     neumann_eigenbasis,
     region_total,
     union_mask,
@@ -26,17 +28,15 @@ from epidiffuse.models import (
     RateSchedule,
     initial_fractions,
     reaction,
+    reaction_split,
     seed_state,
 )
 from epidiffuse import solver_cn
 from epidiffuse.objective import ObjectiveWeights
 from epidiffuse.solver_cn import (
-    CNWorkspace,
-    Trajectory,
     assemble,
     conservation_drift,
     run_from_state,
-    step_backward,
     temporal_refinement_study,
 )
 
@@ -45,16 +45,32 @@ from oracles import dense_operators
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 
 
+def physical_step(ws, u, K, r=None):
+    """The carried step seen in physical space: Q ws._step(Q^T u, K, Q^T r)."""
+    x = _to_eigen(u, ws.basis)
+    source = None if r is None else _to_eigen(r, ws.basis)
+    return _from_eigen(ws._step(x, K, source), ws.basis)
+
+
+def dense_step(A, B, tau, u, K, r):
+    """A^{-1}(B u + tau (K u + r)), with K and r acting on the leading rows of u."""
+    rate = np.zeros_like(u)
+    rate[: len(K)] = K @ u[: len(K)] + r
+    return np.linalg.solve(A, B @ u.T + tau * rate.T).T
+
+
 class TestAssemble:
     def test_A_plus_B_is_twice_identity(self):
         grid = GridSpec(5, 4, 1.0, 1.0)
         ws = assemble(grid, 0.3, 0.25)
         A, B = dense_operators(grid, 0.3, 0.25)
         npt.assert_allclose(A + B, 2.0 * np.eye(grid.n_cells), atol=1e-14)
-        # the step eliminates B through A + B = 2 I
+        # the step eliminates B through A + B = 2 I: b = 2 - 1/gain is B in the basis
         u = np.random.default_rng(3).normal(size=(2, grid.n_cells))
+        npt.assert_allclose(_from_eigen(ws.b * _to_eigen(u, ws.basis), ws.basis), (B @ u.T).T,
+                            atol=1e-14)
         expected = np.linalg.solve(A, B @ u.T).T
-        npt.assert_allclose(ws.step(u), expected, atol=1e-14)
+        npt.assert_allclose(physical_step(ws, u, np.zeros((2, 2))), expected, atol=1e-14)
 
     def test_solve_inverts_A(self):
         rng = np.random.default_rng(1)
@@ -62,18 +78,26 @@ class TestAssemble:
         ws = assemble(grid, 0.3, 0.25)
         A, _ = dense_operators(grid, 0.3, 0.25)
         rhs = rng.normal(size=(3, grid.n_cells))
-        npt.assert_allclose(A @ ws.solve(rhs).T, rhs.T, atol=1e-12)
-        npt.assert_allclose(A @ ws.solve(rhs[0]), rhs[0], atol=1e-12)
+        solved = _from_eigen(ws.gain * _to_eigen(rhs, ws.basis), ws.basis)
+        npt.assert_allclose(A @ solved.T, rhs.T, atol=1e-12)
 
     def test_trivial_workspace(self):
+        """At kappa = 0 the step is explicit Euler and the forward's transforms are copies."""
         grid = GridSpec(4, 4, 1.0, 1.0)
-        ws = assemble(grid, 0.0, 0.5)
+        tau = 0.5
+        ws = assemble(grid, 0.0, tau)
         assert ws.trivial
+        npt.assert_array_equal(ws.gain, 1.0)
+        npt.assert_array_equal(ws.b, 1.0)
         x = np.arange(2 * grid.n_cells, dtype=float).reshape(2, -1)
-        npt.assert_array_equal(ws.solve(x), x)
-        npt.assert_array_equal(ws.step(x), x)
+        for copy in (ws._coef(x), ws._fields(x)):
+            npt.assert_array_equal(copy, x)
+            assert not np.shares_memory(copy, x)
+        K = np.array([[-0.3]])
         r = np.ones((1, grid.n_cells))
-        npt.assert_array_equal(ws.step(x, r), x + np.vstack([r, 0.0 * r]))
+        expected = x.copy()
+        expected[:1] += (K @ x[:1] + r) * tau
+        npt.assert_array_equal(ws._step(x.copy(), K, r), expected)
 
     def test_parameter_validation(self):
         grid = GridSpec(4, 4, 1.0, 1.0)
@@ -202,31 +226,28 @@ class TestStepForward:
 
 
 class TestStepBackward:
+    """The sweep's step: the carried step with K^T, the transpose of the forward's."""
+
     def test_satisfies_transposed_system(self):
-        """A z_prev = B z + tau * source holds to solver round-off."""
+        """A z_prev = B z + tau (K^T z + source) holds to solver round-off."""
         rng = np.random.default_rng(4)
         grid = GridSpec(5, 6, 1.0, 1.5)
         tau = 0.25
         ws = assemble(grid, 0.2, tau)
         A, B = dense_operators(grid, 0.2, tau)
+        K = rng.normal(size=(2, 2))
         z = rng.normal(size=(2, grid.n_cells))
         source = rng.normal(size=(2, grid.n_cells))
-        prev = step_backward(ws, z, source)
-        for i in range(2):
-            npt.assert_allclose(A @ prev[i], B @ z[i] + tau * source[i], atol=1e-12)
+        prev = physical_step(ws, z, K.T, source)
+        rhs = B @ z.T + tau * (K.T @ z + source).T
+        npt.assert_allclose(A @ prev.T, rhs, atol=1e-12)
 
     def test_allows_negative_values(self):
         grid = GridSpec(3, 3, 1.0, 1.0)
         ws = assemble(grid, 0.1, 0.5)
         z = -np.ones((1, grid.n_cells))
-        out = step_backward(ws, z, np.zeros_like(z))
+        out = physical_step(ws, z, np.zeros((1, 1)))
         assert (out < 0.0).all()
-
-    def test_shape_mismatch(self):
-        grid = GridSpec(3, 3, 1.0, 1.0)
-        ws = assemble(grid, 0.1, 0.5)
-        with pytest.raises(DimensionError):
-            step_backward(ws, np.zeros((1, 9)), np.zeros((2, 9)))
 
 
 def small_problem(model=ModelKind.SEIR, t_end=2.0, tau=0.25, schedule=SCHED, kappa=0.1):
@@ -340,10 +361,12 @@ class TestEigenbasisProperties:
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_solve_matches_dense_solve(self, grid, kappa, tau, k, seed):
+        """The gain is A^{-1} in the eigenbasis."""
         rhs = np.random.default_rng(seed).normal(size=(k, grid.n_cells))
         A, _ = dense_operators(grid, kappa, tau)
         expected = np.linalg.solve(A, rhs.T).T
-        got = assemble(grid, kappa, tau).solve(rhs)
+        ws = assemble(grid, kappa, tau)
+        got = _from_eigen(ws.gain * _to_eigen(rhs, ws.basis), ws.basis)
         assert got.shape == rhs.shape
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -353,15 +376,15 @@ class TestEigenbasisProperties:
     @example(grid=GridSpec(40, 40, 0.5, 0.5), kappa=1.0, tau=1.0, k=3, seed=0)
     @example(grid=GridSpec(33, 2, 1.0, 0.5), kappa=0.7, tau=0.8, k=2, seed=1)
     def test_step_matches_dense_solve(self, grid, kappa, tau, k, seed):
-        """ws.step(u, r) = A^{-1}(B u + r), with r on the leading rows only."""
+        """The carried step is A^{-1}(B u + tau (K u + r)), K and r on the leading rows only."""
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 1.0, size=(k, grid.n_cells))
-        r = rng.normal(scale=0.1, size=(max(k - 1, 1), grid.n_cells))
+        lead = max(k - 1, 1)
+        K = rng.normal(scale=0.3, size=(lead, lead))
+        r = rng.normal(scale=0.1, size=(lead, grid.n_cells))
         A, B = dense_operators(grid, kappa, tau)
-        full = np.zeros_like(u)
-        full[: len(r)] = r
-        expected = np.linalg.solve(A, B @ u.T + full.T).T
-        got = assemble(grid, kappa, tau).step(u, r)
+        expected = dense_step(A, B, tau, u, K, r)
+        got = physical_step(assemble(grid, kappa, tau), u, K, r)
         assert got.shape == u.shape
         # Any solve with A, the dense reference included, is accurate only to
         # about eps * cond(A), where cond(A) = 1 + c * lam_max; past a
@@ -369,6 +392,21 @@ class TestEigenbasisProperties:
         cond = 1.0 + 2.0 * kappa * tau * (grid.hx ** -2 + grid.hy ** -2)
         tol = 1e-12 * max(1.0, cond / 1000.0)
         assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, kappa=kappas, tau=taus, model=st.sampled_from(list(ModelKind)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sweep_step_is_the_transpose(self, grid, kappa, tau, model, seed):
+        """<M x, y> = <x, M^T y> for the forward's linear step M (with K) and the sweep's (K^T)."""
+        rng = np.random.default_rng(seed)
+        ws = assemble(grid, kappa, tau)
+        K, _ = reaction_split(model, SCHED)
+        x = rng.normal(size=(model.n_compartments, grid.n_cells))
+        y = rng.normal(size=x.shape)
+        mx = ws._step(x.copy(), K)
+        mty = ws._step(y.copy(), K.T)
+        scale = np.abs(mx * y).sum()
+        assert abs(np.vdot(mx, y) - np.vdot(x, mty)) <= 1e-13 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
