@@ -120,7 +120,7 @@ class CNWorkspace:
         return self.Qy, self.Qx
 
     def _step(self, x: np.ndarray, K: np.ndarray, source: np.ndarray | None = None,
-              rows=slice(None)) -> np.ndarray:
+              rows: slice = slice(None)) -> np.ndarray:
         """x <- g o (b o x + tau (K x + source)) in place, for coefficient stacks x.
 
         K (m, m) acts on the leading m rows of x, the rows past them only
