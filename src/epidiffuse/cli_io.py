@@ -261,7 +261,9 @@ def _float(value) -> float:
 
 
 def _mapping(value) -> dict:
-    return dict(value or {})
+    if not isinstance(value, dict | None):
+        raise TypeError(value)
+    return {str(k): v for k, v in (value or {}).items()}
 
 
 def _typed(value, kind, path: str, key: str):
@@ -374,12 +376,13 @@ def load_config(path) -> RunConfig:
     if not isinstance(betas, (list, tuple)) or len(betas) != 3:
         raise ConfigError("initial.betas must list three values", path=p, key="initial.betas")
     infected = _cfg_get(raw, p, "initial.infected")
-    if infected is not None:
+    if infected is not None:  # null falls back to the day-0 counts
+        infected = _typed(infected, _mapping, p, "initial.infected")
         bad = sorted(set(infected) - set(region_masks))
         if bad:
             raise ConfigError(f"initial.infected names unknown regions: {', '.join(bad)}",
                               path=p, key="initial.infected")
-        infected = {str(k): _typed(v, _float, p, f"initial.infected.{k}") for k, v in infected.items()}
+        infected = {k: _typed(v, _float, p, f"initial.infected.{k}") for k, v in infected.items()}
 
     out_dir = _cfg_get(raw, p, "output", str, "out")
     if not Path(out_dir).is_absolute():

@@ -12,31 +12,14 @@ means and standard deviations over the accepted post-burn-in draws.  Every
 decision is logged so the rule can be re-checked offline.
 
 The adjoint engine computes the exact gradient of the discrete objective
-by reverse mode (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
-2008): its backward sweep is the transpose of the forward's carried
-recursion (solver_cn).  It carries Z = Q^T z, the multiplier in the cosine
-eigenbasis, and steps it with the forward's step and K^T:
-
-    Z <- g o (b o Z + tau (K^T Z + Q^T[(d phi/du)(u_n) o s_n])),
-    s_n = beta(t_n) (e . z_n) + (the day's impulse coefficient * residual) / tau,
-
-the impulse only on day marks, where it shares the step's d phi/du and so
-costs no transform.  The kappa derivative pairs (tau/2) Z_{n-1} with
-lam (U^_{n-1} + U^_n), and the trajectory does not store the carried
-coefficients U^.  So the sweep carries a second multiplier
-W <- a_n + g o (b o W + tau K^T W), a_n = (tau/2) lam (Z_n + Z_{n-1}), and
-summation by parts gives sum_n a_n . U^_n = W_0 . Q^T u_0
-+ sum_n (g tau e . W_{n+1}) . phi^_n: g tau e . W leaves the basis with
-e . Z and pairs, by Parseval, with the stored force beta phi(u_n).  A SEIR
-backward step transforms those two fields out and the two nonzero rows of
-(d phi/du) o s in, 4 field transforms; SIR takes 4 and SIS 3.  At kappa = 0
-the forward takes none, and the sweep steps in the basis with g = b = 1.
-The impulses and the direct beta and delta terms read
-objective.daily_residuals, the residuals J itself sums, so the gradient
-cannot drift from the objective it differentiates.  The search
-direction for chi comes from a damped limited-memory BFGS (identity
+by reverse mode, as the chain rule through two pieces that sit beside the
+code they differentiate: objective.sensitivities gives J's terms and J's
+derivatives at fixed states (chi, u0 and the day marks' force phi), all
+from the residuals J itself sums, and solver_cn.sweep carries dJ/dphi back
+through the forward recursion to dJ/du0, dJ/dbeta and dJ/dkappa.  The
+search direction for chi comes from a damped limited-memory BFGS (identity
 initialization); the initial-condition direction follows the
-optimality-condition target u0_tilde = u0_ref - z(0)/w2.
+optimality-condition target u0_tilde = u0_ref - z(0)/w2 = u0 - dJ/du0 / (area w2).
 A shared Armijo backtracking step is applied to both directions at once.
 Trial chi are projected onto the parameter types' box (beta_j > 0, kappa and
 delta in [0, 1]) and trial seeds onto I0 >= 0; Problem.in_bounds also asks
@@ -58,36 +41,25 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ParameterError,
-    SequencingError,
-)
-from .grid import GridSpec, RegionMask, _from_eigen, _to_eigen, region_total
+from .errors import ConfigError, ParameterError
+from .grid import GridSpec, RegionMask, region_total
 from .models import (
     ModelKind,
     ParameterVector,
-    RateSchedule,
-    beta_at,
-    beta_interval,
     initial_fractions,
     max_seed_fraction,
-    reaction_split,
     seed_direction,
     seed_jacobian,
     seed_state,
-    transmission_bilinear,
-    transmission_derivative,
 )
 from .objective import (
     DataInterpolant,
     ObjectiveBreakdown,
     ObjectiveWeights,
-    daily_residuals,
     evaluate_terms,
-    trapezoid_day_weights,
+    sensitivities,
 )
-from .solver_cn import CNWorkspace, Trajectory, assemble, run_from_state
+from .solver_cn import Trajectory, run_from_state, sweep
 from . import solver_fem
 
 BETA_MIN = 1e-8
@@ -133,6 +105,9 @@ class Problem:
                 raise ParameterError(f"region '{name}' is not contained in the district mask")
         if self.backend not in ("cn", "fem-split"):
             raise ConfigError(f"unknown backend '{self.backend}'")
+        if self.corrected and self.backend != "cn":
+            raise ConfigError("the corrected step exists on the cn backend only",
+                              key="solver.corrected")
         if self.data is not None:
             last = int(self.data.days[-1])
             if self.data.days[0] != 0 or last != int(round(self.t_end)):
@@ -374,15 +349,13 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
 
 @dataclass
 class AdjointGradient:
-    """Gradient of J: the five chi components, per-region seed counts, z(0) and dJ/du0.
+    """Gradient of J: the five chi components, per-region seed counts and dJ/du0.
 
-    ``z0`` is the misfit part of dJ/du0 per unit area; ``du0`` is all of
-    dJ/du0, regularizer included, shape (m, ny, nx).
+    ``du0`` is all of dJ/du0, regularizer included, shape (m, ny, nx).
     """
 
     chi: np.ndarray
     seeds: np.ndarray
-    z0: np.ndarray
     du0: np.ndarray
     breakdown: ObjectiveBreakdown
 
@@ -403,129 +376,32 @@ def _require_exact_adjoint(problem: Problem):
         )
 
 
-def _sweep(ws: CNWorkspace, model: ModelKind, schedule: RateSchedule, states: np.ndarray,
-           spd: int, impulses: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The backward sweep of adjoint_gradient, as the module docstring describes.
-
-    ``states`` holds every forward level, (n_levels, m, n_cells), and
-    ``impulses`` each day's misfit impulse over tau, (n_days, n_cells).
-    Returns dJ/dq_0 (misfit part) as (m, n_cells) and the sweep's parts of
-    dJ/dbeta, per plateau, and of dJ/dkappa.
-    """
-    tau = ws.tau
-    basis = ws.basis
-    m, n_cells = states.shape[1:]
-    K, e = reaction_split(model, schedule)
-    idx = model.infected_index
-    rows = slice(0, idx + 1, max(idx, 1))  # rows 0 and idx, the ones d phi / du fills
-    half_tau = 0.5 * tau
-    g_beta = np.zeros(3)
-    g_kappa = 0.0
-
-    # Z carries Q^T z_n, the multiplier of the step out of level n; W is the
-    # module docstring's W over tau/2, so a_n is lam (Z_n + Z_{n-1}).
-    Z = np.zeros((m, n_cells))
-    W = np.zeros((m, n_cells))
-    for n in range(len(states) - 1, -1, -1):
-        u = states[n]
-        t = n * tau
-        beta = beta_at(schedule, t)
-        out = np.stack([e @ Z, e @ W])
-        out[1] *= ws.gain
-        ez, gw = _from_eigen(out, basis)
-        phi = transmission_bilinear(model, u)
-        # (df/dbeta) . z = phi (e . z): the force phi leaves S for the next
-        # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
-        g_beta[beta_interval(schedule, t)] += tau * float(phi @ ez)
-        g_kappa += half_tau * tau * beta * float(phi @ gw)
-        s = ez
-        s *= beta
-        if n % spd == 0:
-            s += impulses[n // spd]
-        source = _to_eigen(transmission_derivative(model, u)[rows] * s, basis)
-        # W <- a_n + M^T W, with Z_{-1} = 0 in a_0
-        ws._step(W, K.T)
-        W += ws.lam * Z
-        ws._step(Z, K.T, source, rows)
-        if n:
-            W += ws.lam * Z
-
-    # the chain closes at level 0 without A^{-1}: Z becomes Q^T dJ/dq_0
-    Z /= ws.gain
-    g_kappa += half_tau * float(np.vdot(W, _to_eigen(states[0], basis)))
-    return _from_eigen(Z, basis), g_beta, g_kappa
-
-
 def adjoint_gradient(
     problem: Problem,
     params: ParameterVector,
     trajectory: Trajectory | None = None,
 ) -> AdjointGradient:
-    """Exact gradient of the discrete J via one backward sweep.
+    """Exact gradient of the discrete J by the chain rule.
 
-    The trajectory must contain every time level (store_every == 1).  The
-    sweep steps the multipliers Z and W in the eigenbasis, as the module
-    docstring describes, with the data-misfit impulses at the daily marks; its
-    last step, without A^{-1}, gives dJ/du_0, which the seed gradients chain
-    through.
+    The trajectory must contain every time level (store_every == 1).
+    objective.sensitivities differentiates J at fixed states, solver_cn.sweep
+    carries its dJ/dphi back through the run, and dJ/du0 chains through
+    seed_jacobian to the seed gradients.
     """
     _require_exact_adjoint(problem)
     data = problem._require_data()
-    weights = problem.weights
     if trajectory is None:
         trajectory = problem.simulate(params, store_every=1)
-    if trajectory.store_every != 1:
-        raise SequencingError(
-            f"adjoint sweep needs every forward level, got store_every={trajectory.store_every}"
-        )
-    grid = problem.grid
-    model = problem.model
-    schedule = params.schedule
-    area = grid.cell_area
-    m = model.n_compartments
-    n_cells = grid.n_cells
-    states = trajectory.states.reshape(trajectory.n_levels, m, n_cells)
-    fields = (m,) + grid.shape
-
-    breakdown = evaluate_terms(trajectory, params, weights, data)
-
-    # J's daily residuals drive the impulses and the direct beta/delta terms.
-    days = trajectory.days
-    beta_d, phi_d, resid_d = daily_residuals(trajectory, params, data)
-    resid_d = resid_d.reshape(len(days), n_cells)
-    w0a_omega = weights.w0 * area * trapezoid_day_weights(len(days))
-    # dJ/d(delta * beta(d))
-    dj_d = w0a_omega * (phi_d.reshape(len(days), n_cells) * resid_d).sum(axis=1)
-    del phi_d  # the sweep reads only the residuals
-    intervals_d = [beta_interval(schedule, float(d)) for d in days]
-    g_beta = np.bincount(intervals_d, weights=params.delta * dj_d, minlength=3)
-    g_delta = float(beta_d @ dj_d)
-
-    impulses = resid_d  # scaled in place: each day's misfit impulse over tau
-    impulses *= (w0a_omega * beta_d * (params.delta / problem.tau))[:, None]
-    zeta0, g_beta_sweep, g_kappa = _sweep(assemble(grid, params.kappa, problem.tau), model,
-                                          schedule, states, problem.steps_per_day, impulses)
-    g_beta += g_beta_sweep
-    z0_field = (zeta0 / area).reshape(fields)
-
-    if weights.w1 > 0.0:
-        reg = weights.w1 * (params.chi - weights.chi_ref)
-        g_beta += reg[:3]
-        g_kappa += reg[3]
-        g_delta += reg[4]
-
-    du0 = zeta0.reshape(fields)
-    if weights.w2 > 0.0:
-        ref = weights.u0_ref if weights.u0_ref is not None else 0.0
-        du0 = du0 + weights.w2 * area * (trajectory.states[0] - ref)
-    pop = problem.population
+    sens = sensitivities(trajectory, params, problem.weights, data)
+    dq0, g_beta, g_kappa = sweep(trajectory, params.schedule, params.kappa, sens.phi)
+    du0 = dq0 + sens.u0
+    model, grid, pop = problem.model, problem.grid, problem.population
     g_seeds = np.array([
         float((du0 * seed_jacobian(model, grid, problem.masks[name], pop)).sum())
         for name in problem.region_names
     ])
-
-    chi_grad = np.array([g_beta[0], g_beta[1], g_beta[2], g_kappa, g_delta])
-    return AdjointGradient(chi_grad, g_seeds, z0_field, du0, breakdown)
+    chi = sens.chi + np.r_[g_beta, g_kappa, 0.0]
+    return AdjointGradient(chi, g_seeds, du0, sens.terms)
 
 
 def gradient_check(
@@ -638,14 +514,6 @@ class _Lbfgs:
         self.gamma = sy / float(y @ y)
 
 
-def _target_fraction(problem: Problem, grad: AdjointGradient) -> np.ndarray:
-    """The infected fraction u0_tilde = ref_I - z0_I / w2 of the optimality condition on u0."""
-    ref = problem.weights.u0_ref
-    idx = problem.model.infected_index
-    ref_i = ref[idx] if ref is not None else 0.0
-    return ref_i - grad.z0[idx] / problem.weights.w2
-
-
 def _region_counts(problem: Problem, frac: np.ndarray) -> np.ndarray:
     """Persons per region of an infected-fraction field, in region_names order."""
     return np.array([
@@ -707,7 +575,8 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
 
         s2 = np.zeros_like(x)
         if config.optimize_initial:
-            frac = _target_fraction(problem, grad)
+            i, area_w2 = model.infected_index, problem.grid.cell_area * problem.weights.w2
+            frac = u0[i] - grad.du0[i] / area_w2  # u0_tilde, the optimality target
             if per_cell:
                 target = np.clip(frac, 0.0, upper)
                 g_x = np.tensordot(seed_direction(model), grad.du0, axes=1)

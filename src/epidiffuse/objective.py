@@ -19,9 +19,12 @@ The full objective is
 
 with g_d the detected-incidence field at day d and chi = (beta0, beta1,
 beta2, kappa, delta).  ``daily_residuals`` is the one place that forms
-r_d = g_d - v_d: evaluate_terms sums the misfit from it, and the adjoint
-gradient differentiates the same residuals, so both estimators minimize
-exactly the J they report.
+r_d = g_d - v_d: evaluate_terms sums the misfit from it, and
+``sensitivities`` differentiates the same residuals, so both estimators
+minimize exactly the J they report.  ``sensitivities`` gives J's terms and
+J's derivatives with the states held fixed: in chi (beta and delta at the
+day marks and the w1 anchor), in u_0 (the w2 anchor) and in the force
+phi = u_S u_I at each day mark, which solver_cn.sweep carries back.
 """
 
 from __future__ import annotations
@@ -39,7 +42,14 @@ from .errors import (
     ParameterError,
 )
 from .grid import GridSpec, RegionMask, region_total
-from .models import ModelKind, ParameterVector, RateSchedule, beta_at, transmission_bilinear
+from .models import (
+    ModelKind,
+    ParameterVector,
+    RateSchedule,
+    beta_at,
+    beta_interval,
+    transmission_bilinear,
+)
 from .solver_cn import Trajectory
 
 
@@ -164,7 +174,7 @@ class ObjectiveWeights:
     w1: float = 0.0
     w2: float = 0.0
     chi_ref: np.ndarray | None = None
-    u0_ref: np.ndarray | None = None
+    u0_ref: np.ndarray | float = 0.0
 
     def __post_init__(self):
         if not self.w0 > 0.0:
@@ -233,14 +243,9 @@ def daily_residuals(
     return DailyResiduals(beta, phi, resid)
 
 
-def evaluate_terms(
-    traj: Trajectory,
-    params: ParameterVector,
-    weights: ObjectiveWeights,
-    data: DataInterpolant,
-) -> ObjectiveBreakdown:
-    """The three terms of J separately; ``.total`` is J."""
-    resid = daily_residuals(traj, params, data).resid
+def _terms(resid: np.ndarray, traj: Trajectory, params: ParameterVector,
+           weights: ObjectiveWeights) -> ObjectiveBreakdown:
+    """The three terms of J from the daily residuals ``resid``."""
     area = traj.grid.cell_area
     omega = trapezoid_day_weights(len(resid))
     misfit = 0.0
@@ -255,11 +260,46 @@ def evaluate_terms(
 
     init_reg = 0.0
     if weights.w2 > 0.0:
-        u0 = traj.states[0]
-        ref = weights.u0_ref if weights.u0_ref is not None else 0.0
-        d = u0 - ref
+        d = traj.states[0] - weights.u0_ref
         init_reg = 0.5 * weights.w2 * float((d * d).sum()) * area
     return ObjectiveBreakdown(misfit, chi_reg, init_reg)
+
+
+def evaluate_terms(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
+                   data: DataInterpolant) -> ObjectiveBreakdown:
+    """The three terms of J separately; ``.total`` is J."""
+    return _terms(daily_residuals(traj, params, data).resid, traj, params, weights)
+
+
+class Sensitivities(NamedTuple):
+    """J's terms and J's derivatives with the trajectory's states held fixed."""
+
+    terms: ObjectiveBreakdown
+    chi: np.ndarray     # dJ/dchi: beta and delta at the day marks, plus the w1 anchor
+    u0: np.ndarray | float  # dJ/du_0 of the w2 anchor, (m, ny, nx); 0.0 when w2 = 0
+    phi: np.ndarray     # dJ/dphi at each day mark, (n_days, ny, nx)
+
+
+def sensitivities(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
+                  data: DataInterpolant) -> Sensitivities:
+    """J's terms and its derivatives at fixed states, all from one daily_residuals pass."""
+    beta, phi, resid = daily_residuals(traj, params, data)
+    terms = _terms(resid, traj, params, weights)
+    n_days = len(beta)
+    area = traj.grid.cell_area
+    w0a_omega = weights.w0 * area * trapezoid_day_weights(n_days)
+    # dJ/d(delta * beta(d))
+    dj_d = w0a_omega * (phi.reshape(n_days, -1) * resid.reshape(n_days, -1)).sum(axis=1)
+    intervals = [beta_interval(params.schedule, float(d)) for d in traj.days]
+    chi = np.zeros(5)
+    chi[:3] = np.bincount(intervals, weights=params.delta * dj_d, minlength=3)
+    chi[4] = float(beta @ dj_d)
+    if weights.w1 > 0.0:
+        chi += weights.w1 * (params.chi - weights.chi_ref)
+    resid *= (w0a_omega * beta * params.delta)[:, None, None]  # now dJ/dphi
+    # 0.0 at w2 = 0, so the sweep holds no unused field beside its own
+    u0 = weights.w2 * area * (traj.states[0] - weights.u0_ref) if weights.w2 > 0.0 else 0.0
+    return Sensitivities(terms, chi, u0, resid)
 
 
 def detected_daily_cases(

@@ -46,12 +46,29 @@ plain scheme is the reference behaviour and the backward sweep mirrors it
 exactly (the adjoint refuses corrected problems).
 
 The step X <- g o (b o X + tau (K X + S)) is written once,
-``CNWorkspace._step``, and no recursion steps in physical space.  The
-forward run steps its coefficients with K and S = e (x) phi^.  The adjoint
-sweep (``estimate``) steps the multiplier Q^T z with K^T, the transpose of
-the same recursion, at 4 field transforms per SEIR step, 4 for SIR and 3 for
-SIS.  The diffusion regime of ``temporal_refinement_study`` steps with K = 0
-and no source, so its fields are transformed in once and out once.
+``CNWorkspace._step``, and every recursion steps in the basis, at kappa = 0
+too (g = b = 1 there).  The forward run steps its coefficients with K and
+S = e (x) phi^.  The diffusion regime of ``temporal_refinement_study`` steps
+with K = 0 and no source, so its fields are transformed in once and out once.
+
+``sweep`` is the reverse mode (Griewank & Walther, Evaluating Derivatives,
+2nd ed., SIAM 2008) of the plain run: the transpose of its carried
+recursion.  It carries Z = Q^T z, the multiplier in the cosine eigenbasis,
+and steps it with the forward's step and K^T:
+
+    Z <- g o (b o Z + tau (K^T Z + Q^T[(d phi/du)(u_n) o s_n])),
+    s_n = beta(t_n) (e . z_n) + (dJ/dphi at day mark n) / tau,
+
+the impulse only on day marks, where it shares the step's d phi/du and so
+costs no transform.  The kappa derivative pairs (tau/2) Z_{n-1} with
+lam (U^_{n-1} + U^_n), and the trajectory does not store the carried
+coefficients U^.  So the sweep carries a second multiplier
+W <- a_n + g o (b o W + tau K^T W), a_n = (tau/2) lam (Z_n + Z_{n-1}), and
+summation by parts gives sum_n a_n . U^_n = W_0 . Q^T u_0
++ sum_n (g tau e . W_{n+1}) . phi^_n: g tau e . W leaves the basis with
+e . Z and pairs, by Parseval, with the stored force beta phi(u_n).  A SEIR
+backward step transforms those two fields out and the two nonzero rows of
+(d phi/du) o s in, 4 field transforms; SIR takes 4 and SIS 3.
 """
 
 from __future__ import annotations
@@ -75,6 +92,7 @@ from .models import (
     ModelKind,
     RateSchedule,
     beta_at,
+    beta_interval,
     reaction_split,
     seed_state,
     transmission_bilinear,
@@ -111,11 +129,6 @@ class CNWorkspace:
     b: np.ndarray
 
     @property
-    def trivial(self) -> bool:
-        """True when kappa == 0, i.e. A = B = I: the forward run skips the transforms."""
-        return self.kappa == 0.0
-
-    @property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         return self.Qy, self.Qx
 
@@ -137,15 +150,11 @@ class CNWorkspace:
         return x
 
     def _coef(self, fields: np.ndarray) -> np.ndarray:
-        """Eigenbasis coefficients of fields (..., n_cells), as (k, n_cells); a copy when trivial."""
-        if self.trivial:
-            return fields.reshape(-1, self.grid.n_cells).copy()
+        """Eigenbasis coefficients of fields (..., n_cells), as (k, n_cells)."""
         return _to_eigen(fields, self.basis)
 
     def _fields(self, coef: np.ndarray) -> np.ndarray:
-        """Fields (k, n_cells) of eigenbasis coefficients (k, n_cells); a copy when trivial."""
-        if self.trivial:
-            return coef.copy()
+        """Fields (k, n_cells) of eigenbasis coefficients (k, n_cells)."""
         return _from_eigen(coef, self.basis)
 
 
@@ -341,6 +350,68 @@ def run_from_state(
         return q if population is None else np.vstack([q, ws._fields(coef[m:])])
 
     return _drive(grid, u0, model, t_end, tau, population, store_every, advance, start, read)
+
+
+def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
+          dj_dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The backward sweep of the plain run, as the module docstring derives it.
+
+    ``traj`` holds every level of the forward run and ``dj_dphi`` J's
+    derivative in phi = u_S u_I at each of its day marks, (n_days, ny, nx).
+    Returns dJ/dq_0 through the states, (m, ny, nx), and the sweep's parts of
+    dJ/dbeta, per plateau, and of dJ/dkappa.  Raises SequencingError unless
+    every level is stored.
+    """
+    if traj.store_every != 1:
+        raise SequencingError(
+            f"adjoint sweep needs every forward level, got store_every={traj.store_every}"
+        )
+    tau = traj.tau
+    ws = assemble(traj.grid, kappa, tau)
+    basis = ws.basis
+    model = traj.model
+    m, n_cells = model.n_compartments, traj.grid.n_cells
+    states = traj.states.reshape(traj.n_levels, m, n_cells)
+    impulses = dict(zip(traj.daily_indices.tolist(), dj_dphi.reshape(len(dj_dphi), n_cells)))
+    K, e = reaction_split(model, schedule)
+    idx = model.infected_index
+    rows = slice(0, idx + 1, max(idx, 1))  # rows 0 and idx, the ones d phi / du fills
+    half_tau = 0.5 * tau
+    g_beta = np.zeros(3)
+    g_kappa = 0.0
+
+    # Z carries Q^T z_n, the multiplier of the step out of level n; W is the
+    # module docstring's W over tau/2, so a_n is lam (Z_n + Z_{n-1}).
+    Z = np.zeros((m, n_cells))
+    W = np.zeros((m, n_cells))
+    for n in range(len(states) - 1, -1, -1):
+        u = states[n]
+        t = n * tau
+        beta = beta_at(schedule, t)
+        out = np.stack([e @ Z, e @ W])
+        out[1] *= ws.gain
+        ez, gw = _from_eigen(out, basis)
+        phi = transmission_bilinear(model, u)
+        # (df/dbeta) . z = phi (e . z): the force phi leaves S for the next
+        # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
+        g_beta[beta_interval(schedule, t)] += tau * float(phi @ ez)
+        g_kappa += half_tau * tau * beta * float(phi @ gw)
+        s = ez
+        s *= beta
+        if n in impulses:
+            s += impulses[n] / tau
+        source = _to_eigen(transmission_derivative(model, u)[rows] * s, basis)
+        # W <- a_n + M^T W, with Z_{-1} = 0 in a_0
+        ws._step(W, K.T)
+        W += ws.lam * Z
+        ws._step(Z, K.T, source, rows)
+        if n:
+            W += ws.lam * Z
+
+    # the chain closes at level 0 without A^{-1}: Z becomes Q^T dJ/dq_0
+    Z /= ws.gain
+    g_kappa += half_tau * float(np.vdot(W, _to_eigen(states[0], basis)))
+    return _from_eigen(Z, basis).reshape(traj.states.shape[1:]), g_beta, g_kappa
 
 
 def conservation_drift(traj: Trajectory) -> float:

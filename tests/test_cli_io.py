@@ -524,6 +524,15 @@ class TestLoadScenario:
         for name in ("A", "B"):
             assert problem.initial.init_infected[name] == float(series[name].new_cases[0])
 
+    def test_null_seeds_default_to_first_day_cases(self, tmp_path):
+        config_path, _ = self.build(tmp_path)
+        raw = yaml.safe_load(config_path.read_text())
+        raw["initial"]["infected"] = None
+        problem = load_scenario(load_config(dump_config(tmp_path, raw)))
+        series = read_cases(tmp_path / "cases.csv", START, 10, ["A", "B"])
+        assert problem.initial.init_infected == {
+            name: float(series[name].new_cases[0]) for name in ("A", "B")}
+
     def test_seeds_required_without_data(self, tmp_path):
         config_path, _ = self.build(tmp_path)
         raw = yaml.safe_load(config_path.read_text())
@@ -818,6 +827,19 @@ class TestCommandLine:
             assert rc == 2
             assert "corrected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend_in_config", [True, False])
+    def test_corrected_off_cn_exits_config_code(self, scenario, capsys, backend_in_config):
+        """fem-split has no corrected step: from the config or from --backend, it exits 2."""
+        raw = dict(scenario["raw"])
+        backend = "fem-split" if backend_in_config else "cn"
+        raw["solver"] = {"backend": backend, "tau": 0.25, "corrected": True}
+        config_path = dump_config(scenario["dir"], raw, "corrected_fem.yaml")
+        override = [] if backend_in_config else ["--backend", "fem-split"]
+        rc = main(["simulate", "--config", str(config_path), *override,
+                   "--out", str(scenario["dir"] / "corrected_fem")])
+        assert rc == 2
+        assert "[solver.corrected]" in capsys.readouterr().err
+
     def test_convergence_study_command(self, scenario):
         out = scenario["dir"] / "conv"
         rc = main(["convergence-study", "--config", str(scenario["config"]),
@@ -893,6 +915,10 @@ class TestCommandLine:
         ("solver.tau", True),
         ("window.days", 10.5),
         ("seed", 3.9),
+        ("initial.infected", 5),
+        ("initial.infected", ["A", "B"]),
+        ("initial.infected", {3: 10}),
+        ("initial.infected", "abc"),
     ])
     def test_wrong_type_exits_config_code(self, scenario, capsys, key, value):
         """A value of the wrong type exits 2 and names its key; 'false' is a string.

@@ -9,7 +9,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epidiffuse import estimate
+from epidiffuse import estimate, objective
 from epidiffuse.errors import ConfigError, ParameterError, SequencingError
 from epidiffuse.estimate import (
     AdjointConfig,
@@ -115,6 +115,12 @@ class TestProblem:
     def test_unknown_backend_rejected(self, twin9):
         with pytest.raises(ConfigError, match="unknown backend 'bogus'"):
             dataclasses.replace(twin9["problem"], backend="bogus")
+
+    def test_corrected_off_cn_rejected(self, twin9):
+        """Only the cn step has a corrected form; fem-split would silently ignore it."""
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(twin9["problem"], backend="fem-split", corrected=True)
+        assert err.value.key == "solver.corrected"
 
     def test_project_chi(self, twin9):
         problem = twin9["problem"]
@@ -346,14 +352,12 @@ class TestAdjointGradient:
         grad = adjoint_gradient(problem, truth)
         npt.assert_allclose(grad.chi, 0.7 * (truth.chi - chi_ref), atol=1e-12)
         npt.assert_allclose(grad.seeds, 0.0, atol=1e-12)
-        npt.assert_allclose(grad.z0, 0.0, atol=1e-12)
+        npt.assert_allclose(grad.du0, 0.0, atol=1e-12)
 
     def test_kappa_derivative_at_zero_kappa(self, tmp_path):
         """On a kappa = 0 twin, off the truth, dJ/dkappa matches a one-sided difference.
 
-        The forward run at kappa = 0 takes no transforms, so the sweep builds
-        the eigenbasis its kappa pairing needs on its own.  The two-sided
-        stencil of gradient_check would leave the box here.
+        The two-sided stencil of gradient_check would leave the box here.
         """
         problem, truth, _ = make_twin(tmp_path, kappa=0.0)
         start = truth.with_chi(truth.chi * np.array([1.1, 0.9, 1.2, 1.0, 1.1]))
@@ -365,6 +369,21 @@ class TestAdjointGradient:
         h = 1e-5
         fd = (-3.0 * objective_at(0.0) + 4.0 * objective_at(h) - objective_at(2.0 * h)) / (2.0 * h)
         assert abs(grad.chi[3] - fd) <= 1e-6 * abs(fd), (grad.chi[3], fd)
+
+    def test_one_day_mark_pass(self, twin9, monkeypatch):
+        """The gradient forms J's daily residuals once: its terms and derivatives share them."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        calls = []
+        original = objective.daily_residuals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "daily_residuals", counted)
+        monkeypatch.setattr(estimate, "daily_residuals", counted, raising=False)
+        adjoint_gradient(problem, truth.with_chi(truth.chi * 1.05))
+        assert len(calls) == 1
 
     def test_needs_every_level(self, twin9):
         problem, truth = twin9["problem"], twin9["truth"]

@@ -1,5 +1,7 @@
 """Tests for case-data spatialization and the least-squares objective."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -28,6 +30,7 @@ from epidiffuse.objective import (
     evaluate_terms,
     incidence_field,
     interpolate_data,
+    sensitivities,
     trapezoid_day_weights,
 )
 
@@ -246,6 +249,42 @@ class TestEvaluateJ:
         data_short = interpolate_data(short, masks, grid, population)
         with pytest.raises(AlignmentError):
             evaluate_terms(traj, params, ObjectiveWeights(1.0), data_short)
+
+
+class TestSensitivities:
+    def test_terms_and_fixed_state_derivatives(self, twin9):
+        """At a fixed trajectory J is quadratic in chi and u_0, so central differences are exact."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        data = problem.data
+        params = truth.with_chi(truth.chi * np.array([1.1, 0.9, 1.2, 0.8, 1.1]))
+        weights = ObjectiveWeights(1.0, 0.3, 0.2, chi_ref=truth.chi * 1.02,
+                                   u0_ref=problem.build_u0(truth) * 1.1)
+        traj = problem.simulate(params)
+        sens = sensitivities(traj, params, weights, data)
+        assert sens.terms == evaluate_terms(traj, params, weights, data)
+
+        fd = np.empty(5)
+        for i in range(5):
+            h = 1e-4 * abs(params.chi[i])
+            step = np.zeros(5)
+            step[i] = h
+            plus = evaluate_terms(traj, params.with_chi(params.chi + step), weights, data).total
+            minus = evaluate_terms(traj, params.with_chi(params.chi - step), weights, data).total
+            fd[i] = (plus - minus) / (2.0 * h)
+        npt.assert_allclose(sens.chi, fd, rtol=1e-8)
+        npt.assert_allclose(sens.chi[3], 0.3 * (params.kappa - weights.chi_ref[3]), rtol=1e-14)
+
+        v = np.random.default_rng(5).normal(size=traj.states[0].shape)
+        h = 1e-4
+
+        def init_reg(shift):
+            states = traj.states.copy()
+            states[0] += shift
+            moved = dataclasses.replace(traj, states=states)
+            return evaluate_terms(moved, params, weights, data).init_reg
+
+        fd_v = (init_reg(h * v) - init_reg(-h * v)) / (2.0 * h)
+        assert abs(np.vdot(sens.u0, v) - fd_v) <= 1e-8 * abs(fd_v)
 
 
 class TestDetectedDailyCases:
