@@ -89,12 +89,17 @@ def write_mask(path, grid: GridSpec, mask: RegionMask) -> None:
 
 
 def read_mask(path) -> tuple[GridSpec, RegionMask]:
-    """Read one mask file; the region name is the file stem."""
+    """Read one mask file; the region name is the file stem.
+
+    A body laid out as ``write_mask`` writes it is checked as one buffer; any
+    other goes through the per-row checks, which define a valid mask.
+    """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        text = path.read_text()
     except OSError as exc:
         raise MaskFormatError(f"{path}: cannot read mask file: {exc}") from exc
+    lines = text.splitlines()
     if not lines:
         raise MaskFormatError(f"{path}: empty mask file")
     head = lines[0].split()
@@ -105,19 +110,28 @@ def read_mask(path) -> tuple[GridSpec, RegionMask]:
         Lx, Ly = float(head[2]), float(head[3])
     except ValueError as exc:
         raise MaskFormatError(f"{path}: malformed header {lines[0]!r}") from exc
-    rows = [ln.split() for ln in lines[1:] if ln.strip()]
-    if len(rows) != ny:
-        raise MaskFormatError(f"{path}: expected {ny} mask rows, found {len(rows)}")
-    for i, vals in enumerate(rows):
-        if len(vals) != nx:
-            raise MaskFormatError(f"{path}: row {i} has {len(vals)} entries, expected {nx}")
-        if not {"0", "1"}.issuperset(vals):
-            bad = next(v for v in vals if v not in ("0", "1"))
-            raise MaskFormatError(f"{path}: row {i} contains {bad!r}; only 0/1 allowed")
-    flags = "".join("".join(vals) for vals in rows).encode()
-    cells = (np.frombuffer(flags, dtype=np.uint8) == ord("1")).reshape(ny, nx)
-    grid = GridSpec(nx, ny, Lx, Ly)
-    return grid, RegionMask(path.stem, cells)
+    body = np.frombuffer(text.partition("\n")[2].encode(), dtype=np.uint8)
+    laid_out = min(nx, ny) > 0 and body.size == 2 * nx * ny and len(lines) == ny + 1
+    if laid_out:  # ny rows of nx flags, each followed by a space or, last, a newline
+        seps, flags = body[1::2].reshape(ny, nx), body[::2]
+        laid_out = ((seps[:, :-1] == ord(" ")).all() and (seps[:, -1] == ord("\n")).all()
+                    and ((flags == ord("0")) | (flags == ord("1"))).all())
+    if not laid_out:
+        rows = [ln.split() for ln in lines[1:] if ln.strip()]
+        if len(rows) != ny:
+            raise MaskFormatError(f"{path}: expected {ny} mask rows, found {len(rows)}")
+        for i, vals in enumerate(rows):
+            if len(vals) != nx:
+                raise MaskFormatError(f"{path}: row {i} has {len(vals)} entries, expected {nx}")
+            if not {"0", "1"}.issuperset(vals):
+                bad = next(v for v in vals if v not in ("0", "1"))
+                raise MaskFormatError(f"{path}: row {i} contains {bad!r}; only 0/1 allowed")
+        flags = np.frombuffer("".join("".join(vals) for vals in rows).encode(), dtype=np.uint8)
+    try:
+        grid = GridSpec(nx, ny, Lx, Ly)
+    except ParameterError as exc:
+        raise MaskFormatError(f"{path}: {exc}") from exc
+    return grid, RegionMask(path.stem, (flags == ord("1")).reshape(ny, nx))
 
 
 def write_cases(path, series: dict[str, CaseSeries], start: dt.date) -> None:
@@ -137,11 +151,12 @@ def read_cases(path, start: dt.date, n_days: int, regions) -> dict[str, CaseSeri
     """Parse a case file into per-region series over days 0..n_days.
 
     Records outside the window are ignored; missing days inside it are
-    zero-filled and flagged in ``filled_days``.
+    zero-filled and flagged in ``filled_days``.  The rows are converted by
+    column; a file that fails any check goes through ``_check_case_rows``,
+    which names the first bad line.
     """
     path = Path(path)
     regions = list(regions)
-    table = {name: {} for name in regions}
     try:
         fh = path.open(newline="")
     except OSError as exc:
@@ -151,40 +166,56 @@ def read_cases(path, start: dt.date, n_days: int, regions) -> dict[str, CaseSeri
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != ["date", "region", "new_cases"]:
             raise CaseDataError(f"{path}: expected header 'date,region,new_cases', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) < 3:
-                raise CaseDataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise CaseDataError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            name = row[1].strip()
-            if name not in table:
-                raise CaseDataError(f"{path}:{lineno}: unknown region {name!r}; expected one of {regions}")
-            try:
-                value = float(row[2])
-            except ValueError as exc:
-                raise CaseDataError(f"{path}:{lineno}: bad case count {row[2]!r}") from exc
-            if value < 0:
-                raise CaseDataError(f"{path}:{lineno}: negative case count {value}")
-            day = (date - start).days
-            if day < 0 or day > n_days:
-                continue
-            if day in table[name]:
-                raise CaseDataError(f"{path}:{lineno}: duplicate entry for {name} on {date}")
-            table[name][day] = value
+        rows = [(n, row) for n, row in enumerate(reader, start=2) if row and "".join(row).strip()]
+    index = {name: k for k, name in enumerate(regions)}
+    try:  # by column: each distinct date is parsed once
+        day_of = {s: (dt.date.fromisoformat(s.strip()) - start).days for s in {r[0] for _, r in rows}}
+        days = np.array([day_of[r[0]] for _, r in rows], dtype=int)
+        where = np.array([index[r[1].strip()] for _, r in rows], dtype=int)
+        values = np.array([float(r[2]) for _, r in rows])
+        inside = (days >= 0) & (days <= n_days)
+        keys = where[inside] * (n_days + 1) + days[inside]
+        if not ((values >= 0) & (values < np.inf)).all() or len(set(keys.tolist())) < len(keys):
+            raise ValueError("a row fails a check")
+    except (ValueError, KeyError, IndexError):
+        _check_case_rows(path, rows, start, n_days, regions)
+        raise
+    table, seen = np.zeros((len(regions), n_days + 1)), np.zeros((len(regions), n_days + 1), dtype=bool)
+    table.flat[keys], seen.flat[keys] = values[inside], True
     out = {}
-    for name in regions:
-        seen = table[name]
-        if not seen:
+    for k, name in enumerate(regions):
+        if not seen[k].any():
             raise CaseDataError(f"{path}: no records for region {name!r} inside the window")
-        days = np.arange(n_days + 1)
-        values = np.array([seen.get(d, 0.0) for d in days])
-        filled = tuple(int(d) for d in days if d not in seen)
-        out[name] = CaseSeries(name, days, values, filled_days=filled)
+        filled = tuple(np.flatnonzero(~seen[k]).tolist())
+        out[name] = CaseSeries(name, np.arange(n_days + 1), table[k], filled_days=filled)
     return out
+
+
+def _check_case_rows(path, rows, start: dt.date, n_days: int, regions: list[str]) -> None:
+    """Raise the error of the first bad row of ``(line, row)`` pairs, checked one by one."""
+    seen = set()
+    for lineno, row in rows:
+        if len(row) < 3:
+            raise CaseDataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            date = dt.date.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise CaseDataError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
+        name = row[1].strip()
+        if name not in regions:
+            raise CaseDataError(f"{path}:{lineno}: unknown region {name!r}; expected one of {regions}")
+        try:
+            value = float(row[2])
+        except ValueError as exc:
+            raise CaseDataError(f"{path}:{lineno}: bad case count {row[2]!r}") from exc
+        if value < 0:
+            raise CaseDataError(f"{path}:{lineno}: negative case count {value}")
+        if not np.isfinite(value):
+            raise CaseDataError(f"{path}:{lineno}: bad case count {row[2]!r}")
+        day = (date - start).days
+        if 0 <= day <= n_days and (name, day) in seen:
+            raise CaseDataError(f"{path}:{lineno}: duplicate entry for {name} on {date}")
+        seen.add((name, day))
 
 
 def sha256_of(path) -> str:
@@ -298,7 +329,7 @@ def load_config(path) -> RunConfig:
     """Read and validate a YAML run config."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path=str(path))
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a timestamp that is no date
@@ -586,8 +617,9 @@ def _write_table(path, header: list[str], rows) -> None:
 
 def export_days(path, config: RunConfig, days, columns: dict[str, np.ndarray]) -> None:
     """A day table: ``day``, its date, and one column per entry of ``columns``."""
+    values = [np.asarray(col).tolist() for col in columns.values()]
     rows = (
-        [int(day), config.date_of(day)] + [_FLOAT_FMT % values[pos] for values in columns.values()]
+        [int(day), config.date_of(day)] + [_FLOAT_FMT % col[pos] for col in values]
         for pos, day in enumerate(days)
     )
     _write_table(path, ["day", "date", *columns], rows)
@@ -662,19 +694,20 @@ def _cmd_simulate(config: RunConfig, out_dir: Path, args) -> dict:
     populations = {name: region_total(problem.population, mask, grid) for name, mask in masks.items()}
     detected = detected_daily_cases(traj, problem.initial, masks, populations)
     names = sorted(masks)
+    infected = traj.states[daily, problem.model.infected_index]
     columns = {f"detected_{n}": detected[n] for n in names}
     columns.update({
-        f"infected_{n}": traj.infected_total(masks[n])[daily] * populations[n] / masks[n].area(grid)
+        f"infected_{n}": region_total(infected, masks[n], grid) * populations[n] / masks[n].area(grid)
         for n in names
     })
     outputs = [str(out_dir / "region_series.csv"), str(out_dir / "mass.csv")]
     export_days(outputs[0], config, traj.days, columns)
     export_days(outputs[1], config, traj.days, {"total_population": traj.mass()[daily]})
-    final = traj.states[-1, problem.model.infected_index]
+    final = traj.states[-1, problem.model.infected_index] * problem.population  # persons/km^2
     metrics = {
         "days": int(config.n_days),
         "population_drift": conservation_drift(traj),
-        "final_infected_total": float(region_total(final, problem.district, grid)),
+        "final_infected_total": region_total(final, problem.district, grid),
     }
     return {"outputs": outputs, "metrics": metrics}
 

@@ -313,15 +313,9 @@ def detected_daily_cases(
     The model analogue of a reported count: c_k(d) = P_k * integral over
     region k of delta * beta(d) * u_S * u_I.
     """
-    out: dict[str, np.ndarray] = {}
-    idx = traj.daily_indices
-    days = traj.days
-    fields = [
+    fields = np.array([
         incidence_field(traj.states[level], traj.model, params.schedule, params.delta, float(day))
-        for level, day in zip(idx, days)
-    ]
-    for name, mask in masks.items():
-        out[name] = np.array(
-            [populations[name] * region_total(f, mask, traj.grid) for f in fields]
-        )
-    return out
+        for level, day in zip(traj.daily_indices, traj.days)
+    ])
+    return {name: populations[name] * region_total(fields, mask, traj.grid)
+            for name, mask in masks.items()}

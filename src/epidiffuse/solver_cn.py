@@ -230,10 +230,7 @@ class Trajectory:
 
     def infected_total(self, mask: RegionMask) -> np.ndarray:
         """Integral of the infected fraction over one region, per level."""
-        idx = self.model.infected_index
-        return np.array(
-            [region_total(self.states[k, idx], mask, self.grid) for k in range(self.n_levels)]
-        )
+        return region_total(self.states[:, self.model.infected_index], mask, self.grid)
 
 
 def _resolve_steps(t_end: float, tau: float) -> int:

@@ -231,6 +231,13 @@ class TestCaseFiles:
         with pytest.raises(CaseDataError, match="negative"):
             read_cases(path, START, 2, ["A"])
 
+    @pytest.mark.parametrize("count", ["nan", "inf", " NaN", "Infinity"])
+    def test_non_finite_count_rejected_at_its_line(self, tmp_path, count):
+        path = tmp_path / "cases.csv"
+        path.write_text(f"date,region,new_cases\n2020-10-01,A,1\n2020-10-02,A,{count}\n")
+        with pytest.raises(CaseDataError, match=f"^{path}:3: bad case count '{count}'$"):
+            read_cases(path, START, 2, ["A"])
+
     def test_unknown_region_rejected(self, tmp_path):
         path = tmp_path / "cases.csv"
         path.write_text("date,region,new_cases\n2020-10-01,Z,1\n")
@@ -681,6 +688,24 @@ class TestCommandLine:
         for row in rows:
             day = int(row[0])
             assert row[1] == (START + dt.timedelta(days=day)).isoformat()
+
+    def test_final_infected_total_is_the_last_row_in_persons(self, scenario):
+        """The summary's final infected total equals the sum of the last row's
+        infected_* columns, each a region's infected persons."""
+        out = scenario["dir"] / "sim"
+        assert main(["simulate", "--config", str(scenario["config"]), "--out", str(out)]) == 0
+        metric = json.loads((out / "summary.json").read_text())["metrics"]["final_infected_total"]
+        problem = load_scenario(load_config(scenario["config"]))
+        traj = problem.simulate(problem.initial, evolve_population=True)
+        final = traj.states[-1, problem.model.infected_index]
+        row_sum = sum(
+            region_total(final, mask, problem.grid)
+            * region_total(problem.population, mask, problem.grid) / mask.area(problem.grid)
+            for mask in problem.masks.values()
+        )
+        assert metric == pytest.approx(row_sum, rel=1e-12)
+        _, rows = self.read_table(out / "region_series.csv")
+        assert metric == pytest.approx(sum(float(v) for v in rows[-1][4:]), rel=1e-11)
 
     def test_simulate_rerun_is_bit_identical(self, scenario):
         out1 = scenario["dir"] / "s1"

@@ -209,6 +209,32 @@ class TestRegionAggregation:
             )
             assert region_total(u, mask, grid) == pytest.approx(expected, rel=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nx=st.integers(2, 40), ny=st.integers(2, 40), lead=st.tuples(st.integers(1, 6), st.integers(1, 3)),
+        share=st.floats(0.0, 1.0), scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_totals_are_bit_identical_to_per_field_calls(self, nx, ny, lead, share, scale,
+                                                                 seed):
+        """One call on a stack (..., ny, nx), also a strided view of one, gives
+        exactly the totals of one call per field."""
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(nx, ny, float(rng.uniform(0.1, 50.0)), float(rng.uniform(0.1, 50.0)))
+        mask = RegionMask("r", rng.random(grid.shape) < share)
+        stack = scale * rng.lognormal(sigma=3.0, size=lead + (3,) + grid.shape)
+        for fields in (stack[:, :, 1], stack[0], stack[0, :, 2]):
+            totals = region_total(fields, mask, grid)
+            assert isinstance(totals, np.ndarray) and totals.shape == fields.shape[:-2]
+            singles = np.array([region_total(f, mask, grid) for f in fields.reshape(-1, ny, nx)])
+            npt.assert_array_equal(totals.reshape(-1), singles)
+        assert isinstance(region_total(stack[0, 0, 0], mask, grid), float)
+
+    def test_stack_with_wrong_trailing_shape_is_refused(self):
+        grid = GridSpec(4, 4, 1.0, 1.0)
+        mask = RegionMask("m", np.ones((4, 4), dtype=bool))
+        with pytest.raises(DimensionError):
+            region_total(np.zeros((3, 4, 5)), mask, grid)
+
     def test_distribute_roundtrip(self):
         rng = np.random.default_rng(11)
         grid = GridSpec(9, 5, 1.7, 0.9)

@@ -303,6 +303,20 @@ class TestDetectedDailyCases:
         expected = pops["a"] * region_total(g, masks["a"], grid)
         assert out["a"][2] == pytest.approx(expected, rel=1e-12)
 
+    def test_bit_identical_to_one_total_per_region_per_day(self):
+        """One stacked region_total per region gives the per-day loop's arrays exactly."""
+        grid, masks, population, params, traj, data = run_and_data()
+        pops = {name: region_total(population, mask, grid) for name, mask in masks.items()}
+        out = detected_daily_cases(traj, params, masks, pops)
+        for name, mask in masks.items():
+            expected = np.array([
+                pops[name] * region_total(
+                    incidence_field(traj.states[level], traj.model, params.schedule, params.delta,
+                                    float(day)), mask, grid)
+                for level, day in zip(traj.daily_indices, traj.days)
+            ])
+            np.testing.assert_array_equal(out[name], expected)
+
     def test_roundtrip_through_interpolant(self):
         """Spatializing the model's own cases and aggregating returns them."""
         grid, masks, population, params, traj, data = run_and_data()
