@@ -28,6 +28,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,12 +152,12 @@ def read_cases(path, start: dt.date, n_days: int, regions) -> dict[str, CaseSeri
     """Parse a case file into per-region series over days 0..n_days.
 
     Records outside the window are ignored; missing days inside it are
-    zero-filled and flagged in ``filled_days``.  The rows are converted by
-    column; a file that fails any check goes through ``_check_case_rows``,
-    which names the first bad line.
+    zero-filled and flagged in ``filled_days``.
     """
     path = Path(path)
     regions = list(regions)
+    table = {name: {} for name in regions}
+    day_of = {}  # each distinct date text is parsed once
     try:
         fh = path.open(newline="")
     except OSError as exc:
@@ -166,56 +167,44 @@ def read_cases(path, start: dt.date, n_days: int, regions) -> dict[str, CaseSeri
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != ["date", "region", "new_cases"]:
             raise CaseDataError(f"{path}: expected header 'date,region,new_cases', got {header}")
-        rows = [(n, row) for n, row in enumerate(reader, start=2) if row and "".join(row).strip()]
-    index = {name: k for k, name in enumerate(regions)}
-    try:  # by column: each distinct date is parsed once
-        day_of = {s: (dt.date.fromisoformat(s.strip()) - start).days for s in {r[0] for _, r in rows}}
-        days = np.array([day_of[r[0]] for _, r in rows], dtype=int)
-        where = np.array([index[r[1].strip()] for _, r in rows], dtype=int)
-        values = np.array([float(r[2]) for _, r in rows])
-        inside = (days >= 0) & (days <= n_days)
-        keys = where[inside] * (n_days + 1) + days[inside]
-        if not ((values >= 0) & (values < np.inf)).all() or len(set(keys.tolist())) < len(keys):
-            raise ValueError("a row fails a check")
-    except (ValueError, KeyError, IndexError):
-        _check_case_rows(path, rows, start, n_days, regions)
-        raise
-    table, seen = np.zeros((len(regions), n_days + 1)), np.zeros((len(regions), n_days + 1), dtype=bool)
-    table.flat[keys], seen.flat[keys] = values[inside], True
+        for lineno, row in enumerate(reader, start=2):
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) < 3:
+                raise CaseDataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            day = day_of.get(row[0])
+            if day is None:
+                try:
+                    day = day_of[row[0]] = (dt.date.fromisoformat(row[0].strip()) - start).days
+                except ValueError as exc:
+                    raise CaseDataError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
+            name = row[1].strip()
+            if name not in table:
+                raise CaseDataError(f"{path}:{lineno}: unknown region {name!r}; expected one of {regions}")
+            try:
+                value = float(row[2])
+            except ValueError as exc:
+                raise CaseDataError(f"{path}:{lineno}: bad case count {row[2]!r}") from exc
+            if value < 0:
+                raise CaseDataError(f"{path}:{lineno}: negative case count {value}")
+            if not math.isfinite(value):
+                raise CaseDataError(f"{path}:{lineno}: bad case count {row[2]!r}")
+            if day < 0 or day > n_days:
+                continue
+            if day in table[name]:
+                date = start + dt.timedelta(days=day)
+                raise CaseDataError(f"{path}:{lineno}: duplicate entry for {name} on {date}")
+            table[name][day] = value
     out = {}
-    for k, name in enumerate(regions):
-        if not seen[k].any():
+    for name in regions:
+        seen = table[name]
+        if not seen:
             raise CaseDataError(f"{path}: no records for region {name!r} inside the window")
-        filled = tuple(np.flatnonzero(~seen[k]).tolist())
-        out[name] = CaseSeries(name, np.arange(n_days + 1), table[k], filled_days=filled)
+        days = np.arange(n_days + 1)
+        values = np.array([seen.get(d, 0.0) for d in range(n_days + 1)])
+        filled = tuple(d for d in range(n_days + 1) if d not in seen)
+        out[name] = CaseSeries(name, days, values, filled_days=filled)
     return out
-
-
-def _check_case_rows(path, rows, start: dt.date, n_days: int, regions: list[str]) -> None:
-    """Raise the error of the first bad row of ``(line, row)`` pairs, checked one by one."""
-    seen = set()
-    for lineno, row in rows:
-        if len(row) < 3:
-            raise CaseDataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        try:
-            date = dt.date.fromisoformat(row[0].strip())
-        except ValueError as exc:
-            raise CaseDataError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-        name = row[1].strip()
-        if name not in regions:
-            raise CaseDataError(f"{path}:{lineno}: unknown region {name!r}; expected one of {regions}")
-        try:
-            value = float(row[2])
-        except ValueError as exc:
-            raise CaseDataError(f"{path}:{lineno}: bad case count {row[2]!r}") from exc
-        if value < 0:
-            raise CaseDataError(f"{path}:{lineno}: negative case count {value}")
-        if not np.isfinite(value):
-            raise CaseDataError(f"{path}:{lineno}: bad case count {row[2]!r}")
-        day = (date - start).days
-        if 0 <= day <= n_days and (name, day) in seen:
-            raise CaseDataError(f"{path}:{lineno}: duplicate entry for {name} on {date}")
-        seen.add((name, day))
 
 
 def sha256_of(path) -> str:

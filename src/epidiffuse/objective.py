@@ -313,9 +313,9 @@ def detected_daily_cases(
     The model analogue of a reported count: c_k(d) = P_k * integral over
     region k of delta * beta(d) * u_S * u_I.
     """
-    fields = np.array([
-        incidence_field(traj.states[level], traj.model, params.schedule, params.delta, float(day))
-        for level, day in zip(traj.daily_indices, traj.days)
-    ])
+    fields = np.empty((len(traj.days), *traj.grid.shape))
+    for out, level, day in zip(fields, traj.daily_indices, traj.days):
+        out[...] = incidence_field(traj.states[level], traj.model, params.schedule, params.delta,
+                                   float(day))
     return {name: populations[name] * region_total(fields, mask, traj.grid)
             for name, mask in masks.items()}

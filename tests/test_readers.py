@@ -1,7 +1,7 @@
-"""The buffer and column readers against the per-token readers they replace.
+"""The buffer mask reader and the case reader against the readers they replace.
 
 ``read_mask`` checks a body in ``write_mask``'s layout as one buffer and
-``read_cases`` converts its rows by column; ``tests/oracles.py`` keeps the
+``read_cases`` parses each distinct date once; ``tests/oracles.py`` keeps the
 readers that checked one token and one row at a time.  Every file must give
 the same grid, cells and series as the oracle, or the same error message.
 Run configs must parse to the same ``raw`` under libyaml and pure-Python
