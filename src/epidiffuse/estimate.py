@@ -233,8 +233,13 @@ class MetropolisConfig:
             raise ConfigError(f"draws must exceed the burn-in, got draws={self.draws}", key="draws")
         if not (0.0 <= self.burn_in < 1.0):
             raise ConfigError(f"burn_in must be a fraction in [0, 1), got {self.burn_in}", key="burn_in")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}", key="sigma")
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}", key="sigma")
+        if self.step_scale is not None and not all(
+                isinstance(v, Real) and not isinstance(v, bool) and 0.0 < v < np.inf
+                for v in np.ravel(np.asarray(self.step_scale, dtype=object))):
+            raise ConfigError("step_scale must be a finite positive number or a list of them, "
+                              f"got {self.step_scale!r}", key="step_scale")
 
 
 def default_sigma(problem: Problem) -> float:
@@ -261,9 +266,11 @@ def metropolis_fit(problem: Problem, config: MetropolisConfig) -> FitResult:
     if config.step_scale is None:
         scale = default_step_scale(x)
     else:
-        scale = np.broadcast_to(np.asarray(config.step_scale, dtype=float), (dim,)).copy()
-        if (scale <= 0.0).any():
-            raise ConfigError("step_scale must be positive componentwise", key="step_scale")
+        scale = np.asarray(config.step_scale, dtype=float)
+        if scale.ndim > 1 or scale.size not in (1, dim):
+            raise ConfigError(f"step_scale needs 1 or {dim} entries, got {scale.size}",
+                              key="step_scale")
+        scale = np.broadcast_to(scale, (dim,)).copy()
     sigma = config.sigma if config.sigma is not None else default_sigma(problem)
 
     j_cur = problem.objective(problem.unpack(x))

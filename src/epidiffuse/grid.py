@@ -111,7 +111,7 @@ class RegionMask:
             )
 
 
-def union_mask(masks, name: str = "district") -> RegionMask:
+def union_mask(masks) -> RegionMask:
     """Union of several region masks (the district covered by data)."""
     masks = list(masks)
     if not masks:
@@ -121,7 +121,7 @@ def union_mask(masks, name: str = "district") -> RegionMask:
         if m.cells.shape != cells.shape:
             raise DimensionError(f"mask '{m.name}' shape {m.cells.shape} differs from {cells.shape}")
         cells |= m.cells
-    return RegionMask(name, cells)
+    return RegionMask("district", cells)
 
 
 def laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -179,17 +179,6 @@ def _from_eigen(coef: np.ndarray, basis: tuple[np.ndarray, np.ndarray]) -> np.nd
     ny, nx = by.shape[1], bx.shape[1]
     out = (by @ coef.reshape(-1, ny, nx)).reshape(-1, nx) @ bx.T
     return out.reshape(len(coef), -1)
-
-
-def _eigen_apply(fields: np.ndarray, fwd: tuple[np.ndarray, np.ndarray], gain: np.ndarray,
-                 back: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Map each field F in a stack (..., ny * nx) to ``By (gain o (Fy^T F Fx)) Bx^T``.
-
-    ``fwd = (Fy, Fx)`` and ``back = (By, Bx)`` hold one basis per axis.
-    """
-    coef = _to_eigen(fields, fwd)
-    coef *= gain.reshape(-1)
-    return _from_eigen(coef, back).reshape(fields.shape)
 
 
 def region_total(u: np.ndarray, mask: RegionMask, grid: GridSpec) -> float | np.ndarray:

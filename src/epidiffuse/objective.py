@@ -91,14 +91,12 @@ class DataInterpolant:
     def __init__(
         self,
         grid: GridSpec,
-        region_names: tuple[str, ...],
         masks: list[RegionMask],
         populations: np.ndarray,
         cases: np.ndarray,
         days: np.ndarray,
     ):
         self.grid = grid
-        self.region_names = region_names
         self.populations = populations
         self.cases = cases          # (n_regions, n_days) persons/day
         self.days = days            # integer day indices 0..D
@@ -161,9 +159,7 @@ def interpolate_data(
         mask_list.append(mask)
         pops.append(pop)
         rows.append(s.new_cases)
-    return DataInterpolant(
-        grid, names, mask_list, np.array(pops), np.array(rows), base.days.copy()
-    )
+    return DataInterpolant(grid, mask_list, np.array(pops), np.array(rows), base.days.copy())
 
 
 @dataclass

@@ -81,12 +81,10 @@ import numpy as np
 from .errors import DimensionError, ParameterError, SequencingError, StabilityError
 from .grid import (
     GridSpec,
-    RegionMask,
     _from_eigen,
     _to_eigen,
     laplacian,
     neumann_eigenbasis,
-    region_total,
 )
 from .models import (
     ModelKind,
@@ -113,24 +111,17 @@ STUDY_TAUS = (0.4, 0.2, 0.1)
 class CNWorkspace:
     """The Crank-Nicolson step for one (grid, kappa, tau) combination.
 
-    ``Qy`` (x) ``Qx`` is the eigenbasis of L and ``lam`` its eigenvalues;
+    ``basis`` = (Q_y, Q_x) is the eigenbasis of L and ``lam`` its eigenvalues;
     A^{-1} is the pointwise ``gain`` and B is ``b`` = 2 - 1/gain, all flat
     over the n_cells modes.  At kappa == 0 gain and b are ones.  Fields and
     coefficients are stacks of shape (k, n_cells), flattened in C order.
     """
 
-    grid: GridSpec
-    kappa: float
     tau: float
-    Qy: np.ndarray
-    Qx: np.ndarray
+    basis: tuple[np.ndarray, np.ndarray]
     lam: np.ndarray
     gain: np.ndarray
     b: np.ndarray
-
-    @property
-    def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.Qy, self.Qx
 
     def _step(self, x: np.ndarray, K: np.ndarray, source: np.ndarray | None = None,
               rows: slice = slice(None)) -> np.ndarray:
@@ -148,14 +139,6 @@ class CNWorkspace:
         x[:m] += rate
         x *= self.gain
         return x
-
-    def _coef(self, fields: np.ndarray) -> np.ndarray:
-        """Eigenbasis coefficients of fields (..., n_cells), as (k, n_cells)."""
-        return _to_eigen(fields, self.basis)
-
-    def _fields(self, coef: np.ndarray) -> np.ndarray:
-        """Fields (k, n_cells) of eigenbasis coefficients (k, n_cells)."""
-        return _from_eigen(coef, self.basis)
 
 
 def _check_step(kappa: float, tau: float) -> None:
@@ -176,7 +159,7 @@ def assemble(grid: GridSpec, kappa: float, tau: float) -> CNWorkspace:
     Qx, lam_x = neumann_eigenbasis(grid.nx, grid.hx)
     lam = (lam_y[:, None] + lam_x[None, :]).reshape(-1)
     gain = 1.0 / (1.0 - 0.5 * tau * kappa * lam)
-    return CNWorkspace(grid, kappa, tau, Qy, Qx, lam, gain, 2.0 - 1.0 / gain)
+    return CNWorkspace(tau, (Qy, Qx), lam, gain, 2.0 - 1.0 / gain)
 
 
 def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
@@ -227,10 +210,6 @@ class Trajectory:
         if self.population is None:
             raise SequencingError("trajectory was run without population evolution")
         return self.population.sum(axis=(1, 2)) * self.grid.cell_area
-
-    def infected_total(self, mask: RegionMask) -> np.ndarray:
-        """Integral of the infected fraction over one region, per level."""
-        return region_total(self.states[:, self.model.infected_index], mask, self.grid)
 
 
 def _resolve_steps(t_end: float, tau: float) -> int:
@@ -315,12 +294,13 @@ def run_from_state(
     describes; the population diffuses with the same kappa.
     """
     ws = assemble(grid, kappa, tau)
+    basis = ws.basis
     m = model.n_compartments
     K, e = reaction_split(model, schedule)
     fields = (m,) + grid.shape
 
     def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u[:m], ws._coef(u)
+        return u[:m], _to_eigen(u, basis)
 
     def advance(state: tuple[np.ndarray, np.ndarray], t: float) -> tuple[np.ndarray, np.ndarray]:
         q, coef = state
@@ -331,12 +311,12 @@ def run_from_state(
             flow += K @ q
             flow += np.multiply.outer(e, phi)  # kappa L q + f
             dphi = (transmission_derivative(model, q) * flow).sum(axis=0)  # (d phi/du) . flow
-            source = ws._coef((0.5 * tau) * (K @ flow)
-                              + np.multiply.outer(e, phi + (0.5 * tau * beta) * dphi))
+            source = _to_eigen((0.5 * tau) * (K @ flow)
+                               + np.multiply.outer(e, phi + (0.5 * tau * beta) * dphi), basis)
         else:
-            source = e[:, None] * ws._coef(phi)
+            source = e[:, None] * _to_eigen(phi, basis)
         ws._step(coef, K, source)
-        q = ws._fields(coef[:m])
+        q = _from_eigen(coef[:m], basis)
         low = _check_sign(q, t + tau, "use a smaller tau")
         if low < 0.0:
             np.clip(q, 0.0, None, out=q)
@@ -344,7 +324,7 @@ def run_from_state(
 
     def read(state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         q, coef = state
-        return q if population is None else np.vstack([q, ws._fields(coef[m:])])
+        return q if population is None else np.vstack([q, _from_eigen(coef[m:], basis)])
 
     return _drive(grid, u0, model, t_end, tau, population, store_every, advance, start, read)
 
@@ -454,7 +434,8 @@ def temporal_refinement_study(
             ws = assemble(grid, kappa, tau)
             no_reaction = np.zeros((model.n_compartments,) * 2)
             traj = _drive(grid, u0, model, t_end, tau, None, steps,
-                          lambda x, t: ws._step(x, no_reaction), ws._coef, ws._fields)
+                          lambda x, t: ws._step(x, no_reaction),
+                          lambda u: _to_eigen(u, ws.basis), lambda x: _from_eigen(x, ws.basis))
         else:
             traj = run_from_state(
                 grid, u0, model, schedule, kappa, t_end, tau, store_every=steps, corrected=corrected

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, _eigen_apply
+from .grid import GridSpec, _from_eigen, _to_eigen
 from .models import ModelKind, RateSchedule, reaction
 from .solver_cn import Trajectory, _check_sign, _check_step, _drive
 
@@ -74,7 +74,9 @@ def _diffuse(asm: FemAssembly, u: np.ndarray, kappa: float, dt_total: float) -> 
     """Exact flow of M du/dt = -kappa K u over dt_total; u is (k, n_cells), left as is."""
     if kappa == 0.0 or dt_total == 0.0:
         return u.copy()
-    return _eigen_apply(u, asm.fwd, np.exp(-kappa * dt_total * asm.lam), asm.back)
+    coef = _to_eigen(u, asm.fwd)
+    coef *= np.exp(-kappa * dt_total * asm.lam).reshape(-1)
+    return _from_eigen(coef, asm.back)
 
 
 def _react(

@@ -7,7 +7,7 @@ import epidiffuse
 
 SRC = Path(epidiffuse.__file__).parent
 GRID_PEERS = {"grid", "solver_cn", "solver_fem"}    # may use grid's private transforms
-WORKSPACE_PRIVATE = {"_step", "_coef", "_fields"}   # CNWorkspace's, for solver_cn alone
+WORKSPACE_PRIVATE = {"_step"}   # CNWorkspace's, for solver_cn alone
 
 
 def test_private_names_stay_beside_their_owners():
@@ -28,3 +28,35 @@ def test_private_names_stay_beside_their_owners():
             if name != "solver_cn" and owner != "self" and node.attr in WORKSPACE_PRIVATE:
                 leaks.append(f"{name}:{node.lineno} uses {owner}.{node.attr}")
     assert not leaks, leaks
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each public function, class and method is used by the package, perfbench or scripts.
+
+    A use is a name or an attribute of that name outside the definition itself;
+    the re-exports in ``__init__`` are imports and do not count.
+    """
+    root = SRC.parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for path in [*SRC.glob("*.py"), *root.glob("perfbench/*.py"), *root.glob("scripts/*.py")]}
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path, node.lineno))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        defs = []
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs += [item for item in node.body if isinstance(item, ast.FunctionDef)]
+        for node in defs:
+            if node.name.startswith("_"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(where != path or line not in inside for where, line in uses.get(node.name, [])):
+                unused.append(f"{path.stem}.{node.name}:{node.lineno}")
+    assert not unused, unused

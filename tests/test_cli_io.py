@@ -973,6 +973,12 @@ class TestCommandLine:
         ("metropolis", "draws", True),
         ("metropolis", "burn_in", False),
         ("metropolis", "sigma", True),
+        ("metropolis", "sigma", float("nan")),
+        ("metropolis", "sigma", float("inf")),
+        ("metropolis", "step_scale", "fast"),
+        ("metropolis", "step_scale", [1, 2]),
+        ("metropolis", "step_scale", True),
+        ("metropolis", "step_scale", float("nan")),
     ])
     def test_wrong_typed_estimator_option_exits_config_code(self, scenario, capsys, kind,
                                                             field, value):

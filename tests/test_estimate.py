@@ -149,6 +149,12 @@ class TestMetropolisConfigDefaults:
             MetropolisConfig(burn_in=1.0)
         with pytest.raises(ConfigError):
             MetropolisConfig(sigma=-1.0)
+        for bad in ({"sigma": np.nan}, {"sigma": np.inf}, {"step_scale": "fast"},
+                    {"step_scale": True}, {"step_scale": np.nan}, {"step_scale": [0.1, -0.1]},
+                    {"step_scale": [0.1, np.inf]}, {"step_scale": [0.1, False]}):
+            with pytest.raises(ConfigError) as err:
+                MetropolisConfig(**bad)
+            assert err.value.key == next(iter(bad))
 
     def test_config_types(self):
         """Counts take Python or numpy integers, switches only booleans; bools are no numbers."""

@@ -228,9 +228,10 @@ class TestEvaluateJ:
         j = evaluate_terms(traj, params, weights, data).total
 
         renamed_masks = {"x": RegionMask("x", masks["b"].cells), "y": RegionMask("y", masks["a"].cells)}
+        rows = sorted(masks)  # interpolate_data orders its case rows by region name
         series = {
-            "x": CaseSeries("x", data.days.copy(), data.cases[list(data.region_names).index("b")]),
-            "y": CaseSeries("y", data.days.copy(), data.cases[list(data.region_names).index("a")]),
+            "x": CaseSeries("x", data.days.copy(), data.cases[rows.index("b")]),
+            "y": CaseSeries("y", data.days.copy(), data.cases[rows.index("a")]),
         }
         data2 = interpolate_data(series, renamed_masks, grid, population)
         assert evaluate_terms(traj, params, weights, data2).total == pytest.approx(j, rel=1e-12)

@@ -295,7 +295,8 @@ class TestRunForward:
         slow = RateSchedule((1e-8, 1e-8, 1e-8), (10.0, 20.0), 40.0)
         problem = small_problem(ModelKind.SIR, 5.0, 0.01, schedule=slow, kappa=0.0)
         traj = problem.simulate(problem.initial, store_every=100)
-        totals = traj.infected_total(problem.masks["core"])
+        infected = traj.states[:, traj.model.infected_index]
+        totals = region_total(infected, problem.masks["core"], traj.grid)
         expected = totals[0] * np.exp(-slow.gamma * traj.times[traj.daily_indices])
         npt.assert_allclose(totals, expected, rtol=1e-3)
 
