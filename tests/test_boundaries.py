@@ -37,8 +37,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     the re-exports in ``__init__`` are imports and do not count.
     """
     root = SRC.parents[1]
-    trees = {path: ast.parse(path.read_text())
-             for path in [*SRC.glob("*.py"), *root.glob("perfbench/*.py"), *root.glob("scripts/*.py")]}
+    callers = [*SRC.glob("*.py"), *root.glob("perfbench/*.py"), *root.glob("scripts/*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in callers}
     uses: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -57,6 +57,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if node.name.startswith("_"):
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
-            if not any(where != path or line not in inside for where, line in uses.get(node.name, [])):
+            outside = [(where, line) for where, line in uses.get(node.name, [])
+                       if where != path or line not in inside]
+            if not outside:
                 unused.append(f"{path.stem}.{node.name}:{node.lineno}")
     assert not unused, unused
