@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,7 +153,7 @@ def read_cases(path, start: dt.date, n_days: int, regions) -> dict[str, CaseSeri
     """Parse a case file into per-region series over days 0..n_days.
 
     Records outside the window are ignored; missing days inside it are
-    zero-filled and flagged in ``filled_days``.
+    zero-filled, flagged in ``filled_days`` and named in a RuntimeWarning.
     """
     path = Path(path)
     regions = list(regions)
@@ -204,6 +205,9 @@ def read_cases(path, start: dt.date, n_days: int, regions) -> dict[str, CaseSeri
         values = np.array([seen.get(d, 0.0) for d in range(n_days + 1)])
         filled = tuple(d for d in range(n_days + 1) if d not in seen)
         out[name] = CaseSeries(name, days, values, filled_days=filled)
+    gaps = {name: list(s.filled_days) for name, s in out.items() if s.filled_days}
+    if gaps:
+        warnings.warn(f"{path}: zero-filled the days without a record: {gaps}", RuntimeWarning)
     return out
 
 
@@ -761,7 +765,7 @@ def _cmd_convergence_study(config: RunConfig, out_dir: Path, args) -> dict:
         raise ConfigError("convergence-study refines the cn scheme only; use --backend cn",
                           path=config.path, key="solver.backend")
     problem = load_scenario(config)
-    horizon = min(4.0, float(config.n_days))
+    horizon = 4.0 if config.n_days >= 4 else 2.0  # a whole number of every STUDY_TAUS step
     results = {}
     rows = []
     for kind in kinds:

@@ -116,10 +116,6 @@ class Problem:
                 )
 
     @property
-    def steps_per_day(self) -> int:
-        return int(round(1.0 / self.tau))
-
-    @property
     def region_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.masks))
 
@@ -159,26 +155,24 @@ class Problem:
     def simulate(
         self,
         params: ParameterVector,
-        store_every: int | None = None,
+        every_level: bool = False,
         evolve_population: bool = False,
         u0_override: np.ndarray | None = None,
     ) -> Trajectory:
-        """Forward run on the problem's backend; by default stores only the daily levels J needs.
+        """Forward run on the problem's backend; by default stores only the whole days J reads.
 
         ``u0_override`` replaces the state built from the seed counts.
         """
         u0 = u0_override if u0_override is not None else self.build_u0(params)
-        if store_every is None:
-            store_every = self.steps_per_day
         pop = self.population if evolve_population else None
         if self.backend == "fem-split":
             return solver_fem.run_fem_from_state(
                 self.grid, u0, self.model, params.schedule, params.kappa,
-                self.t_end, self.tau, population=pop, store_every=store_every,
+                self.t_end, self.tau, population=pop, every_level=every_level,
             )
         return run_from_state(
             self.grid, u0, self.model, params.schedule, params.kappa,
-            self.t_end, self.tau, population=pop, store_every=store_every,
+            self.t_end, self.tau, population=pop, every_level=every_level,
             corrected=self.corrected,
         )
 
@@ -390,7 +384,7 @@ def adjoint_gradient(
 ) -> AdjointGradient:
     """Exact gradient of the discrete J by the chain rule.
 
-    The trajectory must contain every time level (store_every == 1).
+    The trajectory must contain every time level (``every_level``).
     objective.sensitivities differentiates J at fixed states, solver_cn.sweep
     carries its dJ/dphi back through the run, and dJ/du0 chains through
     seed_jacobian to the seed gradients.
@@ -398,7 +392,7 @@ def adjoint_gradient(
     _require_exact_adjoint(problem)
     data = problem._require_data()
     if trajectory is None:
-        trajectory = problem.simulate(params, store_every=1)
+        trajectory = problem.simulate(params, every_level=True)
     sens = sensitivities(trajectory, params, problem.weights, data)
     dq0, g_beta, g_kappa = sweep(trajectory, params.schedule, params.kappa, sens.phi)
     du0 = dq0 + sens.u0
@@ -560,7 +554,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         trial = base.with_seeds(dict(zip(names, x_t)))
         return trial, problem.build_u0(trial)
 
-    traj = problem.simulate(params, store_every=1, u0_override=u0)
+    traj = problem.simulate(params, every_level=True, u0_override=u0)
     grad = adjoint_gradient(problem, params, traj)
     j_cur = grad.breakdown.total
     n_eval = 1
@@ -605,7 +599,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             x_t = np.clip(x + alpha * s2, 0.0, upper)
             trial, u0_t = place(params.with_chi(problem.project_chi(params.chi + alpha * s1)), x_t)
             # every level is stored so that an accepted trial's run feeds the gradient
-            traj_t = problem.simulate(trial, store_every=1, u0_override=u0_t)
+            traj_t = problem.simulate(trial, every_level=True, u0_override=u0_t)
             j_t = evaluate_terms(traj_t, trial, problem.weights, problem._require_data()).total
             n_eval += 1
             if j_t <= j_cur + ARMIJO_C * alpha * slope:

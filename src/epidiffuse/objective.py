@@ -223,8 +223,6 @@ def daily_residuals(
     """The data residual r_d of every day mark, the only place J's misfit is formed."""
     idx = traj.daily_indices
     days = traj.days
-    if len(days) == 0 or days[0] != 0:
-        raise AlignmentError("trajectory carries no day-0 level; store daily states")
     if len(days) != data.n_days or days[0] != data.days[0] or days[-1] != data.days[-1]:
         raise AlignmentError(
             f"trajectory days {days[0]}..{days[-1]} ({len(days)}) do not match "

@@ -73,7 +73,7 @@ backward step transforms those two fields out and the two nonzero rows of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -172,22 +172,27 @@ def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
     return low
 
 
+def _whole_days(times: np.ndarray) -> np.ndarray:
+    """Whether each time falls on a whole day, to within 1e-7."""
+    return np.abs(times - np.rint(times)) <= 1e-7
+
+
 @dataclass
 class Trajectory:
     """Stored forward solution: times, states and (optionally) population.
 
     ``states`` has shape (n_levels, m, ny, nx); ``population`` is
     (n_levels, ny, nx) or None when the population was held out of the run.
+    ``every_level`` tells a run stored at every level from one of whole days.
     """
 
     grid: GridSpec
     model: ModelKind
     tau: float
-    store_every: int
+    every_level: bool
     times: np.ndarray
     states: np.ndarray
     population: np.ndarray | None = None
-    _daily: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_levels(self) -> int:
@@ -196,10 +201,7 @@ class Trajectory:
     @property
     def daily_indices(self) -> np.ndarray:
         """Indices of levels falling on whole days (t = 0, 1, 2, ...)."""
-        if self._daily is None:
-            days = np.rint(self.times)
-            self._daily = np.flatnonzero(np.abs(self.times - days) <= 1e-7)
-        return self._daily
+        return np.flatnonzero(_whole_days(self.times))
 
     @property
     def days(self) -> np.ndarray:
@@ -212,13 +214,6 @@ class Trajectory:
         return self.population.sum(axis=(1, 2)) * self.grid.cell_area
 
 
-def _resolve_steps(t_end: float, tau: float) -> int:
-    steps = t_end / tau
-    if abs(steps - round(steps)) > 1e-8:
-        raise ParameterError(f"tau={tau} does not divide t_end={t_end} into whole steps")
-    return int(round(steps))
-
-
 def _drive(
     grid: GridSpec,
     u0: np.ndarray,
@@ -226,7 +221,7 @@ def _drive(
     t_end: float,
     tau: float,
     population: np.ndarray | None,
-    store_every: int,
+    every_level: bool,
     advance: Callable[[Any, float], Any],
     start: Callable[[np.ndarray], Any] | None = None,
     read: Callable[[Any], np.ndarray] | None = None,
@@ -235,16 +230,17 @@ def _drive(
 
     The physical state is u0 flattened to (m, n_cells), with the population
     stacked as row m when it is given.  ``advance(state, t)`` returns the
-    state one step of tau after t; every ``store_every``-th level is kept.
+    state one step of tau after t.  Level n lies at t = n tau; the loop keeps
+    level 0, the levels on whole days and the last, or every level.
     The loop carries the physical state unless ``start`` maps it to another
     form; ``read`` then maps a carried state back to physical rows to store.
     """
     m = model.n_compartments
     if u0.shape != (m,) + grid.shape:
         raise DimensionError(f"u0 shape {u0.shape} does not match ({m},) + {grid.shape}")
-    steps = _resolve_steps(t_end, tau)
-    if store_every < 1 or steps % store_every != 0:
-        raise ParameterError(f"store_every={store_every} must divide the {steps} steps")
+    steps = round(t_end / tau)
+    if abs(t_end / tau - steps) > 1e-8:
+        raise ParameterError(f"tau={tau} does not divide t_end={t_end} into whole steps")
     u = u0.reshape(m, -1).astype(float)
     evolve_pop = population is not None
     if evolve_pop:
@@ -254,25 +250,27 @@ def _drive(
             )
         u = np.vstack([u, population.reshape(1, -1)])
 
-    n_levels = steps // store_every + 1
-    times = np.empty(n_levels)
-    states = np.empty((n_levels, m) + grid.shape)
-    pops = np.empty((n_levels,) + grid.shape) if evolve_pop else None
+    times = np.arange(steps + 1) * tau
+    keep = _whole_days(times) | every_level
+    keep[-1] = True
+    times = times[keep]
+    slot = np.cumsum(keep) - 1
+    states = np.empty((len(times), m) + grid.shape)
+    pops = np.empty((len(times),) + grid.shape) if evolve_pop else None
 
-    def store(k: int, t: float, fields: np.ndarray):
-        times[k] = t
+    def store(k: int, fields: np.ndarray):
         states[k] = fields[:m].reshape((m,) + grid.shape)
         if evolve_pop:
             pops[k] = fields[m].reshape(grid.shape)
 
-    store(0, 0.0, u)
+    store(0, u)
     state = u if start is None else start(u)
     for n in range(steps):
         state = advance(state, n * tau)
-        if (n + 1) % store_every == 0:
-            store((n + 1) // store_every, (n + 1) * tau, state if read is None else read(state))
+        if keep[n + 1]:
+            store(slot[n + 1], state if read is None else read(state))
 
-    return Trajectory(grid, model, tau, store_every, times, states, pops)
+    return Trajectory(grid, model, tau, every_level, times, states, pops)
 
 
 def run_from_state(
@@ -284,7 +282,7 @@ def run_from_state(
     t_end: float,
     tau: float,
     population: np.ndarray | None = None,
-    store_every: int = 1,
+    every_level: bool = True,
     corrected: bool = False,
 ) -> Trajectory:
     """Integrate from an explicit initial state with the Crank-Nicolson step.
@@ -326,7 +324,7 @@ def run_from_state(
         q, coef = state
         return q if population is None else np.vstack([q, _from_eigen(coef[m:], basis)])
 
-    return _drive(grid, u0, model, t_end, tau, population, store_every, advance, start, read)
+    return _drive(grid, u0, model, t_end, tau, population, every_level, advance, start, read)
 
 
 def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
@@ -337,12 +335,10 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
     derivative in phi = u_S u_I at each of its day marks, (n_days, ny, nx).
     Returns dJ/dq_0 through the states, (m, ny, nx), and the sweep's parts of
     dJ/dbeta, per plateau, and of dJ/dkappa.  Raises SequencingError unless
-    every level is stored.
+    the run was stored with ``every_level``.
     """
-    if traj.store_every != 1:
-        raise SequencingError(
-            f"adjoint sweep needs every forward level, got store_every={traj.store_every}"
-        )
+    if not traj.every_level:
+        raise SequencingError("adjoint sweep needs every forward level; run with every_level=True")
     tau = traj.tau
     ws = assemble(traj.grid, kappa, tau)
     basis = ws.basis
@@ -429,16 +425,16 @@ def temporal_refinement_study(
     u0 = seed_state(model, 0.01 + 0.04 * cx * cy)
 
     def final_state(tau: float) -> np.ndarray:
-        steps = _resolve_steps(t_end, tau)
+        # whole days only: the last level, the one read, is always kept
         if kind == "diffusion":
             ws = assemble(grid, kappa, tau)
             no_reaction = np.zeros((model.n_compartments,) * 2)
-            traj = _drive(grid, u0, model, t_end, tau, None, steps,
+            traj = _drive(grid, u0, model, t_end, tau, None, False,
                           lambda x, t: ws._step(x, no_reaction),
                           lambda u: _to_eigen(u, ws.basis), lambda x: _from_eigen(x, ws.basis))
         else:
             traj = run_from_state(
-                grid, u0, model, schedule, kappa, t_end, tau, store_every=steps, corrected=corrected
+                grid, u0, model, schedule, kappa, t_end, tau, every_level=False, corrected=corrected
             )
         return traj.states[-1].reshape(model.n_compartments, -1)
 

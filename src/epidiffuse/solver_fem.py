@@ -105,7 +105,7 @@ def run_fem_from_state(
     t_end: float,
     tau: float,
     population: np.ndarray | None = None,
-    store_every: int = 1,
+    every_level: bool = True,
 ) -> Trajectory:
     """Split-scheme counterpart of solver_cn.run_from_state.
 
@@ -129,4 +129,4 @@ def run_fem_from_state(
             np.clip(q[:m], 0.0, None, out=q[:m])
         return q
 
-    return _drive(grid, u0, model, t_end, tau, population, store_every, advance)
+    return _drive(grid, u0, model, t_end, tau, population, every_level, advance)

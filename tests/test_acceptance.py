@@ -71,7 +71,7 @@ def test_criterion_1_population_mass_is_conserved(capsys):
         data=None, initial=params,
     )
     t0 = time.perf_counter()
-    traj = problem.simulate(params, store_every=10, evolve_population=True)
+    traj = problem.simulate(params, evolve_population=True)
     drift = conservation_drift(traj)
     wall = time.perf_counter() - t0
     report(capsys, 1, drift < 1e-9 and wall < 30.0,
@@ -180,9 +180,9 @@ def test_criterion_4_cn_and_fem_backends_agree(capsys):
     u0[0] = 1.0 - 1.5 * bump
     schedule = RateSchedule((0.2, 0.1, 0.1), (10.0, 20.0), 30.0)
     cn = run_from_state(grid, u0, ModelKind.SEIR, schedule, 0.1, 30.0, 0.1,
-                        store_every=10)
+                        every_level=False)
     fem = run_fem_from_state(grid, u0, ModelKind.SEIR, schedule, 0.1, 30.0, 0.1,
-                             store_every=10)
+                             every_level=False)
 
     def infected_total(traj, mask):
         return region_total(traj.states[:, traj.model.infected_index], mask, grid)

@@ -5,6 +5,7 @@ import datetime as dt
 import importlib.util
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,9 +202,14 @@ class TestCaseFiles:
             "2020-10-01,A,4\n"
             "2020-10-04,A,2\n"
         )
-        back = read_cases(path, START, 4, ["A"])
+        with pytest.warns(RuntimeWarning, match=r"cases\.csv.*'A': \[1, 2, 4\]"):
+            back = read_cases(path, START, 4, ["A"])
         assert_allclose(back["A"].new_cases, [4.0, 0.0, 0.0, 2.0, 0.0])
         assert back["A"].filled_days == (1, 2, 4)
+        path.write_text("date,region,new_cases\n2020-10-01,A,4\n2020-10-02,A,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_cases(path, START, 1, ["A"])["A"].filled_days == ()
 
     def test_records_outside_window_ignored(self, tmp_path):
         path = tmp_path / "cases.csv"
@@ -865,9 +871,14 @@ class TestCommandLine:
         assert rc == 2
         assert "[solver.corrected]" in capsys.readouterr().err
 
-    def test_convergence_study_command(self, scenario):
+    @pytest.mark.parametrize("days", [2, 3, 4])
+    def test_convergence_study_command(self, scenario, days):
+        """Any window of at least 2 days gets a horizon that every study step divides."""
+        raw = dict(scenario["raw"])
+        raw["window"] = {"start": "2020-10-01", "days": days, "breakpoints": [0.5, 1.5]}
+        config_path = dump_config(scenario["dir"], raw, f"conv_{days}.yaml")
         out = scenario["dir"] / "conv"
-        rc = main(["convergence-study", "--config", str(scenario["config"]),
+        rc = main(["convergence-study", "--config", str(config_path),
                    "--kind", "diffusion", "--out", str(out)])
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())

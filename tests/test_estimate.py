@@ -393,7 +393,7 @@ class TestAdjointGradient:
 
     def test_needs_every_level(self, twin9):
         problem, truth = twin9["problem"], twin9["truth"]
-        daily = problem.simulate(truth)  # store_every = steps_per_day
+        daily = problem.simulate(truth)  # whole days only
         with pytest.raises(SequencingError):
             adjoint_gradient(problem, truth, daily)
 
@@ -453,14 +453,14 @@ class TestAdjointFit:
         simulate = Problem.simulate
 
         def counted(self, *args, **kwargs):
-            runs.append(kwargs.get("store_every"))
+            runs.append(kwargs.get("every_level"))
             return simulate(self, *args, **kwargs)
 
         monkeypatch.setattr(Problem, "simulate", counted)
         result = adjoint_fit(problem, AdjointConfig(max_outer=4))
         monkeypatch.undo()
         assert len(result.history) > 2
-        assert runs == [1] * result.n_evaluations
+        assert runs == [True] * result.n_evaluations
         # every recorded J is bit-identical to a fresh daily-stored objective
         for j, x in result.history:
             assert j == problem.objective(problem.unpack(x))

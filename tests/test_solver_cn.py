@@ -39,6 +39,7 @@ from epidiffuse.solver_cn import (
     run_from_state,
     temporal_refinement_study,
 )
+from epidiffuse.solver_fem import run_fem_from_state
 
 from oracles import dense_operators
 
@@ -110,12 +111,13 @@ class TestStepForward:
     def test_matches_dense_reference(self):
         """Stored levels equal dense steps u <- A^{-1} (B u + tau f(u)), p <- A^{-1} B p.
 
-        Every model, with and without the population row, over four steps of
-        which every second is stored, so the population is read out only there.
+        Every model, with and without the population row, over four half-day
+        steps of which only the whole days are stored, so the population is
+        read out only there.
         """
         rng = np.random.default_rng(9)
         grid = GridSpec(6, 5, 1.2, 0.8)
-        kappa, tau, steps, every = 0.15, 0.2, 4, 2
+        kappa, tau, steps, every = 0.15, 0.5, 4, 2
         A, B = dense_operators(grid, kappa, tau)
         for model in ModelKind:
             m = model.n_compartments
@@ -133,10 +135,10 @@ class TestStepForward:
             exp_pop = np.array(exp_pop[::every]).reshape((-1,) + grid.shape)
             for population in (None, pop):
                 out = run_from_state(grid, u, model, SCHED, kappa, steps * tau, tau,
-                                     population=population, store_every=every)
+                                     population=population, every_level=False)
                 npt.assert_allclose(out.states, expected, rtol=0.0, atol=1e-12)
                 npt.assert_array_equal(out.states[0], u)
-                npt.assert_allclose(out.times, [0.0, 0.4, 0.8])
+                npt.assert_allclose(out.times, [0.0, 1.0, 2.0])
                 if population is None:
                     assert out.population is None
                 else:
@@ -209,7 +211,7 @@ class TestStepForward:
         def advance(tau, corrected):
             traj = run_from_state(
                 grid, np.full((1,) + grid.shape, u0), ModelKind.SIS, SCHED, 0.0, 5.0, tau,
-                store_every=int(round(5.0 / tau)), corrected=corrected,
+                every_level=False, corrected=corrected,
             )
             return float(traj.states[-1, 0, 0, 0])
 
@@ -263,7 +265,7 @@ def small_problem(model=ModelKind.SEIR, t_end=2.0, tau=0.25, schedule=SCHED, kap
 class TestRunForward:
     def test_initial_level_matches_seeding(self):
         problem = small_problem()
-        traj = problem.simulate(problem.initial, store_every=1, evolve_population=True)
+        traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
         u0 = initial_fractions(
             ModelKind.SEIR, problem.grid, problem.masks, problem.initial, problem.population
         )
@@ -285,7 +287,7 @@ class TestRunForward:
 
     def test_mass_requires_population(self):
         problem = small_problem(t_end=1.0)
-        traj = problem.simulate(problem.initial, store_every=1)
+        traj = problem.simulate(problem.initial, every_level=True)
         assert traj.population is None
         with pytest.raises(SequencingError):
             traj.mass()
@@ -294,7 +296,7 @@ class TestRunForward:
         """With beta tiny the infected integral decays like exp(-gamma t)."""
         slow = RateSchedule((1e-8, 1e-8, 1e-8), (10.0, 20.0), 40.0)
         problem = small_problem(ModelKind.SIR, 5.0, 0.01, schedule=slow, kappa=0.0)
-        traj = problem.simulate(problem.initial, store_every=100)
+        traj = problem.simulate(problem.initial)
         infected = traj.states[:, traj.model.infected_index]
         totals = region_total(infected, problem.masks["core"], traj.grid)
         expected = totals[0] * np.exp(-slow.gamma * traj.times[traj.daily_indices])
@@ -302,8 +304,8 @@ class TestRunForward:
 
     def test_determinism(self):
         problem = small_problem()
-        a = problem.simulate(problem.initial, store_every=1, evolve_population=True)
-        b = problem.simulate(problem.initial, store_every=1, evolve_population=True)
+        a = problem.simulate(problem.initial, every_level=True, evolve_population=True)
+        b = problem.simulate(problem.initial, every_level=True, evolve_population=True)
         npt.assert_array_equal(a.states, b.states)
         npt.assert_array_equal(a.population, b.population)
 
@@ -313,10 +315,6 @@ class TestRunForward:
         u0 = problem.build_u0(problem.initial)
         with pytest.raises(ParameterError, match="whole steps"):
             run_from_state(grid, u0, ModelKind.SIS, SCHED, 0.1, 1.0, 0.3, population=pop)
-        with pytest.raises(ParameterError, match="store_every"):
-            run_from_state(
-                grid, u0, ModelKind.SIS, SCHED, 0.1, 1.0, 0.25, population=pop, store_every=3
-            )
         with pytest.raises(DimensionError):
             run_from_state(
                 grid, np.zeros((2,) + grid.shape), ModelKind.SEIR, SCHED, 0.1, 1.0, 0.25
@@ -326,16 +324,20 @@ class TestRunForward:
 class TestTrajectory:
     def test_daily_bookkeeping(self):
         problem = small_problem(t_end=3.0)
-        traj = problem.simulate(problem.initial, store_every=2, evolve_population=True)
-        npt.assert_allclose(traj.times, np.arange(7) * 0.5)
-        npt.assert_array_equal(traj.daily_indices, [0, 2, 4, 6])
+        traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
+        npt.assert_allclose(traj.times, np.arange(13) * 0.25)
+        npt.assert_array_equal(traj.daily_indices, [0, 4, 8, 12])
         npt.assert_array_equal(traj.days, [0, 1, 2, 3])
-        npt.assert_array_equal(traj.states[traj.daily_indices[2]], traj.states[4])
-        assert 7 not in traj.days
+        npt.assert_array_equal(traj.states[traj.daily_indices[2]], traj.states[8])
+        assert 4 not in traj.days
+        daily = problem.simulate(problem.initial, evolve_population=True)
+        npt.assert_array_equal(daily.times, [0.0, 1.0, 2.0, 3.0])
+        npt.assert_array_equal(daily.daily_indices, [0, 1, 2, 3])
+        npt.assert_array_equal(daily.states, traj.states[traj.daily_indices])
 
     def test_mass_levels(self):
         problem = small_problem(t_end=1.0)
-        traj = problem.simulate(problem.initial, store_every=1, evolve_population=True)
+        traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
         assert traj.mass().shape == (5,)
         district = RegionMask("all", np.ones(problem.grid.shape, dtype=int))
         assert traj.mass()[0] == pytest.approx(
@@ -462,3 +464,28 @@ class TestRefinementStudy:
         grid = GridSpec(5, 5, 1.0, 1.0)
         with pytest.raises(ParameterError):
             temporal_refinement_study("bogus", grid, ModelKind.SIS, SCHED, 0.1, 2.0)
+
+
+class TestStorageRules:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, kappa=kappas, model=st.sampled_from(list(ModelKind)),
+           run=st.sampled_from([run_from_state, run_fem_from_state]),
+           tau=st.sampled_from([0.5, 0.25, 0.125]), t_end=st.sampled_from([2.0, 2.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_whole_days_are_the_every_level_run_at_days_and_end(
+        self, grid, kappa, model, run, tau, t_end, seed
+    ):
+        """Whole-day storage keeps the every-level run's day marks and last level, bit for bit."""
+        # a smooth bump over a floor keeps fem-split clear of its undershoot
+        cx = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.nx)))
+        cy = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.ny)))
+        u0 = seed_state(model, 0.01 + 0.04 * np.outer(cy, cx))
+        pop = np.random.default_rng(seed).uniform(1.0, 1000.0, size=grid.shape)
+        args = (grid, u0, model, SCHED, kappa, t_end, tau, pop)
+        every = run(*args)
+        daily = run(*args, every_level=False)
+        assert every.every_level and not daily.every_level
+        kept = np.union1d(every.daily_indices, [every.n_levels - 1])
+        assert daily.times.tobytes() == every.times[kept].tobytes()
+        assert daily.states.tobytes() == every.states[kept].tobytes()
+        assert daily.population.tobytes() == every.population[kept].tobytes()

@@ -258,7 +258,7 @@ class TestSplitStepping:
         ones = np.ones(grid.n_cells)
         total0 = sum(ones @ (M_ref @ u0[i].ravel()) for i in range(3))
         final = run_fem_from_state(
-            grid, u0, ModelKind.SEIR, SCHED, 0.2, 2.5, 0.25, store_every=10
+            grid, u0, ModelKind.SEIR, SCHED, 0.2, 2.5, 0.25, every_level=False
         ).states[-1]
         # SEIR loses gamma * I; run the same check on the susceptible-only
         # diffusion by comparing against the reaction-free flow instead
@@ -292,7 +292,7 @@ class TestSplitStepping:
         def final(tau):
             traj = run_fem_from_state(
                 grid, u0, ModelKind.SEIR, SCHED, 0.1, 4.0, tau,
-                store_every=int(round(4.0 / tau)),
+                every_level=False,
             )
             return traj.states[-1]
 
@@ -310,7 +310,7 @@ class TestRunForwardFem:
         """Both backends land within a percent of each other on a smooth run."""
         grid = GridSpec(9, 9, 1.0, 1.0)
         u0 = smooth_state(grid, 3)
-        kw = dict(store_every=20)
+        kw = dict(every_level=False)
         cn = run_from_state(grid, u0, ModelKind.SEIR, SCHED, 0.1, 10.0, 0.5 / 10, **kw)
         fem = run_fem_from_state(grid, u0, ModelKind.SEIR, SCHED, 0.1, 10.0, 0.5 / 10, **kw)
         a, b = cn.states[-1], fem.states[-1]
@@ -322,7 +322,7 @@ class TestRunForwardFem:
         u0 = smooth_state(grid, 1)
         traj = run_fem_from_state(
             grid, u0, ModelKind.SIS, SCHED, 0.05, 2.0, 0.25,
-            population=np.full(grid.shape, 100.0), store_every=4,
+            population=np.full(grid.shape, 100.0), every_level=False,
         )
         npt.assert_allclose(traj.times, [0.0, 1.0, 2.0])
         assert traj.population.shape == (3,) + grid.shape
