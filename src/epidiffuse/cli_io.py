@@ -765,7 +765,7 @@ def _cmd_convergence_study(config: RunConfig, out_dir: Path, args) -> dict:
         raise ConfigError("convergence-study refines the cn scheme only; use --backend cn",
                           path=config.path, key="solver.backend")
     problem = load_scenario(config)
-    horizon = 4.0 if config.n_days >= 4 else 2.0  # a whole number of every STUDY_TAUS step
+    horizon = 4.0 if config.n_days >= 4 else 2.0  # every STUDY_TAUS step divides 4 and 2 days
     results = {}
     rows = []
     for kind in kinds:
