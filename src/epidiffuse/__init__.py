@@ -48,7 +48,6 @@ from .objective import (
     ObjectiveWeights,
     detected_daily_cases,
     evaluate_terms,
-    incidence_field,
     interpolate_data,
 )
 from .estimate import (

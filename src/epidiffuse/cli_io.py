@@ -50,7 +50,7 @@ from .errors import (
     SequencingError,
     StabilityError,
 )
-from .grid import GridSpec, RegionMask, distribute_uniform, region_total, union_mask
+from .grid import GridSpec, RegionMask, distribute_uniform, union_mask
 from .models import (
     DEFAULT_GAMMA,
     DEFAULT_THETA,
@@ -58,7 +58,8 @@ from .models import (
     ParameterVector,
     RateSchedule,
 )
-from .objective import CaseSeries, ObjectiveWeights, detected_daily_cases, interpolate_data
+from .objective import (CaseSeries, ObjectiveWeights, detected_daily_cases, interpolate_data,
+                        region_persons)
 from .solver_cn import conservation_drift, temporal_refinement_study
 from .estimate import (
     CHI_NAMES,
@@ -563,8 +564,7 @@ def generate_synthetic(
     traj = problem.simulate(truth)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    populations = {name: region_total(population, mask, grid) for name, mask in masks.items()}
-    cases = detected_daily_cases(traj, truth, masks, populations)
+    cases = detected_daily_cases(traj, truth, masks, population)
     rng = np.random.default_rng(seed)
     series = {}
     for name in sorted(masks):
@@ -683,24 +683,20 @@ def _write_summary(out_dir: Path, command: str, config: RunConfig, outputs: list
 def _cmd_simulate(config: RunConfig, out_dir: Path, args) -> dict:
     problem = load_scenario(config)
     traj = problem.simulate(problem.initial, evolve_population=True)
-    grid, masks, daily = problem.grid, problem.masks, traj.daily_indices
-    populations = {name: region_total(problem.population, mask, grid) for name, mask in masks.items()}
-    detected = detected_daily_cases(traj, problem.initial, masks, populations)
+    grid, masks, pop, daily = problem.grid, problem.masks, problem.population, traj.daily_indices
+    detected = detected_daily_cases(traj, problem.initial, masks, pop)
     names = sorted(masks)
-    infected = traj.states[daily, problem.model.infected_index]
+    infected = traj.states[:, problem.model.infected_index]
+    persons = region_persons(infected[daily], pop, [masks[n] for n in names], grid)
     columns = {f"detected_{n}": detected[n] for n in names}
-    columns.update({
-        f"infected_{n}": region_total(infected, masks[n], grid) * populations[n] / masks[n].area(grid)
-        for n in names
-    })
+    columns.update({f"infected_{n}": row for n, row in zip(names, persons)})
     outputs = [str(out_dir / "region_series.csv"), str(out_dir / "mass.csv")]
     export_days(outputs[0], config, traj.days, columns)
     export_days(outputs[1], config, traj.days, {"total_population": traj.mass()[daily]})
-    final = traj.states[-1, problem.model.infected_index] * problem.population  # persons/km^2
     metrics = {
         "days": int(config.n_days),
         "population_drift": conservation_drift(traj),
-        "final_infected_total": region_total(final, problem.district, grid),
+        "final_infected_total": float(region_persons(infected[-1], pop, [problem.district], grid)[0]),
     }
     return {"outputs": outputs, "metrics": metrics}
 

@@ -42,7 +42,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .grid import GridSpec, RegionMask, region_total
+from .grid import GridSpec, RegionMask
 from .models import (
     ModelKind,
     ParameterVector,
@@ -57,6 +57,7 @@ from .objective import (
     ObjectiveBreakdown,
     ObjectiveWeights,
     evaluate_terms,
+    region_persons,
     sensitivities,
 )
 from .solver_cn import Trajectory, run_from_state, sweep
@@ -515,14 +516,6 @@ class _Lbfgs:
         self.gamma = sy / float(y @ y)
 
 
-def _region_counts(problem: Problem, frac: np.ndarray) -> np.ndarray:
-    """Persons per region of an infected-fraction field, in region_names order."""
-    return np.array([
-        region_total(frac * problem.population, problem.masks[name], problem.grid)
-        for name in problem.region_names
-    ])
-
-
 def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     """Forward-backward sweeps with L-BFGS on chi and Armijo backtracking.
 
@@ -538,6 +531,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     _require_exact_adjoint(problem)
 
     model, names = problem.model, problem.region_names
+    masks = [problem.masks[name] for name in names]
     per_cell = config.per_cell_initial
     params = problem.initial
     u0 = problem.build_u0(params)
@@ -549,7 +543,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     def place(base: ParameterVector, x_t: np.ndarray) -> tuple[ParameterVector, np.ndarray]:
         """The parameters and initial state of iterate x_t; a field reports its region totals."""
         if per_cell:
-            counts = _region_counts(problem, x_t)
+            counts = region_persons(x_t, problem.population, masks, problem.grid)
             return base.with_seeds(dict(zip(names, counts))), seed_state(model, x_t)
         trial = base.with_seeds(dict(zip(names, x_t)))
         return trial, problem.build_u0(trial)
@@ -582,7 +576,8 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
                 target = np.clip(frac, 0.0, upper)
                 g_x = np.tensordot(seed_direction(model), grad.du0, axes=1)
             else:
-                target = np.maximum(_region_counts(problem, frac), 0.0)
+                counts = region_persons(frac, problem.population, masks, problem.grid)
+                target = np.maximum(counts, 0.0)
                 g_x = grad.seeds
             s2 = target - x
             peak = float(np.abs(s2).max())

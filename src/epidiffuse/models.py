@@ -83,12 +83,7 @@ def beta_at(schedule: RateSchedule, t: float) -> float:
     """Transmission rate at time t (right-continuous at the breakpoints)."""
     if t < -1e-6 or t > schedule.t_end + 1e-6:
         raise ParameterError(f"t={t} outside the schedule window [0, {schedule.t_end}]")
-    t0, t1 = schedule.breakpoints
-    if t < t0:
-        return schedule.betas[0]
-    if t < t1:
-        return schedule.betas[1]
-    return schedule.betas[2]
+    return schedule.betas[beta_interval(schedule, t)]
 
 
 def beta_interval(schedule: RateSchedule, t: float) -> int:

@@ -17,20 +17,22 @@ The full objective is
       + w1/2 * |chi - chi_ref|^2
       + w2/2 * sum_j ||u_{j,0} - u0_ref_j||^2_(L2)
 
-with g_d the detected-incidence field at day d and chi = (beta0, beta1,
-beta2, kappa, delta).  ``daily_residuals`` is the one place that forms
-r_d = g_d - v_d: evaluate_terms sums the misfit from it, and
-``sensitivities`` differentiates the same residuals, so both estimators
-minimize exactly the J they report.  ``sensitivities`` gives J's terms and
-J's derivatives with the states held fixed: in chi (beta and delta at the
-day marks and the w1 anchor), in u_0 (the w2 anchor) and in the force
-phi = u_S u_I at each day mark, which solver_cn.sweep carries back.
+with g_d the detected-incidence field at day d, chi = (beta0, beta1, beta2,
+kappa, delta) and u0_ref the disease-free state unless one is given.
+``daily_residuals`` is the one place that forms r_d = g_d - v_d:
+evaluate_terms sums the misfit from it, and ``sensitivities`` differentiates
+the same residuals, so both estimators minimize exactly the J they report.
+``sensitivities`` gives J's terms and J's derivatives with the states held
+fixed: in chi (beta and delta at the day marks and the w1 anchor), in u_0
+(the w2 anchor) and in the force phi = u_S u_I at each day mark, which
+solver_cn.sweep carries back.  ``region_persons`` is the one rule by which a
+fraction field counts persons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -43,11 +45,10 @@ from .errors import (
 )
 from .grid import GridSpec, RegionMask, region_total
 from .models import (
-    ModelKind,
     ParameterVector,
-    RateSchedule,
     beta_at,
     beta_interval,
+    seed_state,
     transmission_bilinear,
 )
 from .solver_cn import Trajectory
@@ -115,7 +116,7 @@ class DataInterpolant:
             fractions = self.cases / self.populations[:, None]
             out = np.zeros((self.n_days,) + self.grid.shape)
             for k, mask in enumerate(self._masks):
-                values = fractions[k] / (mask.cell_count * self.grid.cell_area)
+                values = fractions[k] / mask.area(self.grid)
                 out[:, mask.cells] += values[:, None]
             self._fields = out
         return self._fields
@@ -123,6 +124,17 @@ class DataInterpolant:
     def district_incidence_fraction(self) -> np.ndarray:
         """Detected daily cases over the whole district as a population fraction."""
         return self.cases.sum(axis=0) / self.populations.sum()
+
+
+def region_persons(fields: np.ndarray | float, population: np.ndarray,
+                   masks: Iterable[RegionMask], grid: GridSpec) -> np.ndarray:
+    """Persons in each region: the integral of fraction * density over it, one row per mask.
+
+    ``fields`` is a fraction field, a stack (..., ny, nx) of them, or 1.0 for
+    the region populations P_k.
+    """
+    persons = fields * population
+    return np.array([region_total(persons, mask, grid) for mask in masks])
 
 
 def interpolate_data(
@@ -144,22 +156,19 @@ def interpolate_data(
         raise ConfigError("no case series given")
     base = series[names[0]]
     day0, day1 = int(base.days[0]), int(base.days[-1])
-    mask_list, pops, rows = [], [], []
-    for name in names:
+    mask_list = [masks[name] for name in names]
+    pops = region_persons(1.0, population, mask_list, grid)
+    for name, pop in zip(names, pops):
         s = series[name]
         if int(s.days[0]) != day0 or int(s.days[-1]) != day1:
             raise AlignmentError(
                 f"region '{name}' covers days {s.days[0]}..{s.days[-1]}, "
                 f"expected {day0}..{day1}"
             )
-        mask = masks[name]
-        pop = region_total(population, mask, grid)
         if pop <= 0.0:
             raise DegenerateRegionError(f"region '{name}' has population {pop}")
-        mask_list.append(mask)
-        pops.append(pop)
-        rows.append(s.new_cases)
-    return DataInterpolant(grid, mask_list, np.array(pops), np.array(rows), base.days.copy())
+    rows = np.array([series[name].new_cases for name in names])
+    return DataInterpolant(grid, mask_list, pops, rows, base.days.copy())
 
 
 @dataclass
@@ -170,7 +179,7 @@ class ObjectiveWeights:
     w1: float = 0.0
     w2: float = 0.0
     chi_ref: np.ndarray | None = None
-    u0_ref: np.ndarray | float = 0.0
+    u0_ref: np.ndarray | None = None   # None: the disease-free state
 
     def __post_init__(self):
         if not self.w0 > 0.0:
@@ -183,13 +192,6 @@ class ObjectiveWeights:
                 raise ParameterError(f"chi_ref needs 5 entries, got shape {self.chi_ref.shape}")
         elif self.w1 > 0.0:
             raise ConfigError("w1 > 0 requires a chi_ref anchor")
-
-
-def incidence_field(
-    u: np.ndarray, model: ModelKind, schedule: RateSchedule, delta: float, t: float
-) -> np.ndarray:
-    """Detected incidence delta * beta(t) * u_S * u_I per cell (fraction/day)."""
-    return delta * beta_at(schedule, t) * transmission_bilinear(model, u)
 
 
 def trapezoid_day_weights(n_days: int) -> np.ndarray:
@@ -217,24 +219,34 @@ class DailyResiduals(NamedTuple):
     resid: np.ndarray   # delta * beta(d) * phi - v_d
 
 
+def _detected_incidence(traj: Trajectory, params: ParameterVector):
+    """beta(d), phi = u_S * u_I and the detected incidence delta * beta(d) * phi at the day marks."""
+    beta = np.array([beta_at(params.schedule, float(day)) for day in traj.days])
+    phi = np.empty((len(beta),) + traj.grid.shape)
+    for pos, level in enumerate(traj.daily_indices):
+        phi[pos] = transmission_bilinear(traj.model, traj.states[level])
+    return beta, phi, params.delta * beta[:, None, None] * phi
+
+
 def daily_residuals(
     traj: Trajectory, params: ParameterVector, data: DataInterpolant
 ) -> DailyResiduals:
     """The data residual r_d of every day mark, the only place J's misfit is formed."""
-    idx = traj.daily_indices
     days = traj.days
     if len(days) != data.n_days or days[0] != data.days[0] or days[-1] != data.days[-1]:
         raise AlignmentError(
             f"trajectory days {days[0]}..{days[-1]} ({len(days)}) do not match "
             f"data days {data.days[0]}..{data.days[-1]} ({data.n_days})"
         )
-    beta = np.array([beta_at(params.schedule, float(day)) for day in days])
-    phi = np.empty((len(days),) + traj.grid.shape)
-    resid = np.empty_like(phi)
-    for pos, level in enumerate(idx):
-        phi[pos] = transmission_bilinear(traj.model, traj.states[level])
-        resid[pos] = params.delta * beta[pos] * phi[pos] - data.daily_fields[pos]
+    beta, phi, resid = _detected_incidence(traj, params)
+    resid -= data.daily_fields
     return DailyResiduals(beta, phi, resid)
+
+
+def _initial_gap(traj: Trajectory, weights: ObjectiveWeights) -> np.ndarray:
+    """u_0 - u0_ref; with no u0_ref the anchor is the disease-free state (S = 1, E = I = 0)."""
+    ref = weights.u0_ref
+    return traj.states[0] - (seed_state(traj.model, np.zeros((1, 1))) if ref is None else ref)
 
 
 def _terms(resid: np.ndarray, traj: Trajectory, params: ParameterVector,
@@ -254,7 +266,7 @@ def _terms(resid: np.ndarray, traj: Trajectory, params: ParameterVector,
 
     init_reg = 0.0
     if weights.w2 > 0.0:
-        d = traj.states[0] - weights.u0_ref
+        d = _initial_gap(traj, weights)
         init_reg = 0.5 * weights.w2 * float((d * d).sum()) * area
     return ObjectiveBreakdown(misfit, chi_reg, init_reg)
 
@@ -292,7 +304,7 @@ def sensitivities(traj: Trajectory, params: ParameterVector, weights: ObjectiveW
         chi += weights.w1 * (params.chi - weights.chi_ref)
     resid *= (w0a_omega * beta * params.delta)[:, None, None]  # now dJ/dphi
     # 0.0 at w2 = 0, so the sweep holds no unused field beside its own
-    u0 = weights.w2 * area * (traj.states[0] - weights.u0_ref) if weights.w2 > 0.0 else 0.0
+    u0 = weights.w2 * area * _initial_gap(traj, weights) if weights.w2 > 0.0 else 0.0
     return Sensitivities(terms, chi, u0, resid)
 
 
@@ -300,16 +312,14 @@ def detected_daily_cases(
     traj: Trajectory,
     params: ParameterVector,
     masks: Mapping[str, RegionMask],
-    populations: Mapping[str, float],
+    population: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Model-side detected cases per region per day, in persons.
 
     The model analogue of a reported count: c_k(d) = P_k * integral over
-    region k of delta * beta(d) * u_S * u_I.
+    region k of delta * beta(d) * u_S * u_I, with P_k from ``population``.
     """
-    fields = np.empty((len(traj.days), *traj.grid.shape))
-    for out, level, day in zip(fields, traj.daily_indices, traj.days):
-        out[...] = incidence_field(traj.states[level], traj.model, params.schedule, params.delta,
-                                   float(day))
-    return {name: populations[name] * region_total(fields, mask, traj.grid)
-            for name, mask in masks.items()}
+    incidence = _detected_incidence(traj, params)[2]
+    pops = region_persons(1.0, population, masks.values(), traj.grid)
+    return {name: pop * region_total(incidence, mask, traj.grid)
+            for (name, mask), pop in zip(masks.items(), pops)}

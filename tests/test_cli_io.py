@@ -4,6 +4,9 @@ import copy
 import datetime as dt
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -1024,6 +1027,29 @@ class TestCommandLine:
                    "--out", str(scenario["dir"] / "hot")])
         assert rc == 3
         assert "error (numerical)" in capsys.readouterr().err
+
+    def test_tau_that_does_not_divide_a_day_exits_config_code(self, scenario, capsys):
+        raw = dict(scenario["raw"])
+        raw["solver"] = {"backend": "cn", "tau": 0.3}
+        config_path = dump_config(scenario["dir"], raw, "tau.yaml")
+        rc = main(["simulate", "--config", str(config_path), "--out", str(scenario["dir"] / "tau")])
+        assert rc == 2
+        assert "must divide one day" in capsys.readouterr().err
+
+    def test_python_m_epidiffuse_runs_the_cli(self, tmp_path):
+        """``python -m epidiffuse`` runs a command without runpy's double-import warning."""
+        src = str(Path(cli_io.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "epidiffuse", "export-plots",
+             "--config", str(demo_scenario_path()), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "export-plots: ok" in proc.stdout
+        assert (tmp_path / "daily_cases.csv").is_file()
 
     def test_unwritable_output_exits_io_code(self, scenario, capsys):
         rc = main(["simulate", "--config", str(scenario["config"]),

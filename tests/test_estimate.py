@@ -28,6 +28,7 @@ from epidiffuse.objective import (
     CaseSeries,
     ObjectiveWeights,
     detected_daily_cases,
+    evaluate_terms,
     interpolate_data,
 )
 from epidiffuse.solver_cn import conservation_drift
@@ -420,6 +421,25 @@ class TestAdjointGradient:
         with pytest.raises(ParameterError, match="bounds"):
             gradient_check(problem, truth)
 
+    def test_missing_u0_ref_anchors_the_disease_free_state(self, twin9):
+        """With w2 > 0 and no u0_ref, w2 counts |u0 - u_free|^2 / 2: S = 1 and E = I = 0."""
+        problem = dataclasses.replace(twin9["problem"], weights=ObjectiveWeights(1.0, 0.0, 1e-5))
+        truth = twin9["truth"]
+        free = truth.with_seeds({name: 0.0 for name in truth.init_infected})
+        u_free = problem.build_u0(free)
+        assert (u_free[0] == 1.0).all() and (u_free[1:] == 0.0).all()
+        terms = evaluate_terms(problem.simulate(free), free, problem.weights, problem.data)
+        assert terms.init_reg == 0.0
+        seeded = evaluate_terms(problem.simulate(truth), truth, problem.weights, problem.data)
+        gap = problem.build_u0(truth) - u_free
+        assert seeded.init_reg == pytest.approx(
+            0.5 * 1e-5 * float((gap * gap).sum()) * problem.grid.cell_area, rel=1e-12)
+        start = truth.with_chi(truth.chi * 0.9).with_seeds(
+            {k: v * 1.3 for k, v in truth.init_infected.items()}
+        )
+        report = gradient_check(problem, start, include_seeds=True)
+        assert report["rel_err"].max() < 1e-4, report
+
 
 class TestAdjointFit:
     def test_stationary_start_stops_immediately(self, tmp_path):
@@ -464,6 +484,27 @@ class TestAdjointFit:
         # every recorded J is bit-identical to a fresh daily-stored objective
         for j, x in result.history:
             assert j == problem.objective(problem.unpack(x))
+
+    def test_flat_objective_stops_on_tol(self, twin9):
+        """Started at a zero-noise twin's truth, J stops changing and the fit stops on tol."""
+        result = adjoint_fit(twin9["problem"], AdjointConfig(max_outer=200))
+        assert result.diagnostics["stop"] == "tol"
+        assert not result.diagnostics["line_search_failed"]
+        assert 2 <= len(result.history) <= 200
+        j_prev, j_last = result.history[-2][0], result.history[-1][0]
+        assert abs(j_prev - j_last) <= estimate.TOL * abs(j_prev)
+
+    def test_failed_line_search_stops_the_fit(self, twin9, monkeypatch):
+        """When no trial step reaches ALPHA_MIN's test, the fit keeps its start and says why."""
+        monkeypatch.setattr(estimate, "ALPHA_MIN", 2.0)
+        truth = twin9["truth"]
+        start = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        problem = dataclasses.replace(twin9["problem"], initial=start)
+        result = adjoint_fit(problem, AdjointConfig(max_outer=5))
+        assert result.diagnostics["stop"] == "line_search"
+        assert result.diagnostics["line_search_failed"]
+        assert result.params == start and len(result.history) == 1
+        assert result.n_evaluations == 1
 
     def test_chi_moves_toward_truth(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, t_end=30.0, breakpoints=(10.0, 20.0))
@@ -555,8 +596,7 @@ def random_mask_problem(model, nx, ny, n_regions, seed):
         population=population, t_end=t_end, tau=0.5, weights=ObjectiveWeights(),
         data=None, initial=truth,
     )
-    pops = {name: region_total(population, m, grid) for name, m in masks.items()}
-    cases = detected_daily_cases(problem.simulate(truth), truth, masks, pops)
+    cases = detected_daily_cases(problem.simulate(truth), truth, masks, population)
     series = {
         name: CaseSeries(name, np.arange(len(v)), v * rng.uniform(0.8, 1.2, len(v)))
         for name, v in cases.items()

@@ -28,7 +28,6 @@ from epidiffuse.objective import (
     daily_residuals,
     detected_daily_cases,
     evaluate_terms,
-    incidence_field,
     interpolate_data,
     sensitivities,
     trapezoid_day_weights,
@@ -140,18 +139,6 @@ class TestTrapezoidWeights:
         npt.assert_array_equal(trapezoid_day_weights(4), [0.5, 1.0, 1.0, 0.5])
 
 
-class TestIncidenceField:
-    def test_hand_value(self):
-        u = np.array([0.9, 0.02, 0.05])
-        out = incidence_field(u, ModelKind.SEIR, SCHED, 0.5, 0.0)
-        assert out == pytest.approx(0.5 * 0.2 * 0.9 * 0.05)
-
-    def test_schedule_plateau(self):
-        u = np.array([0.9, 0.02, 0.05])
-        late = incidence_field(u, ModelKind.SEIR, SCHED, 0.5, 25.0)
-        assert late == pytest.approx(0.5 * 0.3 * 0.045)
-
-
 def run_and_data(t_end=4.0, delta=0.5, kappa=0.05):
     grid, masks, population = two_region_setup()
     params = ParameterVector(SCHED, kappa, delta, {"a": 5.0, "b": 8.0})
@@ -185,7 +172,8 @@ class TestEvaluateJ:
         misfit = 0.0
         for pos, day in enumerate(days):
             u = traj.states[traj.daily_indices[pos]]
-            g = incidence_field(u, traj.model, params.schedule, params.delta, float(day))
+            g = (params.delta * beta_at(params.schedule, float(day))
+                 * transmission_bilinear(traj.model, u))
             v = data.daily_fields[pos]
             acc = 0.0
             for k in range(grid.ny):
@@ -212,7 +200,8 @@ class TestEvaluateJ:
             u = traj.states[traj.daily_indices[pos]]
             assert res.beta[pos] == beta_at(params.schedule, float(day))
             npt.assert_array_equal(res.phi[pos], transmission_bilinear(traj.model, u))
-            g = incidence_field(u, traj.model, params.schedule, params.delta, float(day))
+            g = (params.delta * beta_at(params.schedule, float(day))
+                 * transmission_bilinear(traj.model, u))
             npt.assert_array_equal(res.resid[pos], g - data.daily_fields[pos])
 
     def test_w0_scales_misfit_linearly(self):
@@ -291,29 +280,26 @@ class TestSensitivities:
 class TestDetectedDailyCases:
     def test_matches_field_aggregation(self):
         grid, masks, population, params, traj, data = run_and_data()
-        pops = {
-            name: region_total(population, mask, grid) for name, mask in masks.items()
-        }
-        out = detected_daily_cases(traj, params, masks, pops)
+        out = detected_daily_cases(traj, params, masks, population)
         assert set(out) == {"a", "b"}
         for name in out:
             assert len(out[name]) == len(traj.days)
         # day 2 by hand for region a
         u = traj.states[traj.daily_indices[2]]
-        g = incidence_field(u, traj.model, params.schedule, params.delta, 2.0)
-        expected = pops["a"] * region_total(g, masks["a"], grid)
+        g = params.delta * beta_at(params.schedule, 2.0) * transmission_bilinear(traj.model, u)
+        pop_a = region_total(population, masks["a"], grid)
+        expected = pop_a * region_total(g, masks["a"], grid)
         assert out["a"][2] == pytest.approx(expected, rel=1e-12)
 
     def test_bit_identical_to_one_total_per_region_per_day(self):
         """One stacked region_total per region gives the per-day loop's arrays exactly."""
         grid, masks, population, params, traj, data = run_and_data()
-        pops = {name: region_total(population, mask, grid) for name, mask in masks.items()}
-        out = detected_daily_cases(traj, params, masks, pops)
+        out = detected_daily_cases(traj, params, masks, population)
         for name, mask in masks.items():
             expected = np.array([
-                pops[name] * region_total(
-                    incidence_field(traj.states[level], traj.model, params.schedule, params.delta,
-                                    float(day)), mask, grid)
+                region_total(population, mask, grid) * region_total(
+                    params.delta * beta_at(params.schedule, float(day))
+                    * transmission_bilinear(traj.model, traj.states[level]), mask, grid)
                 for level, day in zip(traj.daily_indices, traj.days)
             ])
             np.testing.assert_array_equal(out[name], expected)
@@ -321,10 +307,7 @@ class TestDetectedDailyCases:
     def test_roundtrip_through_interpolant(self):
         """Spatializing the model's own cases and aggregating returns them."""
         grid, masks, population, params, traj, data = run_and_data()
-        pops = {
-            name: region_total(population, mask, grid) for name, mask in masks.items()
-        }
-        cases = detected_daily_cases(traj, params, masks, pops)
+        cases = detected_daily_cases(traj, params, masks, population)
         series = {
             name: CaseSeries(name, np.arange(len(v)), v) for name, v in cases.items()
         }
@@ -332,5 +315,5 @@ class TestDetectedDailyCases:
         for pos, day in enumerate(traj.days):
             f = data2.daily_fields[pos]
             for name, mask in masks.items():
-                agg = pops[name] * region_total(f, mask, grid)
+                agg = region_total(population, mask, grid) * region_total(f, mask, grid)
                 assert agg == pytest.approx(cases[name][pos], rel=1e-12, abs=1e-15)
