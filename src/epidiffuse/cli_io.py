@@ -18,7 +18,7 @@ the offending value wherever the reader or an estimator config refuses it.
 
 Every command writes a ``summary.json`` embedding the config hash; outputs
 contain no timestamps, so re-running with an unchanged config and seed
-reproduces them bit-identically.
+reproduces them bit-identically at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -869,7 +869,3 @@ def main(argv=None) -> int:
     except EpidiffuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -485,8 +485,8 @@ class TestAdjointFit:
         for j, x in result.history:
             assert j == problem.objective(problem.unpack(x))
 
-    def test_flat_objective_stops_on_tol(self, twin9):
-        """Started at a zero-noise twin's truth, J stops changing and the fit stops on tol."""
+    def test_stalled_descent_stops_on_tol(self, twin9):
+        """From twin9's truth the fit creeps down until one step changes J by less than TOL."""
         result = adjoint_fit(twin9["problem"], AdjointConfig(max_outer=200))
         assert result.diagnostics["stop"] == "tol"
         assert not result.diagnostics["line_search_failed"]
