@@ -385,7 +385,7 @@ def adjoint_gradient(
 ) -> AdjointGradient:
     """Exact gradient of the discrete J by the chain rule.
 
-    The trajectory must contain every time level (``every_level``).
+    The trajectory must be stored with ``every_level``.
     objective.sensitivities differentiates J at fixed states, solver_cn.sweep
     carries its dJ/dphi back through the run, and dJ/du0 chains through
     seed_jacobian to the seed gradients.
@@ -548,8 +548,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         trial = base.with_seeds(dict(zip(names, x_t)))
         return trial, problem.build_u0(trial)
 
-    traj = problem.simulate(params, every_level=True, u0_override=u0)
-    grad = adjoint_gradient(problem, params, traj)
+    grad = adjoint_gradient(problem, params, problem.simulate(params, every_level=True, u0_override=u0))
     j_cur = grad.breakdown.total
     n_eval = 1
     history = [(j_cur, problem.pack(params))]
@@ -593,7 +592,9 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         while alpha >= ALPHA_MIN:
             x_t = np.clip(x + alpha * s2, 0.0, upper)
             trial, u0_t = place(params.with_chi(problem.project_chi(params.chi + alpha * s1)), x_t)
-            # every level is stored so that an accepted trial's run feeds the gradient
+            # every level is stored so that an accepted trial's run feeds the gradient;
+            # the last trial's run is dropped first, so that two are never held at once
+            traj_t = None
             traj_t = problem.simulate(trial, every_level=True, u0_override=u0_t)
             j_t = evaluate_terms(traj_t, trial, problem.weights, problem._require_data()).total
             n_eval += 1

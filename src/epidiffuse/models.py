@@ -51,6 +51,11 @@ class ModelKind(enum.Enum):
     def infected_index(self) -> int:
         return self.n_compartments - 1
 
+    @property
+    def force_rows(self) -> slice:
+        """The rows of a state the transmission force reads: S and I, or I alone in SIS."""
+        return slice(0, self.n_compartments, max(self.infected_index, 1))
+
 
 @dataclass(frozen=True)
 class RateSchedule:
@@ -134,13 +139,6 @@ class ParameterVector:
         return replace(self, init_infected=dict(seeds))
 
 
-def _check_arity(model: ModelKind, u: np.ndarray):
-    if u.shape[0] != model.n_compartments:
-        raise DimensionError(
-            f"{model.value} expects {model.n_compartments} compartment(s), got {u.shape[0]}"
-        )
-
-
 def reaction_split(model: ModelKind, schedule: RateSchedule) -> tuple[np.ndarray, np.ndarray]:
     """The split f(u, t) = K u + e * beta(t) * transmission_bilinear(u).
 
@@ -162,18 +160,21 @@ def reaction_split(model: ModelKind, schedule: RateSchedule) -> tuple[np.ndarray
 def reaction(model: ModelKind, u: np.ndarray, t: float, schedule: RateSchedule) -> np.ndarray:
     """Pointwise reaction term f(u, t) from ``reaction_split``; u has shape (m,) or (m, ...)."""
     u = np.asarray(u, dtype=float)
+    if u.shape[0] != model.n_compartments:
+        raise DimensionError(
+            f"{model.value} expects {model.n_compartments} compartment(s), got {u.shape[0]}"
+        )
     K, e = reaction_split(model, schedule)
     force = beta_at(schedule, t) * transmission_bilinear(model, u)
     return np.tensordot(K, u, axes=1) + np.multiply.outer(e, force)
 
 
 def transmission_bilinear(model: ModelKind, u: np.ndarray) -> np.ndarray:
-    """The product of susceptible and infected fractions driving new cases."""
+    """u_S u_I, the force driving new cases, from a state or its ``force_rows``."""
     u = np.asarray(u, dtype=float)
-    _check_arity(model, u)
     if model is ModelKind.SIS:
         return (1.0 - u[0]) * u[0]
-    return u[0] * u[model.infected_index]
+    return u[0] * u[-1]
 
 
 def transmission_derivative(model: ModelKind, u: np.ndarray) -> np.ndarray:
@@ -182,8 +183,8 @@ def transmission_derivative(model: ModelKind, u: np.ndarray) -> np.ndarray:
     if model is ModelKind.SIS:
         out[0] = 1.0 - 2.0 * u[0]
     else:
-        out[0] = u[model.infected_index]
-        out[model.infected_index] = u[0]
+        out[0] = u[-1]
+        out[-1] = u[0]
     return out
 
 

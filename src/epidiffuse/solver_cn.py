@@ -69,6 +69,10 @@ summation by parts gives sum_n a_n . U^_n = W_0 . Q^T u_0
 e . Z and pairs, by Parseval, with the stored force beta phi(u_n).  A SEIR
 backward step transforms those two fields out and the two nonzero rows of
 (d phi/du) o s in, 4 field transforms; SIR takes 4 and SIS 3.
+
+The sweep reads a full state only at level 0 and elsewhere only the rows phi
+reads, u_S and u_I (u in SIS).  So a run stored with ``every_level`` keeps full
+states where any run does, and those rows alone at the other levels (``between``).
 """
 
 from __future__ import annotations
@@ -179,24 +183,22 @@ def _whole_days(times: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Stored forward solution: times, states and (optionally) population.
+    """Stored forward solution at the kept levels: 0, the whole days and the last.
 
-    ``states`` has shape (n_levels, m, ny, nx); ``population`` is
-    (n_levels, ny, nx) or None when the population was held out of the run.
-    ``every_level`` tells a run stored at every level from one of whole days.
+    ``states`` has shape (n_kept, m, ny, nx) and ``population`` (n_kept, ny, nx),
+    or None when the population was held out of the run.  A run stored with
+    ``every_level`` also keeps ``between``, (n_steps + 1 - n_kept, r, ny, nx):
+    the r force rows (``ModelKind.force_rows``) of every other level, in order,
+    which is all the adjoint sweep reads there; it is None otherwise.
     """
 
     grid: GridSpec
     model: ModelKind
     tau: float
-    every_level: bool
     times: np.ndarray
     states: np.ndarray
     population: np.ndarray | None = None
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.times)
+    between: np.ndarray | None = None
 
     @property
     def daily_indices(self) -> np.ndarray:
@@ -231,9 +233,10 @@ def _drive(
     The physical state is u0 flattened to (m, n_cells), with the population
     stacked as row m when it is given.  ``advance(state, t)`` returns the
     state one step of tau after t.  Level n lies at t = n tau; the loop keeps
-    level 0, the levels on whole days and the last, or every level.
-    The loop carries the physical state unless ``start`` maps it to another
-    form; ``read`` then maps a carried state back to physical rows to store.
+    level 0, the levels on whole days and the last, and with ``every_level``
+    the force rows of every other level.  The loop carries the physical
+    state unless ``start`` maps it to another form; ``read(state, k)`` then
+    maps a carried state back to its first k physical rows.
     """
     m = model.n_compartments
     if u0.shape != (m,) + grid.shape:
@@ -251,12 +254,17 @@ def _drive(
         u = np.vstack([u, population.reshape(1, -1)])
 
     times = np.arange(steps + 1) * tau
-    keep = _whole_days(times) | every_level
+    keep = _whole_days(times)
     keep[-1] = True
     times = times[keep]
-    slot = np.cumsum(keep) - 1
-    states = np.empty((len(times), m) + grid.shape)
-    pops = np.empty((len(times),) + grid.shape) if evolve_pop else None
+    slot = np.where(keep, np.cumsum(keep), np.cumsum(~keep)) - 1  # into states or between
+    rows = model.force_rows
+    n_kept, n_between = len(times), (steps + 1 - len(times)) * every_level
+    # one allocation: as two smaller ones, glibc's trim threshold re-faulted them every run
+    store_block = np.empty((n_kept * m + n_between * len(u0[rows]),) + grid.shape)
+    states = store_block[:n_kept * m].reshape((n_kept, m) + grid.shape)
+    between = store_block[n_kept * m:].reshape((n_between,) + u0[rows].shape) if every_level else None
+    pops = np.empty((n_kept,) + grid.shape) if evolve_pop else None
 
     def store(k: int, fields: np.ndarray):
         states[k] = fields[:m].reshape((m,) + grid.shape)
@@ -268,9 +276,12 @@ def _drive(
     for n in range(steps):
         state = advance(state, n * tau)
         if keep[n + 1]:
-            store(slot[n + 1], state if read is None else read(state))
+            store(slot[n + 1], state if read is None else read(state, len(u)))
+        elif every_level:
+            fields = state if read is None else read(state, m)
+            between[slot[n + 1]] = fields[rows].reshape(between.shape[1:])
 
-    return Trajectory(grid, model, tau, every_level, times, states, pops)
+    return Trajectory(grid, model, tau, times, states, pops, between)
 
 
 def run_from_state(
@@ -320,9 +331,9 @@ def run_from_state(
             np.clip(q, 0.0, None, out=q)
         return q, coef
 
-    def read(state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def read(state: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
         q, coef = state
-        return q if population is None else np.vstack([q, _from_eigen(coef[m:], basis)])
+        return q if k == m else np.vstack([q, _from_eigen(coef[m:], basis)])
 
     return _drive(grid, u0, model, t_end, tau, population, every_level, advance, start, read)
 
@@ -331,24 +342,26 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
           dj_dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The backward sweep of the plain run, as the module docstring derives it.
 
-    ``traj`` holds every level of the forward run and ``dj_dphi`` J's
-    derivative in phi = u_S u_I at each of its day marks, (n_days, ny, nx).
-    Returns dJ/dq_0 through the states, (m, ny, nx), and the sweep's parts of
-    dJ/dbeta, per plateau, and of dJ/dkappa.  Raises SequencingError unless
-    the run was stored with ``every_level``.
+    ``traj`` is the forward run stored with ``every_level``, and ``dj_dphi``
+    J's derivative in phi = u_S u_I at each of its day marks, (n_days, ny, nx).
+    At each level the sweep reads only the force rows: those of the kept
+    states, and ``between`` elsewhere.  Returns dJ/dq_0 through the states,
+    (m, ny, nx), and the sweep's parts of dJ/dbeta, per plateau, and of
+    dJ/dkappa.  Raises SequencingError for a run stored without ``every_level``.
     """
-    if not traj.every_level:
+    if traj.between is None:
         raise SequencingError("adjoint sweep needs every forward level; run with every_level=True")
     tau = traj.tau
     ws = assemble(traj.grid, kappa, tau)
     basis = ws.basis
     model = traj.model
     m, n_cells = model.n_compartments, traj.grid.n_cells
-    states = traj.states.reshape(traj.n_levels, m, n_cells)
-    impulses = dict(zip(traj.daily_indices.tolist(), dj_dphi.reshape(len(dj_dphi), n_cells)))
+    rows = model.force_rows  # the rows phi reads and d phi / du fills
+    levels = np.rint(traj.times / tau).astype(int).tolist()
+    kept = dict(zip(levels, traj.states[:, rows]))
+    others = iter(traj.between[::-1])
+    impulses = dict(zip([levels[d] for d in traj.daily_indices], dj_dphi.reshape(-1, n_cells)))
     K, e = reaction_split(model, schedule)
-    idx = model.infected_index
-    rows = slice(0, idx + 1, max(idx, 1))  # rows 0 and idx, the ones d phi / du fills
     half_tau = 0.5 * tau
     g_beta = np.zeros(3)
     g_kappa = 0.0
@@ -357,14 +370,14 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
     # module docstring's W over tau/2, so a_n is lam (Z_n + Z_{n-1}).
     Z = np.zeros((m, n_cells))
     W = np.zeros((m, n_cells))
-    for n in range(len(states) - 1, -1, -1):
-        u = states[n]
+    for n in range(levels[-1], -1, -1):
+        v = (kept[n] if n in kept else next(others)).reshape(-1, n_cells)
         t = n * tau
         beta = beta_at(schedule, t)
         out = np.stack([e @ Z, e @ W])
         out[1] *= ws.gain
         ez, gw = _from_eigen(out, basis)
-        phi = transmission_bilinear(model, u)
+        phi = transmission_bilinear(model, v)
         # (df/dbeta) . z = phi (e . z): the force phi leaves S for the next
         # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
         g_beta[beta_interval(schedule, t)] += tau * float(phi @ ez)
@@ -373,7 +386,7 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
         s *= beta
         if n in impulses:
             s += impulses[n] / tau
-        source = _to_eigen(transmission_derivative(model, u)[rows] * s, basis)
+        source = _to_eigen(transmission_derivative(model, v) * s, basis)
         # W <- a_n + M^T W, with Z_{-1} = 0 in a_0
         ws._step(W, K.T)
         W += ws.lam * Z
@@ -383,7 +396,7 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
 
     # the chain closes at level 0 without A^{-1}: Z becomes Q^T dJ/dq_0
     Z /= ws.gain
-    g_kappa += half_tau * float(np.vdot(W, _to_eigen(states[0], basis)))
+    g_kappa += half_tau * float(np.vdot(W, _to_eigen(traj.states[0], basis)))
     return _from_eigen(Z, basis).reshape(traj.states.shape[1:]), g_beta, g_kappa
 
 
@@ -431,7 +444,7 @@ def temporal_refinement_study(
             no_reaction = np.zeros((model.n_compartments,) * 2)
             traj = _drive(grid, u0, model, t_end, tau, None, False,
                           lambda x, t: ws._step(x, no_reaction),
-                          lambda u: _to_eigen(u, ws.basis), lambda x: _from_eigen(x, ws.basis))
+                          lambda u: _to_eigen(u, ws.basis), lambda x, k: _from_eigen(x[:k], ws.basis))
         else:
             traj = run_from_state(
                 grid, u0, model, schedule, kappa, t_end, tau, every_level=False, corrected=corrected

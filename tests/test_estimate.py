@@ -1,6 +1,7 @@
 """Tests for the Metropolis sampler and the adjoint-gradient machinery."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -134,7 +135,7 @@ class TestProblem:
     def test_simulate_defaults_to_daily_storage(self, twin9):
         problem = twin9["problem"]
         traj = problem.simulate(twin9["truth"])
-        assert traj.n_levels == int(problem.t_end) + 1
+        assert len(traj.times) == int(problem.t_end) + 1
         npt.assert_array_equal(traj.days, np.arange(int(problem.t_end) + 1))
 
     def test_unpack_shape_check(self, twin9):
@@ -484,6 +485,23 @@ class TestAdjointFit:
         # every recorded J is bit-identical to a fresh daily-stored objective
         for j, x in result.history:
             assert j == problem.objective(problem.unpack(x))
+
+    def test_holds_one_stored_run_at_a_time(self, twin9):
+        """A fit's traced peak stays below two every-level runs: each is dropped once read."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        start = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        problem = dataclasses.replace(problem, initial=start)
+        run = problem.simulate(start, every_level=True)
+        run_bytes = sum(v.nbytes for v in vars(run).values() if isinstance(v, np.ndarray))
+        del run
+        tracemalloc.start()
+        try:
+            result = adjoint_fit(problem, AdjointConfig(max_outer=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.history) == 4  # three accepted steps
+        assert peak < 2 * run_bytes, (peak, run_bytes)
 
     def test_stalled_descent_stops_on_tol(self, twin9):
         """From twin9's truth the fit creeps down until one step changes J by less than TOL."""

@@ -323,22 +323,24 @@ class TestRunForward:
 
 class TestTrajectory:
     def test_daily_bookkeeping(self):
+        """Both storage rules keep the whole days; every_level adds S and I between them."""
         problem = small_problem(t_end=3.0)
         traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
-        npt.assert_allclose(traj.times, np.arange(13) * 0.25)
-        npt.assert_array_equal(traj.daily_indices, [0, 4, 8, 12])
-        npt.assert_array_equal(traj.days, [0, 1, 2, 3])
-        npt.assert_array_equal(traj.states[traj.daily_indices[2]], traj.states[8])
-        assert 4 not in traj.days
         daily = problem.simulate(problem.initial, evolve_population=True)
-        npt.assert_array_equal(daily.times, [0.0, 1.0, 2.0, 3.0])
-        npt.assert_array_equal(daily.daily_indices, [0, 1, 2, 3])
-        npt.assert_array_equal(daily.states, traj.states[traj.daily_indices])
+        for run in (traj, daily):
+            npt.assert_array_equal(run.times, [0.0, 1.0, 2.0, 3.0])
+            npt.assert_array_equal(run.daily_indices, [0, 1, 2, 3])
+            npt.assert_array_equal(run.days, [0, 1, 2, 3])
+        npt.assert_array_equal(daily.states, traj.states)
+        npt.assert_array_equal(daily.population, traj.population)
+        # 13 levels of tau = 0.25, of which 4 fall on whole days
+        assert traj.between.shape == (9, 2) + problem.grid.shape
+        assert daily.between is None
 
     def test_mass_levels(self):
         problem = small_problem(t_end=1.0)
         traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
-        assert traj.mass().shape == (5,)
+        assert traj.mass().shape == (2,)
         district = RegionMask("all", np.ones(problem.grid.shape, dtype=int))
         assert traj.mass()[0] == pytest.approx(
             region_total(problem.population, district, problem.grid)
@@ -410,13 +412,19 @@ class TestEigenbasisProperties:
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
     def test_pure_diffusion_conserves_mass(self, grid, kappa, tau, seed):
+        """The drift at all 51 levels of 50 steps of tau, taken as days at kappa tau.
+
+        The gain depends on tau and kappa only through tau kappa, so steps of
+        tau' = 1 at kappa' = kappa tau are steps of tau at kappa, and every
+        level is a whole day, which the run keeps.
+        """
         pop = np.random.default_rng(seed).uniform(1.0, 1000.0, size=grid.shape)
         u0 = np.zeros((1,) + grid.shape)
         schedule = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 50.0)
         traj = run_from_state(
-            grid, u0, ModelKind.SIS, schedule, kappa, 50 * tau, tau, population=pop
+            grid, u0, ModelKind.SIS, schedule, kappa * tau, 50.0, 1.0, population=pop
         )
-        assert traj.n_levels == 51
+        assert len(traj.times) == 51
         assert conservation_drift(traj) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
@@ -475,7 +483,11 @@ class TestStorageRules:
     def test_whole_days_are_the_every_level_run_at_days_and_end(
         self, grid, kappa, model, run, tau, t_end, seed
     ):
-        """Whole-day storage keeps the every-level run's day marks and last level, bit for bit."""
+        """Both rules keep the same levels bit for bit; every_level adds the force rows between.
+
+        A run always keeps its last level, so the runs cut at each level n
+        between the kept ones give its force rows independently of ``between``.
+        """
         # a smooth bump over a floor keeps fem-split clear of its undershoot
         cx = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.nx)))
         cy = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.ny)))
@@ -484,8 +496,20 @@ class TestStorageRules:
         args = (grid, u0, model, SCHED, kappa, t_end, tau, pop)
         every = run(*args)
         daily = run(*args, every_level=False)
-        assert every.every_level and not daily.every_level
-        kept = np.union1d(every.daily_indices, [every.n_levels - 1])
-        assert daily.times.tobytes() == every.times[kept].tobytes()
-        assert daily.states.tobytes() == every.states[kept].tobytes()
-        assert daily.population.tobytes() == every.population[kept].tobytes()
+        assert daily.between is None
+        assert daily.times.tobytes() == every.times.tobytes()
+        assert daily.states.tobytes() == every.states.tobytes()
+        assert daily.population.tobytes() == every.population.tobytes()
+
+        rows = model.force_rows
+        kept = np.rint(every.times / tau).astype(int)
+        others = np.setdiff1d(np.arange(round(t_end / tau) + 1), kept)
+        assert every.between.shape == (len(others),) + u0[rows].shape
+        for n, force in zip(others, every.between):
+            cut = run(grid, u0, model, SCHED, kappa, n * tau, tau, pop, every_level=False)
+            assert cut.states[-1][rows].tobytes() == force.tobytes()
+        m, r = model.n_compartments, len(u0[rows])
+        fields = every.states.nbytes + every.between.nbytes
+        assert fields == (len(kept) * m + len(others) * r) * grid.n_cells * 8
+        arrays = [v for v in vars(every).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == fields + every.population.nbytes + every.times.nbytes
