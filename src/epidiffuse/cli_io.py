@@ -77,6 +77,7 @@ DEMO_POPULATIONS = {"BA": 14500.0, "BI": 19000.0, "HR": 19500.0, "IO": 28000.0}
 DEMO_EXTENT = (39.23, 56.05)  # km
 
 _FLOAT_FMT = "%.12g"
+_FLOAT_CELL = "," + _FLOAT_FMT  # one more float column of a table row
 
 
 # ---------------------------------------------------------------------------
@@ -600,22 +601,24 @@ def generate_synthetic(
 # Exports
 # ---------------------------------------------------------------------------
 
-def _write_table(path, header: list[str], rows) -> None:
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it in a row of several fields."""
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text
+
+
+def _write_table(path, header: list[str], row_format: str, rows) -> None:
+    """A CSV table: ``header`` through csv.writer, then one ``row_format % row`` line per row."""
+    line = row_format + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % row for row in rows)
 
 
 def export_days(path, config: RunConfig, days, columns: dict[str, np.ndarray]) -> None:
     """A day table: ``day``, its date, and one column per entry of ``columns``."""
     values = [np.asarray(col).tolist() for col in columns.values()]
-    rows = (
-        [int(day), config.date_of(day)] + [_FLOAT_FMT % col[pos] for col in values]
-        for pos, day in enumerate(days)
-    )
-    _write_table(path, ["day", "date", *columns], rows)
+    rows = ((day, config.date_of(day), *row) for day, *row in zip(days, *values))
+    _write_table(path, ["day", "date", *columns], "%d,%s" + _FLOAT_CELL * len(values), rows)
 
 
 def _params_record(params: ParameterVector) -> dict:
@@ -655,9 +658,9 @@ def write_fit_report(path, problem: Problem, result: FitResult, config: RunConfi
 
 
 def _write_history(path, problem: Problem, result: FitResult) -> None:
-    rows = ([i, _FLOAT_FMT % j] + [_FLOAT_FMT % v for v in packed]
-            for i, (j, packed) in enumerate(result.history))
-    _write_table(path, ["iteration", "J", *problem.param_names], rows)
+    names = problem.param_names
+    rows = ((i, j, *packed) for i, (j, packed) in enumerate(result.history))
+    _write_table(path, ["iteration", "J", *names], "%d" + _FLOAT_CELL * (1 + len(names)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +749,10 @@ def _cmd_gradient_check(config: RunConfig, out_dir: Path, args) -> dict:
         raise ConfigError("gradient-check requires data.cases", path=config.path, key="data.cases")
     check = gradient_check(problem, problem.initial)
     table_path = out_dir / "gradient_check.csv"
-    columns = zip(check["names"], check["adjoint"], check["fd"], check["rel_err"], check["scaled_err"])
-    rows = [[name] + [_FLOAT_FMT % v for v in values] for name, *values in columns]
+    columns = zip(map(_csv_field, check["names"]), check["adjoint"], check["fd"], check["rel_err"],
+                  check["scaled_err"])
     _write_table(table_path, ["component", "adjoint", "finite_difference", "rel_error",
-                              "scaled_error"], rows)
+                              "scaled_error"], "%s" + _FLOAT_CELL * 4, columns)
     metrics = {"max_rel_error": float(check["rel_err"].max()),
                "max_scaled_error": float(check["scaled_err"].max())}
     return {"outputs": [str(table_path)], "metrics": metrics}
@@ -771,9 +774,9 @@ def _cmd_convergence_study(config: RunConfig, out_dir: Path, args) -> dict:
         )
         results[kind] = study
         for tau, err in zip(study["taus"], study["errors"]):
-            rows.append([kind, _FLOAT_FMT % tau, _FLOAT_FMT % err])
+            rows.append((kind, tau, err))
     table_path = out_dir / "convergence.csv"
-    _write_table(table_path, ["kind", "tau", "error"], rows)
+    _write_table(table_path, ["kind", "tau", "error"], "%s" + _FLOAT_CELL * 2, rows)
     metrics = {f"{kind}_orders": [round(o, 3) for o in results[kind]["orders"]] for kind in kinds}
     return {"outputs": [str(table_path)], "metrics": metrics}
 

@@ -27,7 +27,12 @@ step, 3 for SIR and 2 for SIS, against 2m for a solve in physical space.
 The population, when it is evolved, diffuses in closed form,
 p^ <- g o b o p^, and is transformed back only at the stored levels.
 Because the constant mode has gain 1, its integral is conserved exactly up
-to round-off, regardless of tau.
+to round-off, regardless of tau.  Nothing forces the population, so modes
+with c |lam| near 1 fall below the smallest normal double (2.2e-308) within
+a few dozen steps, and a product with a subnormal operand is many times
+slower.  Each read-out first sets those carried modes to zero: such a
+coefficient cannot move a read-out bit, since its products lie below
+2.2e-308 and the read-out's sums are at population scale.
 
 The negativity guard checks the read-out and clips its round-off negatives
 (down to -NEGATIVITY_TOL) to zero; the clipped read-out is what the next
@@ -307,6 +312,7 @@ def run_from_state(
     m = model.n_compartments
     K, e = reaction_split(model, schedule)
     fields = (m,) + grid.shape
+    tiny = np.finfo(float).tiny
 
     def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return u[:m], _to_eigen(u, basis)
@@ -333,7 +339,11 @@ def run_from_state(
 
     def read(state: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
         q, coef = state
-        return q if k == m else np.vstack([q, _from_eigen(coef[m:], basis)])
+        if k == m:
+            return q
+        pop = coef[m:]
+        pop[np.abs(pop) < tiny] = 0.0  # subnormal: see the module docstring
+        return np.vstack([q, _from_eigen(pop, basis)])
 
     return _drive(grid, u0, model, t_end, tau, population, every_level, advance, start, read)
 

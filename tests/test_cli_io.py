@@ -1,8 +1,10 @@
 """File formats, run configs, and the command-line entry point."""
 
 import copy
+import csv
 import datetime as dt
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -648,6 +650,37 @@ class TestGenerateSynthetic:
         problem, truth, _ = make_twin(tmp_path, kappa=0.0, weights=weights)
         expected = 0.5 * 1e-3 * np.sum((chi_truth - chi_ref) ** 2)
         assert_allclose(problem.objective(truth), expected, rtol=1e-9)
+
+
+def reference_export_days(path, config, days, columns):
+    """export_days as it was written before: one "%.12g" per value, then csv.writer per row."""
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["day", "date", *columns])
+        for pos, day in enumerate(days):
+            writer.writerow([int(day), config.date_of(day)] + ["%.12g" % col[pos] for col in values])
+
+
+class TestExports:
+    def test_export_days_matches_the_csv_writer_loop(self, tmp_path):
+        grid, masks = small_geometry()
+        config = load_config(dump_config(tmp_path, scenario_raw(write_geometry(tmp_path, grid, masks))))
+        values = np.array([0.0, -0.0, 5e-324, 1e300, np.nan])
+        columns = {'detected_a,"b"': values, "infected_A": values[::-1]}
+        days = np.arange(len(values))
+        cli_io.export_days(tmp_path / "rows.csv", config, days, columns)
+        reference_export_days(tmp_path / "loop.csv", config, days, columns)
+        written = (tmp_path / "rows.csv").read_bytes()
+        assert written == (tmp_path / "loop.csv").read_bytes()
+        assert written.startswith(b'day,date,"detected_a,""b""",infected_A\r\n')
+
+    @pytest.mark.parametrize("name", ["kappa", "I0_a,b", 'I0_say "hi"', "I0_x\ny", "I0_cr\r"])
+    def test_csv_field_quotes_as_csv_writer(self, name):
+        """Table rows quote a name, such as gradient-check's I0_<region>, as csv.writer does."""
+        line = io.StringIO()
+        csv.writer(line).writerow([name, ""])
+        assert cli_io._csv_field(name) + ",\r\n" == line.getvalue()
 
 
 class TestCommandLine:
