@@ -87,7 +87,7 @@ _FLOAT_CELL = "," + _FLOAT_FMT  # one more float column of a table row
 def write_mask(path, grid: GridSpec, mask: RegionMask) -> None:
     path = Path(path)
     with path.open("w") as fh:
-        fh.write(f"{grid.nx} {grid.ny} {grid.Lx!r} {grid.Ly!r}\n")
+        fh.write(f"{grid.nx} {grid.ny} {float(grid.Lx)!r} {float(grid.Ly)!r}\n")
         for row in mask.cells:
             fh.write(" ".join("1" if v else "0" for v in row) + "\n")
 
@@ -578,10 +578,10 @@ def generate_synthetic(
     truth_record = {
         "betas": [float(b) for b in truth.schedule.betas],
         "breakpoints": [float(b) for b in truth.schedule.breakpoints],
-        "gamma": truth.schedule.gamma,
-        "theta": truth.schedule.theta,
-        "kappa": truth.kappa,
-        "delta": truth.delta,
+        "gamma": float(truth.schedule.gamma),
+        "theta": float(truth.schedule.theta),
+        "kappa": float(truth.kappa),
+        "delta": float(truth.delta),
         "init_infected": {k: float(v) for k, v in sorted(truth.init_infected.items())},
         "model": model.value,
         "t_end": float(t_end),

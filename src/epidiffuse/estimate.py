@@ -60,7 +60,7 @@ from .objective import (
     region_persons,
     sensitivities,
 )
-from .solver_cn import Trajectory, run_from_state, sweep
+from .solver_cn import Trajectory, _check_step, run_from_state, sweep
 from . import solver_fem
 
 BETA_MIN = 1e-8
@@ -98,6 +98,7 @@ class Problem:
     corrected: bool = False
 
     def __post_init__(self):
+        _check_step(self.initial.kappa, self.tau)  # tau in (0, MAX_TAU]; kappa is in [0, 1]
         spd = 1.0 / self.tau
         if abs(spd - round(spd)) > 1e-8:
             raise ParameterError(f"tau={self.tau} must divide one day into whole steps")

@@ -24,15 +24,15 @@ and only the transmission force phi = u_S u_I needs physical space.  A step
 is the recursion above in the eigenbasis.  It transforms one field into the
 basis (the force) and the m compartments back: 4 field transforms per SEIR
 step, 3 for SIR and 2 for SIS, against 2m for a solve in physical space.
-The population, when it is evolved, diffuses in closed form,
-p^ <- g o b o p^, and is transformed back only at the stored levels.
-Because the constant mode has gain 1, its integral is conserved exactly up
-to round-off, regardless of tau.  Nothing forces the population, so modes
-with c |lam| near 1 fall below the smallest normal double (2.2e-308) within
-a few dozen steps, and a product with a subnormal operand is many times
-slower.  Each read-out first sets those carried modes to zero: such a
-coefficient cannot move a read-out bit, since its products lie below
-2.2e-308 and the read-out's sums are at population scale.
+The population, when it is evolved, diffuses with the same kappa and is never
+stepped: nothing forces it, so ``_unforced`` forms it at the stored levels
+alone, scaling its coefficients by (b o g)^d between levels d steps apart.
+The constant mode has gain 1, so its integral is conserved exactly up to
+round-off.  Modes with c |lam| near 1 fall below the smallest normal double
+(2.2e-308) within a few dozen steps, and a product with a subnormal operand
+is many times slower.  Each read-out first sets those modes to zero, which
+cannot move a read-out bit: their products lie below 2.2e-308 and the
+read-out's sums are at population scale.
 
 The negativity guard checks the read-out and clips its round-off negatives
 (down to -NEGATIVITY_TOL) to zero; the clipped read-out is what the next
@@ -51,10 +51,8 @@ plain scheme is the reference behaviour and the backward sweep mirrors it
 exactly (the adjoint refuses corrected problems).
 
 The step X <- g o (b o X + tau (K X + S)) is written once,
-``CNWorkspace._step``, and every recursion steps in the basis, at kappa = 0
-too (g = b = 1 there).  The forward run steps its coefficients with K and
-S = e (x) phi^.  The diffusion regime of ``temporal_refinement_study`` steps
-with K = 0 and no source, so its fields are transformed in once and out once.
+``CNWorkspace._step``, and the forward run and the sweep step in the basis
+with it, at kappa = 0 too (g = b = 1 there).
 
 ``sweep`` is the reverse mode (Griewank & Walther, Evaluating Derivatives,
 2nd ed., SIAM 2008) of the plain run: the transpose of its carried
@@ -134,18 +132,13 @@ class CNWorkspace:
 
     def _step(self, x: np.ndarray, K: np.ndarray, source: np.ndarray | None = None,
               rows: slice = slice(None)) -> np.ndarray:
-        """x <- g o (b o x + tau (K x + source)) in place, for coefficient stacks x.
-
-        K (m, m) acts on the leading m rows of x, the rows past them only
-        diffuse; ``source`` covers the ``rows`` of those m that it names.
-        """
-        m = len(K)
-        rate = K @ x[:m]
+        """x <- g o (b o x + tau (K x + source)) in place, ``source`` on the ``rows`` it names."""
+        rate = K @ x
         if source is not None:
             rate[rows] += source
         rate *= self.tau
         x *= self.b
-        x[:m] += rate
+        x += rate
         x *= self.gain
         return x
 
@@ -221,42 +214,62 @@ class Trajectory:
         return self.population.sum(axis=(1, 2)) * self.grid.cell_area
 
 
+def _whole_steps(t_end: float, tau: float) -> int:
+    """The number of steps of tau in t_end; raise ParameterError unless it is whole."""
+    steps = round(t_end / tau)
+    if abs(t_end / tau - steps) > 1e-8:
+        raise ParameterError(f"tau={tau} does not divide t_end={t_end} into whole steps")
+    return steps
+
+
+def _check_population(population: np.ndarray | None, grid: GridSpec) -> None:
+    """Raise DimensionError for a population that is given and does not cover the grid."""
+    if population is not None and population.shape != grid.shape:
+        raise DimensionError(f"population shape {population.shape} does not match grid {grid.shape}")
+
+
+def _unforced(ws: CNWorkspace, fields: np.ndarray, levels: list[int]) -> np.ndarray:
+    """Fields (..., ny, nx) that nothing forces, read out at the step ``levels`` (the first 0).
+
+    Over a gap of d steps the coefficients are scaled by (b o gain)^d, formed by d products
+    once per d, and zeroed below the smallest normal double before each read-out.
+    """
+    factor, powers = ws.b * ws.gain, {}
+    coef = _to_eigen(fields, ws.basis)
+    out = [fields]
+    for d in np.diff(levels).tolist():
+        if d not in powers:
+            powers[d] = np.ones_like(factor)
+            for _ in range(d):
+                powers[d] *= factor
+        coef *= powers[d]
+        coef[np.abs(coef) < np.finfo(float).tiny] = 0.0
+        out.append(_from_eigen(coef, ws.basis).reshape(fields.shape))
+    return np.stack(out)
+
+
 def _drive(
     grid: GridSpec,
     u0: np.ndarray,
     model: ModelKind,
     t_end: float,
     tau: float,
-    population: np.ndarray | None,
     every_level: bool,
-    advance: Callable[[Any, float], Any],
+    advance: Callable[[Any, float], tuple[np.ndarray, Any]],
     start: Callable[[np.ndarray], Any] | None = None,
-    read: Callable[[Any], np.ndarray] | None = None,
 ) -> Trajectory:
-    """The time-stepping loop behind every forward run.
+    """The time-stepping loop behind every forward run; it steps the m compartments alone.
 
-    The physical state is u0 flattened to (m, n_cells), with the population
-    stacked as row m when it is given.  ``advance(state, t)`` returns the
-    state one step of tau after t.  Level n lies at t = n tau; the loop keeps
-    level 0, the levels on whole days and the last, and with ``every_level``
-    the force rows of every other level.  The loop carries the physical
-    state unless ``start`` maps it to another form; ``read(state, k)`` then
-    maps a carried state back to its first k physical rows.
+    ``start`` maps u0, flattened to (m, n_cells), to the carried state (u0 by default), and
+    ``advance(carried, t)`` returns the (m, n_cells) read-out one step of tau after t and the
+    carried state there.  Level n lies at t = n tau; the loop keeps the read-outs at level 0,
+    the whole days and the last level, and with ``every_level`` the force rows of the others.
     """
     m = model.n_compartments
     if u0.shape != (m,) + grid.shape:
         raise DimensionError(f"u0 shape {u0.shape} does not match ({m},) + {grid.shape}")
-    steps = round(t_end / tau)
-    if abs(t_end / tau - steps) > 1e-8:
-        raise ParameterError(f"tau={tau} does not divide t_end={t_end} into whole steps")
+    steps = _whole_steps(t_end, tau)
     u = u0.reshape(m, -1).astype(float)
-    evolve_pop = population is not None
-    if evolve_pop:
-        if population.shape != grid.shape:
-            raise DimensionError(
-                f"population shape {population.shape} does not match grid {grid.shape}"
-            )
-        u = np.vstack([u, population.reshape(1, -1)])
 
     times = np.arange(steps + 1) * tau
     keep = _whole_days(times)
@@ -269,24 +282,17 @@ def _drive(
     store_block = np.empty((n_kept * m + n_between * len(u0[rows]),) + grid.shape)
     states = store_block[:n_kept * m].reshape((n_kept, m) + grid.shape)
     between = store_block[n_kept * m:].reshape((n_between,) + u0[rows].shape) if every_level else None
-    pops = np.empty((n_kept,) + grid.shape) if evolve_pop else None
 
-    def store(k: int, fields: np.ndarray):
-        states[k] = fields[:m].reshape((m,) + grid.shape)
-        if evolve_pop:
-            pops[k] = fields[m].reshape(grid.shape)
-
-    store(0, u)
-    state = u if start is None else start(u)
+    states[0] = u0
+    carried = u if start is None else start(u)
     for n in range(steps):
-        state = advance(state, n * tau)
+        q, carried = advance(carried, n * tau)
         if keep[n + 1]:
-            store(slot[n + 1], state if read is None else read(state, len(u)))
+            states[slot[n + 1]] = q.reshape(states.shape[1:])
         elif every_level:
-            fields = state if read is None else read(state, m)
-            between[slot[n + 1]] = fields[rows].reshape(between.shape[1:])
+            between[slot[n + 1]] = q[rows].reshape(between.shape[1:])
 
-    return Trajectory(grid, model, tau, times, states, pops, between)
+    return Trajectory(grid, model, tau, times, states, None, between)
 
 
 def run_from_state(
@@ -303,21 +309,21 @@ def run_from_state(
 ) -> Trajectory:
     """Integrate from an explicit initial state with the Crank-Nicolson step.
 
-    The run carries the eigenbasis coefficients of the compartments and of
-    the population, when given, and steps them as the module docstring
-    describes; the population diffuses with the same kappa.
+    The run carries the eigenbasis coefficients of the compartments and steps
+    them as the module docstring describes.  The population, when given,
+    diffuses with the same kappa and is formed at the stored levels alone.
     """
     ws = assemble(grid, kappa, tau)
+    _check_population(population, grid)
     basis = ws.basis
     m = model.n_compartments
     K, e = reaction_split(model, schedule)
     fields = (m,) + grid.shape
-    tiny = np.finfo(float).tiny
 
     def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u[:m], _to_eigen(u, basis)
+        return u, _to_eigen(u, basis)
 
-    def advance(state: tuple[np.ndarray, np.ndarray], t: float) -> tuple[np.ndarray, np.ndarray]:
+    def advance(state: tuple[np.ndarray, np.ndarray], t: float) -> tuple[np.ndarray, Any]:
         q, coef = state
         beta = beta_at(schedule, t)
         phi = beta * transmission_bilinear(model, q)
@@ -331,21 +337,16 @@ def run_from_state(
         else:
             source = e[:, None] * _to_eigen(phi, basis)
         ws._step(coef, K, source)
-        q = _from_eigen(coef[:m], basis)
+        q = _from_eigen(coef, basis)
         low = _check_sign(q, t + tau, "use a smaller tau")
         if low < 0.0:
             np.clip(q, 0.0, None, out=q)
-        return q, coef
+        return q, (q, coef)
 
-    def read(state: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
-        q, coef = state
-        if k == m:
-            return q
-        pop = coef[m:]
-        pop[np.abs(pop) < tiny] = 0.0  # subnormal: see the module docstring
-        return np.vstack([q, _from_eigen(pop, basis)])
-
-    return _drive(grid, u0, model, t_end, tau, population, every_level, advance, start, read)
+    traj = _drive(grid, u0, model, t_end, tau, every_level, advance, start)
+    if population is not None:
+        traj.population = _unforced(ws, population, np.rint(traj.times / tau).astype(int).tolist())
+    return traj
 
 
 def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
@@ -448,18 +449,11 @@ def temporal_refinement_study(
     u0 = seed_state(model, 0.01 + 0.04 * cx * cy)
 
     def final_state(tau: float) -> np.ndarray:
-        # whole days only: the last level, the one read, is always kept
         if kind == "diffusion":
-            ws = assemble(grid, kappa, tau)
-            no_reaction = np.zeros((model.n_compartments,) * 2)
-            traj = _drive(grid, u0, model, t_end, tau, None, False,
-                          lambda x, t: ws._step(x, no_reaction),
-                          lambda u: _to_eigen(u, ws.basis), lambda x, k: _from_eigen(x[:k], ws.basis))
-        else:
-            traj = run_from_state(
-                grid, u0, model, schedule, kappa, t_end, tau, every_level=False, corrected=corrected
-            )
-        return traj.states[-1].reshape(model.n_compartments, -1)
+            return _unforced(assemble(grid, kappa, tau), u0, [0, _whole_steps(t_end, tau)])[-1]
+        # whole days only: the last level, the one read, is always kept
+        return run_from_state(grid, u0, model, schedule, kappa, t_end, tau, every_level=False,
+                              corrected=corrected).states[-1]
 
     ref = final_state(STUDY_TAUS[-1] / 64)
     errors = []

@@ -34,7 +34,7 @@ import numpy as np
 
 from .grid import GridSpec, _from_eigen, _to_eigen
 from .models import ModelKind, RateSchedule, reaction
-from .solver_cn import Trajectory, _check_sign, _check_step, _drive
+from .solver_cn import Trajectory, _check_sign, _check_step, _check_population, _drive
 
 
 def _q1_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,24 +109,28 @@ def run_fem_from_state(
 ) -> Trajectory:
     """Split-scheme counterpart of solver_cn.run_from_state.
 
-    The population, when given, diffuses with the compartments in both
-    half-steps and is not guarded.
+    The population, when given, is read out of the exact diffusion flow at
+    each stored time, and is not guarded.
     """
     _check_step(kappa, tau)
+    _check_population(population, grid)
     asm = assemble_fem(grid)
-    m = model.n_compartments
 
-    def advance(u: np.ndarray, t: float) -> np.ndarray:
+    def advance(u: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         # The diffusion half-steps are checked on their own: their undershoot
         # does not shrink with tau, so "use a smaller tau" would be wrong advice.
         q = _diffuse(asm, u, kappa, 0.5 * tau)
-        _check_sign(q[:m], t + 0.5 * tau, _DIFFUSION_UNDERSHOOT)
-        q[:m] = _react(q[:m], model, schedule, t, tau)
-        _check_sign(q[:m], t + tau, "use a smaller tau")
+        _check_sign(q, t + 0.5 * tau, _DIFFUSION_UNDERSHOOT)
+        q = _react(q, model, schedule, t, tau)
+        _check_sign(q, t + tau, "use a smaller tau")
         q = _diffuse(asm, q, kappa, 0.5 * tau)
-        low = _check_sign(q[:m], t + tau, _DIFFUSION_UNDERSHOOT)
+        low = _check_sign(q, t + tau, _DIFFUSION_UNDERSHOOT)
         if low < 0.0:
-            np.clip(q[:m], 0.0, None, out=q[:m])
-        return q
+            np.clip(q, 0.0, None, out=q)
+        return q, q
 
-    return _drive(grid, u0, model, t_end, tau, population, every_level, advance)
+    traj = _drive(grid, u0, model, t_end, tau, every_level, advance)
+    if population is not None:
+        traj.population = np.stack([_diffuse(asm, population, kappa, t).reshape(grid.shape)
+                                    for t in traj.times])
+    return traj

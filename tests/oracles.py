@@ -1,10 +1,11 @@
 """Matrix forms of the grid operators and per-token file readers, kept as test oracles.
 
-The package applies the Neumann Laplacian by its stencil
-(:func:`epidiffuse.grid.laplacian`) and inverts the Crank-Nicolson matrix in
-its cosine eigenbasis; neither needs the matrices built here.  It reads mask
-and case files as whole buffers and columns; the readers here check every
-token and row one at a time, as the package once did.
+The package inverts the Crank-Nicolson matrix in its cosine eigenbasis and
+applies the Neumann Laplacian by its stencil (:func:`epidiffuse.grid.laplacian`)
+only in the corrected step; neither needs the matrices built here.  It checks
+a mask laid out as ``write_mask`` writes it as one byte buffer, and its case
+reader, per row too, parses each distinct date once.  The readers here split
+and check every row's tokens and parse every date, as the package once did.
 """
 
 import csv

@@ -62,3 +62,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if not outside:
                 unused.append(f"{path.stem}.{node.name}:{node.lineno}")
     assert not unused, unused
+
+
+def test_one_driver_two_steppers():
+    """solver_cn._drive, the one time-stepping loop, is used only by the two forward runs."""
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_drive"
+                        or isinstance(node, ast.Attribute) and node.attr == "_drive"):
+                    users.add(f"{path.stem}.{getattr(top, 'name', node.lineno)}")
+    assert users == {"solver_cn.run_from_state", "solver_fem.run_fem_from_state"}, users

@@ -114,6 +114,16 @@ class TestMaskFiles:
         assert m2.name == "A"
         np.testing.assert_array_equal(m2.cells, masks["A"].cells)
 
+    def test_numpy_extent_roundtrips(self, tmp_path):
+        """A numpy scalar extent is written as a plain float, which read_mask reads back."""
+        grid = GridSpec(4, 3, np.float64(2.5), 1.0)
+        mask = RegionMask("N", np.ones(grid.shape, dtype=int))
+        write_mask(tmp_path / "N.mask", grid, mask)
+        assert (tmp_path / "N.mask").read_text().splitlines()[0] == "4 3 2.5 1.0"
+        g2, m2 = read_mask(tmp_path / "N.mask")
+        assert (g2.nx, g2.ny, g2.Lx, g2.Ly) == (4, 3, 2.5, 1.0)
+        np.testing.assert_array_equal(m2.cells, mask.cells)
+
     def test_rewrite_is_bit_identical(self, tmp_path):
         grid, masks = small_geometry()
         first = tmp_path / "B.mask"
@@ -625,6 +635,19 @@ class TestGenerateSynthetic:
         assert record["cases_sha256"] == sha256_of(paths["cases"])
         assert record["betas"] == [0.3, 0.15, 0.2]
         assert record["init_infected"] == {"A": 20.0, "B": 10.0}
+
+    def test_numpy_scalar_truth_roundtrips(self, tmp_path):
+        """kappa, delta, gamma and theta given as numpy floats are written as plain floats."""
+        grid, masks, population, _ = self.setup_geometry()
+        schedule = RateSchedule((0.3, 0.15, 0.2), (3.0, 7.0), 10.0,
+                                gamma=np.float64(0.125), theta=np.float64(0.25))
+        truth = ParameterVector(schedule, np.float64(0.1), np.float64(0.5), {"A": 20.0, "B": 10.0})
+        paths = generate_synthetic(
+            truth, grid, masks, population, ModelKind.SEIR, 10.0, 0.25, 0.1, 7, tmp_path
+        )
+        record = yaml.safe_load(Path(paths["truth"]).read_text())
+        assert (record["gamma"], record["theta"], record["kappa"], record["delta"]) == (
+            0.125, 0.25, 0.1, 0.5)
 
     def test_cumulative_curve_non_decreasing(self, tmp_path):
         grid, masks, population, truth = self.setup_geometry()

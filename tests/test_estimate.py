@@ -118,6 +118,12 @@ class TestProblem:
         with pytest.raises(ConfigError, match="unknown backend 'bogus'"):
             dataclasses.replace(twin9["problem"], backend="bogus")
 
+    @pytest.mark.parametrize("tau", [0.0, np.nan, np.inf, -0.5, 1.5])
+    def test_bad_tau_rejected_when_built(self, twin9, tau):
+        """tau outside (0, MAX_TAU] is refused as a ParameterError before any run."""
+        with pytest.raises(ParameterError, match="tau"):
+            dataclasses.replace(twin9["problem"], tau=tau)
+
     def test_corrected_off_cn_rejected(self, twin9):
         """Only the cn step has a corrected form; fem-split would silently ignore it."""
         with pytest.raises(ConfigError) as err:

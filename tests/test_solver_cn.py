@@ -54,10 +54,8 @@ def physical_step(ws, u, K, r=None):
 
 
 def dense_step(A, B, tau, u, K, r):
-    """A^{-1}(B u + tau (K u + r)), with K and r acting on the leading rows of u."""
-    rate = np.zeros_like(u)
-    rate[: len(K)] = K @ u[: len(K)] + r
-    return np.linalg.solve(A, B @ u.T + tau * rate.T).T
+    """A^{-1}(B u + tau (K u + r))."""
+    return np.linalg.solve(A, B @ u.T + tau * (K @ u + r).T).T
 
 
 class TestAssemble:
@@ -90,10 +88,9 @@ class TestAssemble:
         npt.assert_array_equal(ws.gain, 1.0)
         npt.assert_array_equal(ws.b, 1.0)
         x = np.arange(2 * grid.n_cells, dtype=float).reshape(2, -1)
-        K = np.array([[-0.3]])
-        r = np.ones((1, grid.n_cells))
-        expected = x.copy()
-        expected[:1] += (K @ x[:1] + r) * tau
+        K = np.array([[-0.3, 0.0], [0.3, -0.1]])
+        r = np.ones((2, grid.n_cells))
+        expected = x + (K @ x + r) * tau
         npt.assert_array_equal(ws._step(x.copy(), K, r), expected)
 
     def test_parameter_validation(self):
@@ -111,7 +108,7 @@ class TestStepForward:
     def test_matches_dense_reference(self):
         """Stored levels equal dense steps u <- A^{-1} (B u + tau f(u)), p <- A^{-1} B p.
 
-        Every model, with and without the population row, over four half-day
+        Every model, with and without the population, over four half-day
         steps of which only the whole days are stored, so the population is
         read out only there.
         """
@@ -165,11 +162,12 @@ class TestStepForward:
             assert traj.states.min() == 0.0
 
     def test_population_read_out_sees_no_subnormal(self, monkeypatch):
-        """Carried population modes that underflow are zeroed before they are read out.
+        """Population modes that underflow are zeroed before they are read out.
 
         With c |lam| near 1 some modes of the unforced population decay by
-        about 1e-3 a step; unflushed, 32 subnormal entries reach the read-out
-        in 10 of its 300 calls.  Zeroing them changes no stored bit.
+        about 4e-3 a step; unflushed, 32 subnormal entries reach the daily
+        read-out in 10 of the 300 transforms out.  Zeroing them changes no
+        stored bit.
         """
         tiny = np.finfo(float).tiny
         seen = []
@@ -190,14 +188,16 @@ class TestStepForward:
         assert len(seen) == 300
         assert sum(seen) == 0
 
-        # the unflushed recursion p^ <- (p^ o b) o gain, read out on whole days
+        # unflushed, p^ <- (b o gain)^4 o p^ from day to day, the power by 4 products
         ws = assemble(grid, kappa, tau)
+        power = np.ones_like(ws.b)
+        for _ in range(round(1 / tau)):
+            power *= ws.b * ws.gain
         coef = _to_eigen(pop, ws.basis)
         expected = [pop]
-        for n in range(1, round(days / tau) + 1):
-            coef = coef * ws.b * ws.gain
-            if n % round(1 / tau) == 0:
-                expected.append(from_eigen(coef, ws.basis).reshape(grid.shape))
+        for _ in range(days):
+            coef = coef * power
+            expected.append(from_eigen(coef, ws.basis).reshape(grid.shape))
         assert traj.population.tobytes() == np.array(expected).tobytes()
 
     def test_trivial_step_is_explicit_euler(self):
@@ -321,6 +321,20 @@ class TestRunForward:
         # the density itself does move
         assert np.abs(traj.population[-1] - pop).max() > 1e-3
 
+    @pytest.mark.parametrize("run", [run_from_state, run_fem_from_state])
+    def test_compartments_do_not_depend_on_the_population(self, run):
+        """Only the compartments are stepped, so a population changes no bit of the states."""
+        grid = GridSpec(17, 17, 8.0, 8.0)
+        x = np.linspace(0.0, 1.0, grid.nx)
+        frac = 0.01 * np.outer(1.0 + np.cos(np.pi * x), 1.0 + np.cos(np.pi * x)) / 4.0 + 0.001
+        u0 = seed_state(ModelKind.SEIR, frac)
+        pop = np.random.default_rng(1).uniform(3000.0, 9000.0, size=grid.shape)
+        args = (grid, u0, ModelKind.SEIR, SCHED, 0.1, 10.0, 0.25)
+        alone, beside = run(*args), run(*args, population=pop)
+        assert alone.population is None and beside.population.shape == (11,) + grid.shape
+        assert alone.states.tobytes() == beside.states.tobytes()
+        assert alone.between.tobytes() == beside.between.tobytes()
+
     def test_mass_requires_population(self):
         problem = small_problem(t_end=1.0)
         traj = problem.simulate(problem.initial, every_level=True)
@@ -413,12 +427,11 @@ class TestEigenbasisProperties:
     @example(grid=GridSpec(40, 40, 0.5, 0.5), kappa=1.0, tau=1.0, k=3, seed=0)
     @example(grid=GridSpec(33, 2, 1.0, 0.5), kappa=0.7, tau=0.8, k=2, seed=1)
     def test_step_matches_dense_solve(self, grid, kappa, tau, k, seed):
-        """The carried step is A^{-1}(B u + tau (K u + r)), K and r on the leading rows only."""
+        """The carried step is A^{-1}(B u + tau (K u + r))."""
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 1.0, size=(k, grid.n_cells))
-        lead = max(k - 1, 1)
-        K = rng.normal(scale=0.3, size=(lead, lead))
-        r = rng.normal(scale=0.1, size=(lead, grid.n_cells))
+        K = rng.normal(scale=0.3, size=(k, k))
+        r = rng.normal(scale=0.1, size=(k, grid.n_cells))
         A, B = dense_operators(grid, kappa, tau)
         expected = dense_step(A, B, tau, u, K, r)
         got = physical_step(assemble(grid, kappa, tau), u, K, r)
