@@ -76,8 +76,7 @@ from .estimate import (
 DEMO_POPULATIONS = {"BA": 14500.0, "BI": 19000.0, "HR": 19500.0, "IO": 28000.0}
 DEMO_EXTENT = (39.23, 56.05)  # km
 
-_FLOAT_FMT = "%.12g"
-_FLOAT_CELL = "," + _FLOAT_FMT  # one more float column of a table row
+_FLOAT_CELL = ",%.12g"  # one more float column of a table row
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +138,10 @@ def read_mask(path) -> tuple[GridSpec, RegionMask]:
 
 
 def write_cases(path, series: dict[str, CaseSeries], start: dt.date) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "region", "new_cases"])
-        for name in sorted(series):
-            s = series[name]
-            for day, value in zip(s.days, s.new_cases):
-                writer.writerow(
-                    [(start + dt.timedelta(days=int(day))).isoformat(), name, _FLOAT_FMT % value]
-                )
+    rows = (((start + dt.timedelta(days=int(day))).isoformat(), _csv_field(name), value)
+            for name in sorted(series)
+            for day, value in zip(series[name].days, series[name].new_cases.tolist()))
+    _write_table(path, ["date", "region", "new_cases"], "%s,%s" + _FLOAT_CELL, rows)
 
 
 def read_cases(path, start: dt.date, n_days: int, regions) -> dict[str, CaseSeries]:
@@ -685,8 +678,9 @@ def _write_summary(out_dir: Path, command: str, config: RunConfig, outputs: list
 
 def _cmd_simulate(config: RunConfig, out_dir: Path, args) -> dict:
     problem = load_scenario(config)
-    traj = problem.simulate(problem.initial, evolve_population=True)
+    traj = problem.simulate(problem.initial)
     grid, masks, pop, daily = problem.grid, problem.masks, problem.population, traj.daily_indices
+    mass = problem.population_at(problem.initial.kappa, traj.times).sum(axis=(1, 2)) * grid.cell_area
     detected = detected_daily_cases(traj, problem.initial, masks, pop)
     names = sorted(masks)
     infected = traj.states[:, problem.model.infected_index]
@@ -695,10 +689,10 @@ def _cmd_simulate(config: RunConfig, out_dir: Path, args) -> dict:
     columns.update({f"infected_{n}": row for n, row in zip(names, persons)})
     outputs = [str(out_dir / "region_series.csv"), str(out_dir / "mass.csv")]
     export_days(outputs[0], config, traj.days, columns)
-    export_days(outputs[1], config, traj.days, {"total_population": traj.mass()[daily]})
+    export_days(outputs[1], config, traj.days, {"total_population": mass[daily]})
     metrics = {
         "days": int(config.n_days),
-        "population_drift": conservation_drift(traj),
+        "population_drift": conservation_drift(mass),
         "final_infected_total": float(region_persons(infected[-1], pop, [problem.district], grid)[0]),
     }
     return {"outputs": outputs, "metrics": metrics}

@@ -41,7 +41,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError
 from .grid import GridSpec, RegionMask
 from .models import (
     ModelKind,
@@ -60,7 +60,8 @@ from .objective import (
     region_persons,
     sensitivities,
 )
-from .solver_cn import Trajectory, _check_step, run_from_state, sweep
+from .solver_cn import (Trajectory, _check_step, _unforced, _whole_steps, assemble,
+                        run_from_state, sweep)
 from . import solver_fem
 
 BETA_MIN = 1e-8
@@ -99,6 +100,9 @@ class Problem:
 
     def __post_init__(self):
         _check_step(self.initial.kappa, self.tau)  # tau in (0, MAX_TAU]; kappa is in [0, 1]
+        if self.population.shape != self.grid.shape:
+            raise DimensionError(f"population shape {self.population.shape} does not match grid "
+                                 f"{self.grid.shape}")
         spd = 1.0 / self.tau
         if abs(spd - round(spd)) > 1e-8:
             raise ParameterError(f"tau={self.tau} must divide one day into whole steps")
@@ -158,7 +162,6 @@ class Problem:
         self,
         params: ParameterVector,
         every_level: bool = False,
-        evolve_population: bool = False,
         u0_override: np.ndarray | None = None,
     ) -> Trajectory:
         """Forward run on the problem's backend; by default stores only the whole days J reads.
@@ -166,17 +169,31 @@ class Problem:
         ``u0_override`` replaces the state built from the seed counts.
         """
         u0 = u0_override if u0_override is not None else self.build_u0(params)
-        pop = self.population if evolve_population else None
         if self.backend == "fem-split":
             return solver_fem.run_fem_from_state(
                 self.grid, u0, self.model, params.schedule, params.kappa,
-                self.t_end, self.tau, population=pop, every_level=every_level,
+                self.t_end, self.tau, every_level=every_level,
             )
         return run_from_state(
             self.grid, u0, self.model, params.schedule, params.kappa,
-            self.t_end, self.tau, population=pop, every_level=every_level,
-            corrected=self.corrected,
+            self.t_end, self.tau, every_level=every_level, corrected=self.corrected,
         )
+
+    def population_at(self, kappa: float, times: np.ndarray) -> np.ndarray:
+        """The population diffused with ``kappa`` to each of ``times``, (len(times), ny, nx).
+
+        On cn it takes the steps of tau a run takes, so ``times`` must start at 0 and lie on
+        whole, non-decreasing steps (ParameterError otherwise); fem-split reads its exact flow.
+        """
+        _check_step(kappa, self.tau)
+        if self.backend == "fem-split":
+            asm = solver_fem.assemble_fem(self.grid)
+            flows = [solver_fem._diffuse(asm, self.population, kappa, t) for t in times]
+            return np.stack([flow.reshape(self.grid.shape) for flow in flows])
+        levels = [_whole_steps(t, self.tau) for t in times]
+        if not levels or levels[0] != 0 or np.any(np.diff(levels) < 0):
+            raise ParameterError(f"times must start at 0 and not decrease, got {list(times)}")
+        return _unforced(assemble(self.grid, kappa, self.tau), self.population, levels)
 
     def _require_data(self) -> DataInterpolant:
         if self.data is None:

@@ -83,7 +83,7 @@ class RegionMask:
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = np.asarray(self.cells)
+        cells = np.array(self.cells)  # a copy: the caller's array stays writable
         if cells.ndim != 2:
             raise DimensionError(f"mask '{self.name}' must be 2-D, got ndim={cells.ndim}")
         if cells.dtype != np.bool_:

@@ -24,9 +24,10 @@ and only the transmission force phi = u_S u_I needs physical space.  A step
 is the recursion above in the eigenbasis.  It transforms one field into the
 basis (the force) and the m compartments back: 4 field transforms per SEIR
 step, 3 for SIR and 2 for SIS, against 2m for a solve in physical space.
-The population, when it is evolved, diffuses with the same kappa and is never
-stepped: nothing forces it, so ``_unforced`` forms it at the stored levels
-alone, scaling its coefficients by (b o g)^d between levels d steps apart.
+The population diffuses with the same kappa but no run steps it: nothing
+forces it, so ``Problem.population_at`` forms it with ``_unforced`` at the
+levels it is read alone, scaling its coefficients by (b o g)^d between
+levels d steps apart.
 The constant mode has gain 1, so its integral is conserved exactly up to
 round-off.  Modes with c |lam| near 1 fall below the smallest normal double
 (2.2e-308) within a few dozen steps, and a product with a subnormal operand
@@ -183,8 +184,8 @@ def _whole_days(times: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Stored forward solution at the kept levels: 0, the whole days and the last.
 
-    ``states`` has shape (n_kept, m, ny, nx) and ``population`` (n_kept, ny, nx),
-    or None when the population was held out of the run.  A run stored with
+    ``states`` has shape (n_kept, m, ny, nx), the compartments alone; the
+    population is formed by ``Problem.population_at``.  A run stored with
     ``every_level`` also keeps ``between``, (n_steps + 1 - n_kept, r, ny, nx):
     the r force rows (``ModelKind.force_rows``) of every other level, in order,
     which is all the adjoint sweep reads there; it is None otherwise.
@@ -195,7 +196,6 @@ class Trajectory:
     tau: float
     times: np.ndarray
     states: np.ndarray
-    population: np.ndarray | None = None
     between: np.ndarray | None = None
 
     @property
@@ -207,12 +207,6 @@ class Trajectory:
     def days(self) -> np.ndarray:
         return np.rint(self.times[self.daily_indices]).astype(int)
 
-    def mass(self) -> np.ndarray:
-        """Integral of the population over the window, per stored level."""
-        if self.population is None:
-            raise SequencingError("trajectory was run without population evolution")
-        return self.population.sum(axis=(1, 2)) * self.grid.cell_area
-
 
 def _whole_steps(t_end: float, tau: float) -> int:
     """The number of steps of tau in t_end; raise ParameterError unless it is whole."""
@@ -220,12 +214,6 @@ def _whole_steps(t_end: float, tau: float) -> int:
     if abs(t_end / tau - steps) > 1e-8:
         raise ParameterError(f"tau={tau} does not divide t_end={t_end} into whole steps")
     return steps
-
-
-def _check_population(population: np.ndarray | None, grid: GridSpec) -> None:
-    """Raise DimensionError for a population that is given and does not cover the grid."""
-    if population is not None and population.shape != grid.shape:
-        raise DimensionError(f"population shape {population.shape} does not match grid {grid.shape}")
 
 
 def _unforced(ws: CNWorkspace, fields: np.ndarray, levels: list[int]) -> np.ndarray:
@@ -292,7 +280,7 @@ def _drive(
         elif every_level:
             between[slot[n + 1]] = q[rows].reshape(between.shape[1:])
 
-    return Trajectory(grid, model, tau, times, states, None, between)
+    return Trajectory(grid, model, tau, times, states, between)
 
 
 def run_from_state(
@@ -303,18 +291,15 @@ def run_from_state(
     kappa: float,
     t_end: float,
     tau: float,
-    population: np.ndarray | None = None,
     every_level: bool = True,
     corrected: bool = False,
 ) -> Trajectory:
     """Integrate from an explicit initial state with the Crank-Nicolson step.
 
     The run carries the eigenbasis coefficients of the compartments and steps
-    them as the module docstring describes.  The population, when given,
-    diffuses with the same kappa and is formed at the stored levels alone.
+    them as the module docstring describes.
     """
     ws = assemble(grid, kappa, tau)
-    _check_population(population, grid)
     basis = ws.basis
     m = model.n_compartments
     K, e = reaction_split(model, schedule)
@@ -343,10 +328,7 @@ def run_from_state(
             np.clip(q, 0.0, None, out=q)
         return q, (q, coef)
 
-    traj = _drive(grid, u0, model, t_end, tau, every_level, advance, start)
-    if population is not None:
-        traj.population = _unforced(ws, population, np.rint(traj.times / tau).astype(int).tolist())
-    return traj
+    return _drive(grid, u0, model, t_end, tau, every_level, advance, start)
 
 
 def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
@@ -411,9 +393,8 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
     return _from_eigen(Z, basis).reshape(traj.states.shape[1:]), g_beta, g_kappa
 
 
-def conservation_drift(traj: Trajectory) -> float:
-    """Max relative drift of the population integral over the run."""
-    mass = traj.mass()
+def conservation_drift(mass: np.ndarray) -> float:
+    """Max relative drift of a mass series from its first entry."""
     return float(np.abs(mass - mass[0]).max() / abs(mass[0]))
 
 

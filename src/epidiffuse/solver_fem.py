@@ -34,7 +34,7 @@ import numpy as np
 
 from .grid import GridSpec, _from_eigen, _to_eigen
 from .models import ModelKind, RateSchedule, reaction
-from .solver_cn import Trajectory, _check_sign, _check_step, _check_population, _drive
+from .solver_cn import Trajectory, _check_sign, _check_step, _drive
 
 
 def _q1_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,16 +104,10 @@ def run_fem_from_state(
     kappa: float,
     t_end: float,
     tau: float,
-    population: np.ndarray | None = None,
     every_level: bool = True,
 ) -> Trajectory:
-    """Split-scheme counterpart of solver_cn.run_from_state.
-
-    The population, when given, is read out of the exact diffusion flow at
-    each stored time, and is not guarded.
-    """
+    """Split-scheme counterpart of solver_cn.run_from_state."""
     _check_step(kappa, tau)
-    _check_population(population, grid)
     asm = assemble_fem(grid)
 
     def advance(u: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +123,4 @@ def run_fem_from_state(
             np.clip(q, 0.0, None, out=q)
         return q, q
 
-    traj = _drive(grid, u0, model, t_end, tau, every_level, advance)
-    if population is not None:
-        traj.population = np.stack([_diffuse(asm, population, kappa, t).reshape(grid.shape)
-                                    for t in traj.times])
-    return traj
+    return _drive(grid, u0, model, t_end, tau, every_level, advance)

@@ -64,13 +64,43 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unused, unused
 
 
+def users_of(name: str) -> set[str]:
+    """The module-level functions and methods, as module.[Class.]function, that use ``name``."""
+    users = set()
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and not in_function:
+                visit(child, scope + [child.name], isinstance(child, ast.FunctionDef))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                users.add(".".join(scope))
+            visit(child, scope, in_function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem], False)
+    return users
+
+
 def test_one_driver_two_steppers():
     """solver_cn._drive, the one time-stepping loop, is used only by the two forward runs."""
-    users = set()
-    for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == "_drive"
-                        or isinstance(node, ast.Attribute) and node.attr == "_drive"):
-                    users.add(f"{path.stem}.{getattr(top, 'name', node.lineno)}")
+    users = users_of("_drive")
     assert users == {"solver_cn.run_from_state", "solver_fem.run_fem_from_state"}, users
+
+
+def test_the_population_is_formed_in_one_place():
+    """Only Problem.population_at forms the population, beside the refinement study's
+    pure diffusion; no forward run takes one."""
+    users = users_of("_unforced")
+    assert users == {"estimate.Problem.population_at", "solver_cn.temporal_refinement_study"}, users
+    runs = {("solver_cn", "run_from_state"), ("solver_fem", "run_fem_from_state"),
+            ("estimate", "simulate")}
+    found = set()
+    for module, name in runs:
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                found.add(name)
+                params = {a.arg for a in node.args.args + node.args.kwonlyargs}
+                assert not params & {"population", "evolve_population"}, (name, params)
+    assert found == {name for _, name in runs}

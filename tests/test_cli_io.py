@@ -210,6 +210,19 @@ class TestCaseFiles:
         write_cases(second, back, START)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_rows_are_the_csv_writer_bytes(self, tmp_path):
+        """write_cases writes what a csv.writer loop writes, a region name that needs quoting too."""
+        days, values = np.arange(3), [0.1, 1e-20, 12345.678901234]
+        series = {name: CaseSeries(name, days, np.array(values)) for name in ("A", 'b,"x"', "c d")}
+        write_cases(tmp_path / "cases.csv", series, START)
+        reference = io.StringIO()
+        writer = csv.writer(reference)
+        writer.writerow(["date", "region", "new_cases"])
+        for name in sorted(series):
+            writer.writerows([(START + dt.timedelta(days=int(day))).isoformat(), name, "%.12g" % value]
+                             for day, value in zip(days, values))
+        assert (tmp_path / "cases.csv").read_bytes() == reference.getvalue().encode()
+
     def test_missing_days_zero_filled_and_flagged(self, tmp_path):
         path = tmp_path / "cases.csv"
         path.write_text(
@@ -761,7 +774,7 @@ class TestCommandLine:
         assert main(["simulate", "--config", str(scenario["config"]), "--out", str(out)]) == 0
         metric = json.loads((out / "summary.json").read_text())["metrics"]["final_infected_total"]
         problem = load_scenario(load_config(scenario["config"]))
-        traj = problem.simulate(problem.initial, evolve_population=True)
+        traj = problem.simulate(problem.initial)
         final = traj.states[-1, problem.model.infected_index]
         row_sum = sum(
             region_total(final, mask, problem.grid)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epidiffuse import estimate, objective
-from epidiffuse.errors import ConfigError, ParameterError, SequencingError
+from epidiffuse.errors import ConfigError, DimensionError, ParameterError, SequencingError
 from epidiffuse.estimate import (
     AdjointConfig,
     MetropolisConfig,
@@ -123,6 +123,28 @@ class TestProblem:
         """tau outside (0, MAX_TAU] is refused as a ParameterError before any run."""
         with pytest.raises(ParameterError, match="tau"):
             dataclasses.replace(twin9["problem"], tau=tau)
+
+    def test_population_of_the_wrong_shape_rejected_when_built(self, twin9):
+        """A population that does not cover the grid is refused before any run."""
+        problem = twin9["problem"]
+        with pytest.raises(DimensionError, match="population shape"):
+            dataclasses.replace(problem, population=problem.population[:-1])
+
+    @pytest.mark.parametrize("times", [[], [1.0, 2.0], [0.0, 0.05], [0.0, 2.0, 1.0]])
+    def test_population_at_refuses_times_a_cn_run_does_not_reach(self, twin9, times):
+        """On cn the population takes a run's steps of tau: from 0, whole steps, forward."""
+        with pytest.raises(ParameterError):
+            twin9["problem"].population_at(twin9["truth"].kappa, np.array(times))
+
+    @pytest.mark.parametrize("backend", ["cn", "fem-split"])
+    def test_population_at_starts_from_the_population_and_diffuses(self, twin9, backend):
+        problem = dataclasses.replace(twin9["problem"], backend=backend)
+        population = problem.population_at(twin9["truth"].kappa, np.arange(4.0))
+        assert population.shape == (4,) + problem.grid.shape
+        npt.assert_array_equal(population[0], problem.population)
+        assert np.abs(population[-1] - problem.population).max() > 1.0
+        if backend == "cn":
+            assert conservation_drift(population.sum(axis=(1, 2))) <= 1e-12
 
     def test_corrected_off_cn_rejected(self, twin9):
         """Only the cn step has a corrected form; fem-split would silently ignore it."""
@@ -661,5 +683,6 @@ class TestRandomMaskProperties:
         keep = sensitivity >= 1e-3 * sensitivity.max()
         assert report["rel_err"][keep].max() < 1e-6, report
 
-        traj = problem.simulate(point, evolve_population=True)
-        assert conservation_drift(traj) <= 1e-12
+        traj = problem.simulate(point)
+        population = problem.population_at(point.kappa, traj.times)
+        assert conservation_drift(population.sum(axis=(1, 2)) * problem.grid.cell_area) <= 1e-12

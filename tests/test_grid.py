@@ -85,6 +85,14 @@ class TestRegionMask:
         with pytest.raises(ValueError):
             mask.cells[0, 0] = True
 
+    def test_callers_array_is_not_frozen(self):
+        """The mask freezes a copy: the caller's array stays writable and edits to it stay out."""
+        cells = np.zeros((2, 3), dtype=bool)
+        cells[0] = True
+        mask = RegionMask("a", cells)
+        cells[:] = False
+        assert mask.cell_count == 3 and mask.cells[0].all()
+
     def test_subset_and_union(self):
         grid = GridSpec(3, 2, 1.0, 1.0)
         a = RegionMask("a", np.array([[1, 0, 0], [0, 0, 0]]))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from epidiffuse.errors import (
     DimensionError,
     ParameterError,
-    SequencingError,
     StabilityError,
 )
 from epidiffuse.estimate import Problem
@@ -51,6 +50,12 @@ def physical_step(ws, u, K, r=None):
     x = _to_eigen(u, ws.basis)
     source = None if r is None else _to_eigen(r, ws.basis)
     return _from_eigen(ws._step(x, K, source), ws.basis)
+
+
+def population_of(traj, kappa, pop):
+    """The population diffused with kappa to the run's stored levels (Problem.population_at's rule)."""
+    levels = np.rint(traj.times / traj.tau).astype(int).tolist()
+    return solver_cn._unforced(assemble(traj.grid, kappa, traj.tau), pop, levels)
 
 
 def dense_step(A, B, tau, u, K, r):
@@ -108,9 +113,8 @@ class TestStepForward:
     def test_matches_dense_reference(self):
         """Stored levels equal dense steps u <- A^{-1} (B u + tau f(u)), p <- A^{-1} B p.
 
-        Every model, with and without the population, over four half-day
-        steps of which only the whole days are stored, so the population is
-        read out only there.
+        Every model over four half-day steps of which only the whole days are
+        stored, and the population formed at those stored levels alone.
         """
         rng = np.random.default_rng(9)
         grid = GridSpec(6, 5, 1.2, 0.8)
@@ -130,16 +134,12 @@ class TestStepForward:
                 exp_pop.append(np.linalg.solve(A, B @ exp_pop[-1]))
             expected = np.array(expected[::every]).reshape((-1, m) + grid.shape)
             exp_pop = np.array(exp_pop[::every]).reshape((-1,) + grid.shape)
-            for population in (None, pop):
-                out = run_from_state(grid, u, model, SCHED, kappa, steps * tau, tau,
-                                     population=population, every_level=False)
-                npt.assert_allclose(out.states, expected, rtol=0.0, atol=1e-12)
-                npt.assert_array_equal(out.states[0], u)
-                npt.assert_allclose(out.times, [0.0, 1.0, 2.0])
-                if population is None:
-                    assert out.population is None
-                else:
-                    npt.assert_allclose(out.population, exp_pop, rtol=1e-12)
+            out = run_from_state(grid, u, model, SCHED, kappa, steps * tau, tau,
+                                 every_level=False)
+            npt.assert_allclose(out.states, expected, rtol=0.0, atol=1e-12)
+            npt.assert_array_equal(out.states[0], u)
+            npt.assert_allclose(out.times, [0.0, 1.0, 2.0])
+            npt.assert_allclose(population_of(out, kappa, pop), exp_pop, rtol=1e-12)
 
     def test_stored_levels_are_clipped_read_outs(self, monkeypatch):
         """Where the read-out dips below zero by round-off, the stored level is clipped."""
@@ -184,7 +184,8 @@ class TestStepForward:
         schedule = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), float(days))
         u0 = seed_state(ModelKind.SIS, np.full(grid.shape, 0.01))
         traj = run_from_state(grid, u0, ModelKind.SIS, schedule, kappa, days, tau,
-                              population=pop, every_level=False)
+                              every_level=False)
+        population = population_of(traj, kappa, pop)
         assert len(seen) == 300
         assert sum(seen) == 0
 
@@ -198,7 +199,7 @@ class TestStepForward:
         for _ in range(days):
             coef = coef * power
             expected.append(from_eigen(coef, ws.basis).reshape(grid.shape))
-        assert traj.population.tobytes() == np.array(expected).tobytes()
+        assert population.tobytes() == np.array(expected).tobytes()
 
     def test_trivial_step_is_explicit_euler(self):
         grid = GridSpec(3, 3, 1.0, 1.0)
@@ -301,7 +302,7 @@ def small_problem(model=ModelKind.SEIR, t_end=2.0, tau=0.25, schedule=SCHED, kap
 class TestRunForward:
     def test_initial_level_matches_seeding(self):
         problem = small_problem()
-        traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
+        traj = problem.simulate(problem.initial, every_level=True)
         u0 = initial_fractions(
             ModelKind.SEIR, problem.grid, problem.masks, problem.initial, problem.population
         )
@@ -314,33 +315,11 @@ class TestRunForward:
         grid = GridSpec(15, 12, 2.0, 1.0)
         pop = rng.uniform(100.0, 900.0, size=grid.shape)
         u0 = np.zeros((1,) + grid.shape)
-        traj = run_from_state(
-            grid, u0, ModelKind.SIS, SCHED, 0.4, 10.0, 0.5, population=pop
-        )
-        assert conservation_drift(traj) < 1e-12
+        traj = run_from_state(grid, u0, ModelKind.SIS, SCHED, 0.4, 10.0, 0.5)
+        population = population_of(traj, 0.4, pop)
+        assert conservation_drift(population.sum(axis=(1, 2)) * grid.cell_area) < 1e-12
         # the density itself does move
-        assert np.abs(traj.population[-1] - pop).max() > 1e-3
-
-    @pytest.mark.parametrize("run", [run_from_state, run_fem_from_state])
-    def test_compartments_do_not_depend_on_the_population(self, run):
-        """Only the compartments are stepped, so a population changes no bit of the states."""
-        grid = GridSpec(17, 17, 8.0, 8.0)
-        x = np.linspace(0.0, 1.0, grid.nx)
-        frac = 0.01 * np.outer(1.0 + np.cos(np.pi * x), 1.0 + np.cos(np.pi * x)) / 4.0 + 0.001
-        u0 = seed_state(ModelKind.SEIR, frac)
-        pop = np.random.default_rng(1).uniform(3000.0, 9000.0, size=grid.shape)
-        args = (grid, u0, ModelKind.SEIR, SCHED, 0.1, 10.0, 0.25)
-        alone, beside = run(*args), run(*args, population=pop)
-        assert alone.population is None and beside.population.shape == (11,) + grid.shape
-        assert alone.states.tobytes() == beside.states.tobytes()
-        assert alone.between.tobytes() == beside.between.tobytes()
-
-    def test_mass_requires_population(self):
-        problem = small_problem(t_end=1.0)
-        traj = problem.simulate(problem.initial, every_level=True)
-        assert traj.population is None
-        with pytest.raises(SequencingError):
-            traj.mass()
+        assert np.abs(population[-1] - pop).max() > 1e-3
 
     def test_infected_decay_matches_bookkeeping(self):
         """With beta tiny the infected integral decays like exp(-gamma t)."""
@@ -354,17 +333,19 @@ class TestRunForward:
 
     def test_determinism(self):
         problem = small_problem()
-        a = problem.simulate(problem.initial, every_level=True, evolve_population=True)
-        b = problem.simulate(problem.initial, every_level=True, evolve_population=True)
+        kappa = problem.initial.kappa
+        a = problem.simulate(problem.initial, every_level=True)
+        b = problem.simulate(problem.initial, every_level=True)
         npt.assert_array_equal(a.states, b.states)
-        npt.assert_array_equal(a.population, b.population)
+        npt.assert_array_equal(problem.population_at(kappa, a.times),
+                               problem.population_at(kappa, b.times))
 
     def test_step_validation(self):
         problem = small_problem(ModelKind.SIS, 1.0)
-        grid, pop = problem.grid, problem.population
+        grid = problem.grid
         u0 = problem.build_u0(problem.initial)
         with pytest.raises(ParameterError, match="whole steps"):
-            run_from_state(grid, u0, ModelKind.SIS, SCHED, 0.1, 1.0, 0.3, population=pop)
+            run_from_state(grid, u0, ModelKind.SIS, SCHED, 0.1, 1.0, 0.3)
         with pytest.raises(DimensionError):
             run_from_state(
                 grid, np.zeros((2,) + grid.shape), ModelKind.SEIR, SCHED, 0.1, 1.0, 0.25
@@ -375,24 +356,28 @@ class TestTrajectory:
     def test_daily_bookkeeping(self):
         """Both storage rules keep the whole days; every_level adds S and I between them."""
         problem = small_problem(t_end=3.0)
-        traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
-        daily = problem.simulate(problem.initial, evolve_population=True)
+        traj = problem.simulate(problem.initial, every_level=True)
+        daily = problem.simulate(problem.initial)
         for run in (traj, daily):
             npt.assert_array_equal(run.times, [0.0, 1.0, 2.0, 3.0])
             npt.assert_array_equal(run.daily_indices, [0, 1, 2, 3])
             npt.assert_array_equal(run.days, [0, 1, 2, 3])
         npt.assert_array_equal(daily.states, traj.states)
-        npt.assert_array_equal(daily.population, traj.population)
+        kappa = problem.initial.kappa
+        npt.assert_array_equal(problem.population_at(kappa, daily.times),
+                               problem.population_at(kappa, traj.times))
         # 13 levels of tau = 0.25, of which 4 fall on whole days
         assert traj.between.shape == (9, 2) + problem.grid.shape
         assert daily.between is None
 
     def test_mass_levels(self):
         problem = small_problem(t_end=1.0)
-        traj = problem.simulate(problem.initial, every_level=True, evolve_population=True)
-        assert traj.mass().shape == (2,)
+        traj = problem.simulate(problem.initial, every_level=True)
+        population = problem.population_at(problem.initial.kappa, traj.times)
+        mass = population.sum(axis=(1, 2)) * problem.grid.cell_area
+        assert mass.shape == (2,)
         district = RegionMask("all", np.ones(problem.grid.shape, dtype=int))
-        assert traj.mass()[0] == pytest.approx(
+        assert mass[0] == pytest.approx(
             region_total(problem.population, district, problem.grid)
         )
 
@@ -470,11 +455,10 @@ class TestEigenbasisProperties:
         pop = np.random.default_rng(seed).uniform(1.0, 1000.0, size=grid.shape)
         u0 = np.zeros((1,) + grid.shape)
         schedule = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 50.0)
-        traj = run_from_state(
-            grid, u0, ModelKind.SIS, schedule, kappa * tau, 50.0, 1.0, population=pop
-        )
+        traj = run_from_state(grid, u0, ModelKind.SIS, schedule, kappa * tau, 50.0, 1.0)
         assert len(traj.times) == 51
-        assert conservation_drift(traj) <= 1e-12
+        mass = population_of(traj, kappa * tau, pop).sum(axis=(1, 2)) * grid.cell_area
+        assert conservation_drift(mass) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
@@ -490,13 +474,11 @@ class TestEigenbasisProperties:
         pop = rng.uniform(1.0, 1000.0, size=grid.shape)
 
         def run():
-            return run_from_state(
-                grid, u0, ModelKind.SEIR, SCHED, kappa, 10 * tau, tau, population=pop
-            )
+            return run_from_state(grid, u0, ModelKind.SEIR, SCHED, kappa, 10 * tau, tau)
 
         a, b = run(), run()
         assert a.states.tobytes() == b.states.tobytes()
-        assert a.population.tobytes() == b.population.tobytes()
+        assert population_of(a, kappa, pop).tobytes() == population_of(b, kappa, pop).tobytes()
 
 
 class TestRefinementStudy:
@@ -527,10 +509,9 @@ class TestStorageRules:
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, model=st.sampled_from(list(ModelKind)),
            run=st.sampled_from([run_from_state, run_fem_from_state]),
-           tau=st.sampled_from([0.5, 0.25, 0.125]), t_end=st.sampled_from([2.0, 2.5]),
-           seed=st.integers(0, 2**32 - 1))
+           tau=st.sampled_from([0.5, 0.25, 0.125]), t_end=st.sampled_from([2.0, 2.5]))
     def test_whole_days_are_the_every_level_run_at_days_and_end(
-        self, grid, kappa, model, run, tau, t_end, seed
+        self, grid, kappa, model, run, tau, t_end
     ):
         """Both rules keep the same levels bit for bit; every_level adds the force rows between.
 
@@ -541,24 +522,22 @@ class TestStorageRules:
         cx = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.nx)))
         cy = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.ny)))
         u0 = seed_state(model, 0.01 + 0.04 * np.outer(cy, cx))
-        pop = np.random.default_rng(seed).uniform(1.0, 1000.0, size=grid.shape)
-        args = (grid, u0, model, SCHED, kappa, t_end, tau, pop)
+        args = (grid, u0, model, SCHED, kappa, t_end, tau)
         every = run(*args)
         daily = run(*args, every_level=False)
         assert daily.between is None
         assert daily.times.tobytes() == every.times.tobytes()
         assert daily.states.tobytes() == every.states.tobytes()
-        assert daily.population.tobytes() == every.population.tobytes()
 
         rows = model.force_rows
         kept = np.rint(every.times / tau).astype(int)
         others = np.setdiff1d(np.arange(round(t_end / tau) + 1), kept)
         assert every.between.shape == (len(others),) + u0[rows].shape
         for n, force in zip(others, every.between):
-            cut = run(grid, u0, model, SCHED, kappa, n * tau, tau, pop, every_level=False)
+            cut = run(grid, u0, model, SCHED, kappa, n * tau, tau, every_level=False)
             assert cut.states[-1][rows].tobytes() == force.tobytes()
         m, r = model.n_compartments, len(u0[rows])
         fields = every.states.nbytes + every.between.nbytes
         assert fields == (len(kept) * m + len(others) * r) * grid.n_cells * 8
         arrays = [v for v in vars(every).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) == fields + every.population.nbytes + every.times.nbytes
+        assert sum(a.nbytes for a in arrays) == fields + every.times.nbytes

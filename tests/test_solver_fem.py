@@ -320,12 +320,10 @@ class TestRunForwardFem:
     def test_backend_tag_and_bookkeeping(self):
         grid = GridSpec(5, 5, 1.0, 1.0)
         u0 = smooth_state(grid, 1)
-        traj = run_fem_from_state(
-            grid, u0, ModelKind.SIS, SCHED, 0.05, 2.0, 0.25,
-            population=np.full(grid.shape, 100.0), every_level=False,
-        )
+        traj = run_fem_from_state(grid, u0, ModelKind.SIS, SCHED, 0.05, 2.0, 0.25,
+                                  every_level=False)
         npt.assert_allclose(traj.times, [0.0, 1.0, 2.0])
-        assert traj.population.shape == (3,) + grid.shape
+        assert traj.states.shape == (3, 1) + grid.shape
 
     def test_validation(self):
         grid = GridSpec(5, 5, 1.0, 1.0)
