@@ -11,12 +11,17 @@ with probability min{1, exp((J_old^2 - J_new^2) / (2 sigma^2))}, and reports
 means and standard deviations over the accepted post-burn-in draws.  Every
 decision is logged so the rule can be re-checked offline.
 
+Problem.objective sums J's misfit at the forward run's day hook, one day
+mark at a time, and stores no day; objective.evaluate_terms sums the same
+residuals over a stored run.
+
 The adjoint engine computes the exact gradient of the discrete objective
 by reverse mode, as the chain rule through two pieces that sit beside the
 code they differentiate: objective.sensitivities gives J's terms and J's
-derivatives at fixed states (chi, u0 and the day marks' force phi), all
-from the residuals J itself sums, and solver_cn.sweep carries dJ/dphi back
-through the forward recursion to dJ/du0, dJ/dbeta and dJ/dkappa.  The
+derivatives at fixed states in chi and u0, in one pass over the residuals J
+itself sums, and an impulse(day, phi) that solver_cn.sweep calls at each day
+mark to form dJ/dphi from the phi it reads there, carrying it back through
+the forward recursion to dJ/du0, dJ/dbeta and dJ/dkappa.  The
 search direction for chi comes from a damped limited-memory BFGS (identity
 initialization); the initial-condition direction follows the
 optimality-condition target u0_tilde = u0_ref - z(0)/w2 = u0 - dJ/du0 / (area w2).
@@ -38,10 +43,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from numbers import Integral, Real
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import AlignmentError, ConfigError, DimensionError, ParameterError
 from .grid import GridSpec, RegionMask
 from .models import (
     ModelKind,
@@ -51,11 +57,14 @@ from .models import (
     seed_direction,
     seed_jacobian,
     seed_state,
+    transmission_bilinear,
 )
 from .objective import (
     DataInterpolant,
     ObjectiveBreakdown,
     ObjectiveWeights,
+    _DayMarks,
+    _terms,
     evaluate_terms,
     region_persons,
     sensitivities,
@@ -163,20 +172,23 @@ class Problem:
         params: ParameterVector,
         every_level: bool = False,
         u0_override: np.ndarray | None = None,
+        on_day: Callable[[int, np.ndarray], Any] | None = None,
     ) -> Trajectory:
         """Forward run on the problem's backend; by default stores only the whole days J reads.
 
-        ``u0_override`` replaces the state built from the seed counts.
+        ``u0_override`` replaces the state built from the seed counts; ``on_day`` is the
+        runs' day hook, with which the run stores level 0 alone.
         """
         u0 = u0_override if u0_override is not None else self.build_u0(params)
         if self.backend == "fem-split":
             return solver_fem.run_fem_from_state(
                 self.grid, u0, self.model, params.schedule, params.kappa,
-                self.t_end, self.tau, every_level=every_level,
+                self.t_end, self.tau, every_level=every_level, on_day=on_day,
             )
         return run_from_state(
             self.grid, u0, self.model, params.schedule, params.kappa,
             self.t_end, self.tau, every_level=every_level, corrected=self.corrected,
+            on_day=on_day,
         )
 
     def population_at(self, kappa: float, times: np.ndarray) -> np.ndarray:
@@ -201,8 +213,14 @@ class Problem:
         return self.data
 
     def objective(self, params: ParameterVector) -> float:
-        traj = self.simulate(params)
-        return evaluate_terms(traj, params, self.weights, self._require_data()).total
+        """J at ``params``, its misfit summed at the run's day hook, so no day is stored."""
+        data = self._require_data()
+        marks = _DayMarks(params, data, self.grid.cell_area)
+        level0 = self.simulate(params, on_day=lambda day, q: marks.add(
+            day, transmission_bilinear(self.model, q)))
+        if marks.n_added != data.n_days:
+            raise AlignmentError(f"the run has {marks.n_added} day marks, the data {data.n_days}")
+        return _terms(marks, level0, params, self.weights).total
 
 
 @dataclass
@@ -243,7 +261,7 @@ class MetropolisConfig:
     def __post_init__(self):
         _check_kinds(self, draws=Integral, burn_in=Real, sigma=(Real, type(None)))
         if self.draws < 1:
-            raise ConfigError(f"draws must exceed the burn-in, got draws={self.draws}", key="draws")
+            raise ConfigError(f"draws must be at least 1, got draws={self.draws}", key="draws")
         if not (0.0 <= self.burn_in < 1.0):
             raise ConfigError(f"burn_in must be a fraction in [0, 1), got {self.burn_in}", key="burn_in")
         if self.sigma is not None and not 0.0 < self.sigma < np.inf:
@@ -405,7 +423,7 @@ def adjoint_gradient(
 
     The trajectory must be stored with ``every_level``.
     objective.sensitivities differentiates J at fixed states, solver_cn.sweep
-    carries its dJ/dphi back through the run, and dJ/du0 chains through
+    carries its dJ/dphi impulses back through the run, and dJ/du0 chains through
     seed_jacobian to the seed gradients.
     """
     _require_exact_adjoint(problem)
@@ -413,7 +431,7 @@ def adjoint_gradient(
     if trajectory is None:
         trajectory = problem.simulate(params, every_level=True)
     sens = sensitivities(trajectory, params, problem.weights, data)
-    dq0, g_beta, g_kappa = sweep(trajectory, params.schedule, params.kappa, sens.phi)
+    dq0, g_beta, g_kappa = sweep(trajectory, params.schedule, params.kappa, sens.impulse)
     du0 = dq0 + sens.u0
     model, grid, pop = problem.model, problem.grid, problem.population
     g_seeds = np.array([

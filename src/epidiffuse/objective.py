@@ -19,20 +19,23 @@ The full objective is
 
 with g_d the detected-incidence field at day d, chi = (beta0, beta1, beta2,
 kappa, delta) and u0_ref the disease-free state unless one is given.
-``daily_residuals`` is the one place that forms r_d = g_d - v_d:
-evaluate_terms sums the misfit from it, and ``sensitivities`` differentiates
-the same residuals, so both estimators minimize exactly the J they report.
-``sensitivities`` gives J's terms and J's derivatives with the states held
-fixed: in chi (beta and delta at the day marks and the w1 anchor), in u_0
-(the w2 anchor) and in the force phi = u_S u_I at each day mark, which
-solver_cn.sweep carries back.  ``region_persons`` is the one rule by which a
-fraction field counts persons.
+``_residual`` is the one place that forms r_d = delta beta(d) phi_d - v_d, one
+day mark at a time, and ``_DayMarks`` sums the misfit from it in day order:
+evaluate_terms over a stored run and Problem.objective at a run's day hook,
+so J needs no per-day stack.  ``sensitivities`` differentiates the same
+residuals, so both estimators minimize exactly the J they report.  In one
+pass over the days it gives J's terms and J's derivatives with the states
+held fixed, in chi (beta and delta at the day marks and the w1 anchor) and
+in u_0 (the w2 anchor); for the force phi = u_S u_I it returns
+``impulse(day, phi)``, dJ/dphi formed from the phi solver_cn.sweep reads at
+that day mark.  ``region_persons`` is the one rule by which a fraction field
+counts persons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -211,36 +214,57 @@ class ObjectiveBreakdown(NamedTuple):
         return self.misfit + self.chi_reg + self.init_reg
 
 
-class DailyResiduals(NamedTuple):
-    """J's misfit pieces at the day marks; the fields are (n_days, ny, nx)."""
+def _residual(phi: np.ndarray, delta_beta: float, v: np.ndarray | None = None) -> np.ndarray:
+    """r_d = delta beta(d) phi_d - v_d at one day mark, the only place J's misfit is formed.
 
-    beta: np.ndarray    # beta(d)
-    phi: np.ndarray     # u_S * u_I
-    resid: np.ndarray   # delta * beta(d) * phi - v_d
-
-
-def _detected_incidence(traj: Trajectory, params: ParameterVector):
-    """beta(d), phi = u_S * u_I and the detected incidence delta * beta(d) * phi at the day marks."""
-    beta = np.array([beta_at(params.schedule, float(day)) for day in traj.days])
-    phi = np.empty((len(beta),) + traj.grid.shape)
-    for pos, level in enumerate(traj.daily_indices):
-        phi[pos] = transmission_bilinear(traj.model, traj.states[level])
-    return beta, phi, params.delta * beta[:, None, None] * phi
+    With no ``v`` it is the detected incidence delta beta(d) phi_d alone.
+    """
+    r = delta_beta * phi
+    if v is not None:
+        r -= v.reshape(r.shape)
+    return r
 
 
-def daily_residuals(
-    traj: Trajectory, params: ParameterVector, data: DataInterpolant
-) -> DailyResiduals:
-    """The data residual r_d of every day mark, the only place J's misfit is formed."""
+class _DayMarks:
+    """J's per-day factors for one evaluation, and its misfit summed one day mark at a time.
+
+    ``beta`` and ``delta_beta`` hold beta(d) and delta beta(d) at the data's days; ``add``
+    takes the days in order, each with its phi = u_S u_I, and returns the day's residual.
+    """
+
+    def __init__(self, params: ParameterVector, data: DataInterpolant, area: float):
+        self.data = data
+        self.area = area
+        self.beta = np.array([beta_at(params.schedule, float(day)) for day in data.days])
+        self.delta_beta = params.delta * self.beta
+        self.omega = trapezoid_day_weights(data.n_days)
+        self.misfit = 0.0   # sum_d omega_d ||r_d||^2 area, before the factor w0 / 2
+        self.n_added = 0
+
+    def residual(self, day: int, phi: np.ndarray) -> np.ndarray:
+        pos = day - self.data.days[0]
+        return _residual(phi, self.delta_beta[pos], self.data.daily_fields[pos])
+
+    def add(self, day: int, phi: np.ndarray) -> np.ndarray:
+        r = self.residual(day, phi)
+        self.misfit += self.omega[day - self.data.days[0]] * float((r * r).sum()) * self.area
+        self.n_added += 1
+        return r
+
+
+def _check_days(traj: Trajectory, data: DataInterpolant) -> None:
     days = traj.days
     if len(days) != data.n_days or days[0] != data.days[0] or days[-1] != data.days[-1]:
         raise AlignmentError(
             f"trajectory days {days[0]}..{days[-1]} ({len(days)}) do not match "
             f"data days {data.days[0]}..{data.days[-1]} ({data.n_days})"
         )
-    beta, phi, resid = _detected_incidence(traj, params)
-    resid -= data.daily_fields
-    return DailyResiduals(beta, phi, resid)
+
+
+def _day_marks(traj: Trajectory):
+    """(day, phi = u_S u_I) at each stored day mark of ``traj``, in order."""
+    for level, day in zip(traj.daily_indices, traj.days.tolist()):
+        yield day, transmission_bilinear(traj.model, traj.states[level])
 
 
 def _initial_gap(traj: Trajectory, weights: ObjectiveWeights) -> np.ndarray:
@@ -249,15 +273,10 @@ def _initial_gap(traj: Trajectory, weights: ObjectiveWeights) -> np.ndarray:
     return traj.states[0] - (seed_state(traj.model, np.zeros((1, 1))) if ref is None else ref)
 
 
-def _terms(resid: np.ndarray, traj: Trajectory, params: ParameterVector,
+def _terms(marks: _DayMarks, traj: Trajectory, params: ParameterVector,
            weights: ObjectiveWeights) -> ObjectiveBreakdown:
-    """The three terms of J from the daily residuals ``resid``."""
-    area = traj.grid.cell_area
-    omega = trapezoid_day_weights(len(resid))
-    misfit = 0.0
-    for pos, r in enumerate(resid):
-        misfit += omega[pos] * float((r * r).sum()) * area
-    misfit *= 0.5 * weights.w0
+    """The three terms of J from the summed ``marks`` and the level 0 of ``traj``."""
+    misfit = marks.misfit * (0.5 * weights.w0)
 
     chi_reg = 0.0
     if weights.w1 > 0.0:
@@ -267,14 +286,18 @@ def _terms(resid: np.ndarray, traj: Trajectory, params: ParameterVector,
     init_reg = 0.0
     if weights.w2 > 0.0:
         d = _initial_gap(traj, weights)
-        init_reg = 0.5 * weights.w2 * float((d * d).sum()) * area
+        init_reg = 0.5 * weights.w2 * float((d * d).sum()) * traj.grid.cell_area
     return ObjectiveBreakdown(misfit, chi_reg, init_reg)
 
 
 def evaluate_terms(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
                    data: DataInterpolant) -> ObjectiveBreakdown:
     """The three terms of J separately; ``.total`` is J."""
-    return _terms(daily_residuals(traj, params, data).resid, traj, params, weights)
+    _check_days(traj, data)
+    marks = _DayMarks(params, data, traj.grid.cell_area)
+    for day, phi in _day_marks(traj):
+        marks.add(day, phi)
+    return _terms(marks, traj, params, weights)
 
 
 class Sensitivities(NamedTuple):
@@ -283,29 +306,38 @@ class Sensitivities(NamedTuple):
     terms: ObjectiveBreakdown
     chi: np.ndarray     # dJ/dchi: beta and delta at the day marks, plus the w1 anchor
     u0: np.ndarray | float  # dJ/du_0 of the w2 anchor, (m, ny, nx); 0.0 when w2 = 0
-    phi: np.ndarray     # dJ/dphi at each day mark, (n_days, ny, nx)
+    impulse: Callable[[int, np.ndarray], np.ndarray]  # (day, phi) -> dJ/dphi at that day mark
 
 
 def sensitivities(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
                   data: DataInterpolant) -> Sensitivities:
-    """J's terms and its derivatives at fixed states, all from one daily_residuals pass."""
-    beta, phi, resid = daily_residuals(traj, params, data)
-    terms = _terms(resid, traj, params, weights)
-    n_days = len(beta)
-    area = traj.grid.cell_area
-    w0a_omega = weights.w0 * area * trapezoid_day_weights(n_days)
-    # dJ/d(delta * beta(d))
-    dj_d = w0a_omega * (phi.reshape(n_days, -1) * resid.reshape(n_days, -1)).sum(axis=1)
-    intervals = [beta_interval(params.schedule, float(d)) for d in traj.days]
+    """J's terms and its derivatives at fixed states, from one pass over the day marks.
+
+    ``impulse(day, phi)`` is w0 area omega_d beta(d) delta r_d, with r_d formed from the
+    given ``phi``, the day's u_S u_I in any shape over the grid's cells.
+    """
+    _check_days(traj, data)
+    marks = _DayMarks(params, data, traj.grid.cell_area)
+    dj_d = np.array([float((phi * marks.add(day, phi)).sum()) for day, phi in _day_marks(traj)])
+    terms = _terms(marks, traj, params, weights)
+    w0a_omega = weights.w0 * marks.area * marks.omega
+    dj_d *= w0a_omega  # dJ/d(delta * beta(d))
+    intervals = [beta_interval(params.schedule, float(d)) for d in data.days]
     chi = np.zeros(5)
     chi[:3] = np.bincount(intervals, weights=params.delta * dj_d, minlength=3)
-    chi[4] = float(beta @ dj_d)
+    chi[4] = float(marks.beta @ dj_d)
     if weights.w1 > 0.0:
         chi += weights.w1 * (params.chi - weights.chi_ref)
-    resid *= (w0a_omega * beta * params.delta)[:, None, None]  # now dJ/dphi
+    scale = w0a_omega * marks.beta * params.delta
+
+    def impulse(day: int, phi: np.ndarray) -> np.ndarray:
+        r = marks.residual(day, phi)
+        r *= scale[day - data.days[0]]
+        return r
+
     # 0.0 at w2 = 0, so the sweep holds no unused field beside its own
-    u0 = weights.w2 * area * _initial_gap(traj, weights) if weights.w2 > 0.0 else 0.0
-    return Sensitivities(terms, chi, u0, resid)
+    u0 = weights.w2 * marks.area * _initial_gap(traj, weights) if weights.w2 > 0.0 else 0.0
+    return Sensitivities(terms, chi, u0, impulse)
 
 
 def detected_daily_cases(
@@ -319,7 +351,8 @@ def detected_daily_cases(
     The model analogue of a reported count: c_k(d) = P_k * integral over
     region k of delta * beta(d) * u_S * u_I, with P_k from ``population``.
     """
-    incidence = _detected_incidence(traj, params)[2]
+    delta_beta = params.delta * np.array([beta_at(params.schedule, float(d)) for d in traj.days])
+    incidence = np.stack([_residual(phi, db) for (_, phi), db in zip(_day_marks(traj), delta_beta)])
     pops = region_persons(1.0, population, masks.values(), traj.grid)
     return {name: pop * region_total(incidence, mask, traj.grid)
             for (name, mask), pop in zip(masks.items(), pops)}

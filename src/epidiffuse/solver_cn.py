@@ -64,7 +64,8 @@ and steps it with the forward's step and K^T:
     s_n = beta(t_n) (e . z_n) + (dJ/dphi at day mark n) / tau,
 
 the impulse only on day marks, where it shares the step's d phi/du and so
-costs no transform.  The kappa derivative pairs (tau/2) Z_{n-1} with
+costs no transform, and is formed from the phi the step already reads.  The
+kappa derivative pairs (tau/2) Z_{n-1} with
 lam (U^_{n-1} + U^_n), and the trajectory does not store the carried
 coefficients U^.  So the sweep carries a second multiplier
 W <- a_n + g o (b o W + tau K^T W), a_n = (tau/2) lam (Z_n + Z_{n-1}), and
@@ -245,6 +246,7 @@ def _drive(
     every_level: bool,
     advance: Callable[[Any, float], tuple[np.ndarray, Any]],
     start: Callable[[np.ndarray], Any] | None = None,
+    on_day: Callable[[int, np.ndarray], Any] | None = None,
 ) -> Trajectory:
     """The time-stepping loop behind every forward run; it steps the m compartments alone.
 
@@ -252,16 +254,25 @@ def _drive(
     ``advance(carried, t)`` returns the (m, n_cells) read-out one step of tau after t and the
     carried state there.  Level n lies at t = n tau; the loop keeps the read-outs at level 0,
     the whole days and the last level, and with ``every_level`` the force rows of the others.
+    With ``on_day`` it keeps level 0 alone and calls ``on_day(day, q)`` with the read-out q,
+    (m, n_cells), of each whole day in order, level 0 included.
     """
     m = model.n_compartments
     if u0.shape != (m,) + grid.shape:
         raise DimensionError(f"u0 shape {u0.shape} does not match ({m},) + {grid.shape}")
     steps = _whole_steps(t_end, tau)
-    u = u0.reshape(m, -1).astype(float)
+    u = np.asarray(u0, dtype=float).reshape(m, -1)  # read only: the clip acts on new read-outs
 
     times = np.arange(steps + 1) * tau
-    keep = _whole_days(times)
-    keep[-1] = True
+    whole = _whole_days(times)
+    marks = {}   # level -> day, at the levels on_day reads
+    if on_day is None:
+        keep = whole.copy()
+        keep[-1] = True
+    else:
+        marks = dict(zip(np.flatnonzero(whole).tolist(), np.rint(times[whole]).astype(int).tolist()))
+        keep = np.arange(steps + 1) == 0
+        every_level = False
     times = times[keep]
     slot = np.where(keep, np.cumsum(keep), np.cumsum(~keep)) - 1  # into states or between
     rows = model.force_rows
@@ -272,6 +283,8 @@ def _drive(
     between = store_block[n_kept * m:].reshape((n_between,) + u0[rows].shape) if every_level else None
 
     states[0] = u0
+    if on_day is not None:
+        on_day(0, u)
     carried = u if start is None else start(u)
     for n in range(steps):
         q, carried = advance(carried, n * tau)
@@ -279,6 +292,8 @@ def _drive(
             states[slot[n + 1]] = q.reshape(states.shape[1:])
         elif every_level:
             between[slot[n + 1]] = q[rows].reshape(between.shape[1:])
+        if n + 1 in marks:
+            on_day(marks[n + 1], q)
 
     return Trajectory(grid, model, tau, times, states, between)
 
@@ -293,11 +308,12 @@ def run_from_state(
     tau: float,
     every_level: bool = True,
     corrected: bool = False,
+    on_day: Callable[[int, np.ndarray], Any] | None = None,
 ) -> Trajectory:
     """Integrate from an explicit initial state with the Crank-Nicolson step.
 
     The run carries the eigenbasis coefficients of the compartments and steps
-    them as the module docstring describes.
+    them as the module docstring describes.  ``on_day`` is ``_drive``'s day hook.
     """
     ws = assemble(grid, kappa, tau)
     basis = ws.basis
@@ -328,15 +344,16 @@ def run_from_state(
             np.clip(q, 0.0, None, out=q)
         return q, (q, coef)
 
-    return _drive(grid, u0, model, t_end, tau, every_level, advance, start)
+    return _drive(grid, u0, model, t_end, tau, every_level, advance, start, on_day)
 
 
 def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
-          dj_dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+          impulse: Callable[[int, np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray, float]:
     """The backward sweep of the plain run, as the module docstring derives it.
 
-    ``traj`` is the forward run stored with ``every_level``, and ``dj_dphi``
-    J's derivative in phi = u_S u_I at each of its day marks, (n_days, ny, nx).
+    ``traj`` is the forward run stored with ``every_level``, and ``impulse(day, phi)``
+    returns J's derivative in phi = u_S u_I at that day mark, (n_cells,), given the
+    day's phi, which the sweep forms from the stored force rows.
     At each level the sweep reads only the force rows: those of the kept
     states, and ``between`` elsewhere.  Returns dJ/dq_0 through the states,
     (m, ny, nx), and the sweep's parts of dJ/dbeta, per plateau, and of
@@ -353,7 +370,7 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
     levels = np.rint(traj.times / tau).astype(int).tolist()
     kept = dict(zip(levels, traj.states[:, rows]))
     others = iter(traj.between[::-1])
-    impulses = dict(zip([levels[d] for d in traj.daily_indices], dj_dphi.reshape(-1, n_cells)))
+    marks = dict(zip([levels[d] for d in traj.daily_indices], traj.days.tolist()))
     K, e = reaction_split(model, schedule)
     half_tau = 0.5 * tau
     g_beta = np.zeros(3)
@@ -377,8 +394,8 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
         g_kappa += half_tau * tau * beta * float(phi @ gw)
         s = ez
         s *= beta
-        if n in impulses:
-            s += impulses[n] / tau
+        if n in marks:
+            s += impulse(marks[n], phi) / tau
         source = _to_eigen(transmission_derivative(model, v) * s, basis)
         # W <- a_n + M^T W, with Z_{-1} = 0 in a_0
         ws._step(W, K.T)

@@ -29,6 +29,7 @@ machinery runs only on solver_cn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -105,6 +106,7 @@ def run_fem_from_state(
     t_end: float,
     tau: float,
     every_level: bool = True,
+    on_day: Callable[[int, np.ndarray], Any] | None = None,
 ) -> Trajectory:
     """Split-scheme counterpart of solver_cn.run_from_state."""
     _check_step(kappa, tau)
@@ -123,4 +125,4 @@ def run_fem_from_state(
             np.clip(q, 0.0, None, out=q)
         return q, q
 
-    return _drive(grid, u0, model, t_end, tau, every_level, advance)
+    return _drive(grid, u0, model, t_end, tau, every_level, advance, on_day=on_day)

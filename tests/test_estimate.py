@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epidiffuse import estimate, objective
-from epidiffuse.errors import ConfigError, DimensionError, ParameterError, SequencingError
+from epidiffuse.errors import (
+    AlignmentError,
+    ConfigError,
+    DimensionError,
+    ParameterError,
+    SequencingError,
+    StabilityError,
+)
 from epidiffuse.estimate import (
     AdjointConfig,
     MetropolisConfig,
@@ -114,6 +121,12 @@ class TestProblem:
         projected = problem.project_chi(np.array(chi))
         assert problem.in_bounds(problem.pack(truth.with_chi(projected)))
 
+    def test_objective_refuses_a_run_short_of_the_data(self, twin9):
+        """At t_end = 19.6 the data still end on day round(19.6) = 20, the run on day 19."""
+        problem = dataclasses.replace(twin9["problem"], t_end=19.6)
+        with pytest.raises(AlignmentError):
+            problem.objective(twin9["truth"])
+
     def test_unknown_backend_rejected(self, twin9):
         with pytest.raises(ConfigError, match="unknown backend 'bogus'"):
             dataclasses.replace(twin9["problem"], backend="bogus")
@@ -173,7 +186,7 @@ class TestProblem:
 
 class TestMetropolisConfigDefaults:
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="at least 1"):
             MetropolisConfig(draws=0)
         with pytest.raises(ConfigError):
             MetropolisConfig(burn_in=1.0)
@@ -407,19 +420,19 @@ class TestAdjointGradient:
         assert abs(grad.chi[3] - fd) <= 1e-6 * abs(fd), (grad.chi[3], fd)
 
     def test_one_day_mark_pass(self, twin9, monkeypatch):
-        """The gradient forms J's daily residuals once: its terms and derivatives share them."""
+        """The gradient forms J's residual r_d in one helper, once per day mark for its terms and
+        dJ/dchi and once where the sweep reads that day's phi for dJ/dphi."""
         problem, truth = twin9["problem"], twin9["truth"]
         calls = []
-        original = objective.daily_residuals
+        original = objective._residual
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(objective, "daily_residuals", counted)
-        monkeypatch.setattr(estimate, "daily_residuals", counted, raising=False)
+        monkeypatch.setattr(objective, "_residual", counted)
         adjoint_gradient(problem, truth.with_chi(truth.chi * 1.05))
-        assert len(calls) == 1
+        assert len(calls) == 2 * problem.data.n_days
 
     def test_needs_every_level(self, twin9):
         problem, truth = twin9["problem"], twin9["truth"]
@@ -686,3 +699,77 @@ class TestRandomMaskProperties:
         traj = problem.simulate(point)
         population = problem.population_at(point.kappa, traj.times)
         assert conservation_drift(population.sum(axis=(1, 2)) * problem.grid.cell_area) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelKind)),
+        nx=st.integers(4, 9),
+        ny=st.integers(4, 9),
+        n_regions=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        backend=st.sampled_from(["cn", "fem-split"]),
+        w1=st.booleans(),
+        w2=st.booleans(),
+    )
+    def test_streamed_objective_is_the_stored_one(self, model, nx, ny, n_regions, seed, backend,
+                                                  w1, w2):
+        """J summed at the day hook is, bit for bit, J of the stored run and the gradient's J."""
+        problem, point = random_mask_problem(model, nx, ny, n_regions, seed)
+        weights = dataclasses.replace(problem.weights, w1=problem.weights.w1 * w1,
+                                      w2=problem.weights.w2 * w2)
+        problem = dataclasses.replace(problem, weights=weights, backend=backend)
+        try:
+            traj = problem.simulate(point)
+        except StabilityError:
+            # random masks jump, where fem-split's diffusion undershoots and a coarse cn
+            # step can too; the hooked run takes the same steps and stops at the same one
+            with pytest.raises(StabilityError):
+                problem.objective(point)
+            return
+        j = problem.objective(point)
+        assert j.hex() == evaluate_terms(traj, point, weights, problem.data).total.hex()
+        if backend == "cn":
+            assert j.hex() == adjoint_gradient(problem, point).breakdown.total.hex()
+        hooked = problem.simulate(point, on_day=lambda day, q: None)
+        assert hooked.times.tobytes() == traj.times[:1].tobytes()
+        assert hooked.states.tobytes() == traj.states[:1].tobytes()
+
+
+@pytest.fixture(scope="module")
+def twins17(tmp_path_factory):
+    """17x17 twins at tau = 0.25 over 20 and 80 days, with an evaluation point off the truth."""
+    out = {}
+    for t_end in (20.0, 80.0):
+        problem, truth, _ = make_twin(tmp_path_factory.mktemp(f"twin17_{t_end:.0f}"), nx=17,
+                                      t_end=t_end, tau=0.25, breakpoints=(5.0, 10.0))
+        out[t_end] = problem, truth.with_chi(truth.chi * 1.05)
+    return out
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args), after one warm call has built the lazy data fields."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """J and its gradient hold O(cells) beside the stored run, not a field per day."""
+
+    def test_objective_peak_does_not_grow_with_the_window(self, twins17):
+        peaks = {t_end: traced_peak(problem.objective, params)
+                 for t_end, (problem, params) in twins17.items()}
+        assert peaks[80.0] <= 1.25 * peaks[20.0], peaks
+
+    def test_gradient_holds_no_stack_beside_its_run(self, twins17):
+        extra = {}
+        for t_end, (problem, params) in twins17.items():
+            run = problem.simulate(params, every_level=True)
+            run_bytes = sum(v.nbytes for v in vars(run).values() if isinstance(v, np.ndarray))
+            del run
+            extra[t_end] = traced_peak(adjoint_gradient, problem, params) - run_bytes
+        assert extra[80.0] <= 2 * extra[20.0], extra

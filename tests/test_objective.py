@@ -25,7 +25,8 @@ from epidiffuse.models import (
 from epidiffuse.objective import (
     CaseSeries,
     ObjectiveWeights,
-    daily_residuals,
+    _DayMarks,
+    _residual,
     detected_daily_cases,
     evaluate_terms,
     interpolate_data,
@@ -194,15 +195,17 @@ class TestEvaluateJ:
 
     def test_daily_residuals_are_incidence_minus_data(self):
         grid, masks, population, params, traj, data = run_and_data()
-        res = daily_residuals(traj, params, data)
-        assert res.phi.shape == res.resid.shape == (len(traj.days),) + grid.shape
+        marks = _DayMarks(params, data, grid.cell_area)
         for pos, day in enumerate(traj.days):
             u = traj.states[traj.daily_indices[pos]]
-            assert res.beta[pos] == beta_at(params.schedule, float(day))
-            npt.assert_array_equal(res.phi[pos], transmission_bilinear(traj.model, u))
-            g = (params.delta * beta_at(params.schedule, float(day))
-                 * transmission_bilinear(traj.model, u))
-            npt.assert_array_equal(res.resid[pos], g - data.daily_fields[pos])
+            phi = transmission_bilinear(traj.model, u)
+            assert marks.beta[pos] == beta_at(params.schedule, float(day))
+            g = params.delta * beta_at(params.schedule, float(day)) * phi
+            npt.assert_array_equal(_residual(phi, marks.delta_beta[pos]), g)
+            npt.assert_array_equal(marks.residual(day, phi), g - data.daily_fields[pos])
+            # the sweep's phi is flat over the cells
+            npt.assert_array_equal(marks.residual(day, phi.reshape(-1)),
+                                   (g - data.daily_fields[pos]).reshape(-1))
 
     def test_w0_scales_misfit_linearly(self):
         grid, masks, population, params, traj, data = run_and_data()

@@ -340,6 +340,18 @@ class TestRunForward:
         npt.assert_array_equal(problem.population_at(kappa, a.times),
                                problem.population_at(kappa, b.times))
 
+    @pytest.mark.parametrize("run", [run_from_state, run_fem_from_state])
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_runs_leave_u0_unchanged(self, run, hooked):
+        """A run reads the caller's u0 in place and writes only new read-outs."""
+        grid = GridSpec(9, 9, 1.0, 1.0)
+        bump = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, 9)))
+        u0 = seed_state(ModelKind.SEIR, 0.01 + 0.04 * np.outer(bump, bump))
+        before = u0.copy()
+        hook = (lambda day, q: None) if hooked else None
+        run(grid, u0, ModelKind.SEIR, SCHED, 0.1, 2.0, 0.25, on_day=hook)
+        assert u0.tobytes() == before.tobytes()
+
     def test_step_validation(self):
         problem = small_problem(ModelKind.SIS, 1.0)
         grid = problem.grid
@@ -523,11 +535,26 @@ class TestStorageRules:
         cy = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.ny)))
         u0 = seed_state(model, 0.01 + 0.04 * np.outer(cy, cx))
         args = (grid, u0, model, SCHED, kappa, t_end, tau)
-        every = run(*args)
+        try:
+            every = run(*args)
+        except StabilityError:
+            # cn is not positive at large c |lam| (kappa = 1, tau = 0.5 on a 3x4 grid of
+            # 0.5 x 0.5 goes below -1e-10 at t = 0.5); every rule takes the same steps
+            for kwargs in ({"every_level": False}, {"on_day": lambda day, q: None}):
+                with pytest.raises(StabilityError):
+                    run(*args, **kwargs)
+            return
         daily = run(*args, every_level=False)
         assert daily.between is None
         assert daily.times.tobytes() == every.times.tobytes()
         assert daily.states.tobytes() == every.states.tobytes()
+        # the day hook reads the whole days in order, level 0 included; the run keeps level 0
+        read = []
+        hooked = run(*args, on_day=lambda day, q: read.append((day, q.tobytes())))
+        assert [day for day, _ in read] == every.days.tolist()
+        assert [q for _, q in read] == [every.states[n].tobytes() for n in every.daily_indices]
+        assert hooked.times.tobytes() == every.times[:1].tobytes()
+        assert hooked.states.tobytes() == every.states[:1].tobytes() and hooked.between is None
 
         rows = model.force_rows
         kept = np.rint(every.times / tau).astype(int)
