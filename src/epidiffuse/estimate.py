@@ -1,6 +1,6 @@
 """Parameter estimation: Metropolis random walk and adjoint-gradient descent.
 
-Both engines minimize the same J (objective.evaluate_terms) over
+Both engines minimize the same J (Problem.objective) over
 
     chi = (beta0, beta1, beta2, kappa, delta)   and the per-region
     initially infected counts I0 (spread uniformly by distribute_uniform).
@@ -11,15 +11,16 @@ with probability min{1, exp((J_old^2 - J_new^2) / (2 sigma^2))}, and reports
 means and standard deviations over the accepted post-burn-in draws.  Every
 decision is logged so the rule can be re-checked offline.
 
-Problem.objective sums J's misfit at the forward run's day hook, one day
-mark at a time, and stores no day; objective.evaluate_terms sums the same
-residuals over a stored run.
+Every forward run that J reads, the objective's, the gradient's and the
+adjoint fit's trials, is a Problem._marked_run: it sums J's day marks at the
+run's day hook, one day mark at a time, into an objective._DayMarks, and
+stores no day.  The gradient's run also stores the force rows of every level.
 
 The adjoint engine computes the exact gradient of the discrete objective
 by reverse mode, as the chain rule through two pieces that sit beside the
 code they differentiate: objective.sensitivities gives J's terms and J's
-derivatives at fixed states in chi and u0, in one pass over the residuals J
-itself sums, and an impulse(day, phi) that solver_cn.sweep calls at each day
+derivatives at fixed states in chi and u0, from the sums the run's day hook
+made, and an impulse(day, phi) that solver_cn.sweep calls at each day
 mark to form dJ/dphi from the phi it reads there, carrying it back through
 the forward recursion to dJ/du0, dJ/dbeta and dJ/dkappa.  The
 search direction for chi comes from a damped limited-memory BFGS (identity
@@ -47,7 +48,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError
 from .grid import GridSpec, RegionMask
 from .models import (
     ModelKind,
@@ -65,12 +66,11 @@ from .objective import (
     ObjectiveWeights,
     _DayMarks,
     _terms,
-    evaluate_terms,
     region_persons,
     sensitivities,
 )
-from .solver_cn import (Trajectory, _check_step, _unforced, _whole_steps, assemble,
-                        run_from_state, sweep)
+from .solver_cn import (Trajectory, _check_step, _day_levels, _unforced, _whole_steps,
+                        assemble, run_from_state, sweep)
 from . import solver_fem
 
 BETA_MIN = 1e-8
@@ -123,12 +123,13 @@ class Problem:
         if self.corrected and self.backend != "cn":
             raise ConfigError("the corrected step exists on the cn backend only",
                               key="solver.corrected")
-        if self.data is not None:
-            last = int(self.data.days[-1])
-            if self.data.days[0] != 0 or last != int(round(self.t_end)):
-                raise ParameterError(
-                    f"data days {self.data.days[0]}..{last} do not span 0..{int(round(self.t_end))}"
-                )
+        if self.t_end > self.initial.schedule.t_end + 1e-6:  # beta_at's tolerance
+            raise ParameterError(f"the schedule window [0, {self.initial.schedule.t_end}] ends "
+                                 f"before t_end={self.t_end}")
+        marked = list(_day_levels(_whole_steps(self.t_end, self.tau), self.tau).values())
+        if self.data is not None and self.data.days.tolist() != marked:
+            raise ParameterError(f"data days {self.data.days[0]}..{self.data.days[-1]} do not "
+                                 f"match the run's day marks 0..{marked[-1]}")
 
     @property
     def region_names(self) -> tuple[str, ...]:
@@ -174,10 +175,10 @@ class Problem:
         u0_override: np.ndarray | None = None,
         on_day: Callable[[int, np.ndarray], Any] | None = None,
     ) -> Trajectory:
-        """Forward run on the problem's backend; by default stores only the whole days J reads.
+        """Forward run on the problem's backend, by default keeping level 0, whole days and the last.
 
-        ``u0_override`` replaces the state built from the seed counts; ``on_day`` is the
-        runs' day hook, with which the run stores level 0 alone.
+        ``u0_override`` replaces the state built from the seed counts; ``every_level`` and
+        ``on_day``, the runs' day hook, store as ``solver_cn._drive`` describes.
         """
         u0 = u0_override if u0_override is not None else self.build_u0(params)
         if self.backend == "fem-split":
@@ -212,15 +213,18 @@ class Problem:
             raise ConfigError("this problem was built without case data; cannot evaluate J")
         return self.data
 
+    def _marked_run(self, params: ParameterVector, every_level: bool = False,
+                    u0_override: np.ndarray | None = None) -> tuple[Trajectory, _DayMarks]:
+        """A forward run that sums J's day marks at its day hook: the run and its marks."""
+        marks = _DayMarks(params, self._require_data(), self.grid.cell_area)
+        traj = self.simulate(params, every_level=every_level, u0_override=u0_override,
+                             on_day=lambda day, q: marks.add(day, transmission_bilinear(self.model, q)))
+        return traj, marks
+
     def objective(self, params: ParameterVector) -> float:
         """J at ``params``, its misfit summed at the run's day hook, so no day is stored."""
-        data = self._require_data()
-        marks = _DayMarks(params, data, self.grid.cell_area)
-        level0 = self.simulate(params, on_day=lambda day, q: marks.add(
-            day, transmission_bilinear(self.model, q)))
-        if marks.n_added != data.n_days:
-            raise AlignmentError(f"the run has {marks.n_added} day marks, the data {data.n_days}")
-        return _terms(marks, level0, params, self.weights).total
+        traj, marks = self._marked_run(params)
+        return _terms(marks, traj, params, self.weights).total
 
 
 @dataclass
@@ -417,21 +421,19 @@ def _require_exact_adjoint(problem: Problem):
 def adjoint_gradient(
     problem: Problem,
     params: ParameterVector,
-    trajectory: Trajectory | None = None,
+    run: tuple[Trajectory, _DayMarks] | None = None,
 ) -> AdjointGradient:
     """Exact gradient of the discrete J by the chain rule.
 
-    The trajectory must be stored with ``every_level``.
+    ``run`` is ``problem._marked_run(params, every_level=True)``, made here when absent.
     objective.sensitivities differentiates J at fixed states, solver_cn.sweep
     carries its dJ/dphi impulses back through the run, and dJ/du0 chains through
     seed_jacobian to the seed gradients.
     """
     _require_exact_adjoint(problem)
-    data = problem._require_data()
-    if trajectory is None:
-        trajectory = problem.simulate(params, every_level=True)
-    sens = sensitivities(trajectory, params, problem.weights, data)
-    dq0, g_beta, g_kappa = sweep(trajectory, params.schedule, params.kappa, sens.impulse)
+    traj, marks = run if run is not None else problem._marked_run(params, every_level=True)
+    sens = sensitivities(marks, traj, params, problem.weights)
+    dq0, g_beta, g_kappa = sweep(traj, params.schedule, params.kappa, sens.impulse)
     du0 = dq0 + sens.u0
     model, grid, pop = problem.model, problem.grid, problem.population
     g_seeds = np.array([
@@ -584,7 +586,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         trial = base.with_seeds(dict(zip(names, x_t)))
         return trial, problem.build_u0(trial)
 
-    grad = adjoint_gradient(problem, params, problem.simulate(params, every_level=True, u0_override=u0))
+    grad = adjoint_gradient(problem, params, problem._marked_run(params, every_level=True, u0_override=u0))
     j_cur = grad.breakdown.total
     n_eval = 1
     history = [(j_cur, problem.pack(params))]
@@ -628,11 +630,11 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
         while alpha >= ALPHA_MIN:
             x_t = np.clip(x + alpha * s2, 0.0, upper)
             trial, u0_t = place(params.with_chi(problem.project_chi(params.chi + alpha * s1)), x_t)
-            # every level is stored so that an accepted trial's run feeds the gradient;
-            # the last trial's run is dropped first, so that two are never held at once
-            traj_t = None
-            traj_t = problem.simulate(trial, every_level=True, u0_override=u0_t)
-            j_t = evaluate_terms(traj_t, trial, problem.weights, problem._require_data()).total
+            # every level's force rows are stored so that an accepted trial's run feeds the
+            # gradient; the last trial's run is dropped first, so that two are never held at once
+            run_t = None
+            run_t = problem._marked_run(trial, every_level=True, u0_override=u0_t)
+            j_t = _terms(run_t[1], run_t[0], trial, problem.weights).total
             n_eval += 1
             if j_t <= j_cur + ARMIJO_C * alpha * slope:
                 break
@@ -650,7 +652,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             diagnostics["stop"] = "tol"
             break
 
-        grad = adjoint_gradient(problem, params, traj_t)
+        grad = adjoint_gradient(problem, params, run_t)
         gnorms.append(float(np.linalg.norm(grad.full)))
         lbfgs.update(params.chi - chi_prev, grad.chi - g_prev)
 

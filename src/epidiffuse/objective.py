@@ -20,16 +20,17 @@ The full objective is
 with g_d the detected-incidence field at day d, chi = (beta0, beta1, beta2,
 kappa, delta) and u0_ref the disease-free state unless one is given.
 ``_residual`` is the one place that forms r_d = delta beta(d) phi_d - v_d, one
-day mark at a time, and ``_DayMarks`` sums the misfit from it in day order:
-evaluate_terms over a stored run and Problem.objective at a run's day hook,
-so J needs no per-day stack.  ``sensitivities`` differentiates the same
-residuals, so both estimators minimize exactly the J they report.  In one
-pass over the days it gives J's terms and J's derivatives with the states
-held fixed, in chi (beta and delta at the day marks and the w1 anchor) and
-in u_0 (the w2 anchor); for the force phi = u_S u_I it returns
-``impulse(day, phi)``, dJ/dphi formed from the phi solver_cn.sweep reads at
-that day mark.  ``region_persons`` is the one rule by which a fraction field
-counts persons.
+day mark at a time.  ``_DayMarks`` sums from it, in day order, the misfit and
+each day's phi_d . r_d, and is the one check of a run's days against the
+data's.  Every fresh run that J reads sums them at its day hook
+(``Problem._marked_run``), so J needs no per-day stack; only evaluate_terms
+replays the days of a stored run.  ``sensitivities`` reads the same sums, so
+both estimators minimize exactly the J they report: from them it gives J's
+terms and J's derivatives with the states held fixed, in chi (beta and delta
+at the day marks and the w1 anchor) and in u_0 (the w2 anchor); for the
+force phi = u_S u_I it returns ``impulse(day, phi)``, dJ/dphi formed from the
+phi solver_cn.sweep reads at that day mark.  ``region_persons`` is the one
+rule by which a fraction field counts persons.
 """
 
 from __future__ import annotations
@@ -226,10 +227,12 @@ def _residual(phi: np.ndarray, delta_beta: float, v: np.ndarray | None = None) -
 
 
 class _DayMarks:
-    """J's per-day factors for one evaluation, and its misfit summed one day mark at a time.
+    """J's per-day factors for one evaluation, and its sums over a run's day marks.
 
-    ``beta`` and ``delta_beta`` hold beta(d) and delta beta(d) at the data's days; ``add``
-    takes the days in order, each with its phi = u_S u_I, and returns the day's residual.
+    ``beta`` and ``delta_beta`` hold beta(d) and delta beta(d) at the data's days.  ``add``
+    takes a run's day marks in order, each with its phi = u_S u_I, and sums the misfit and
+    keeps ``phi_r``, phi_d . r_d per day; a day that is not the data's next raises
+    AlignmentError.
     """
 
     def __init__(self, params: ParameterVector, data: DataInterpolant, area: float):
@@ -239,32 +242,26 @@ class _DayMarks:
         self.delta_beta = params.delta * self.beta
         self.omega = trapezoid_day_weights(data.n_days)
         self.misfit = 0.0   # sum_d omega_d ||r_d||^2 area, before the factor w0 / 2
+        self.phi_r = np.zeros(data.n_days)   # phi_d . r_d, summed over the cells
         self.n_added = 0
 
     def residual(self, day: int, phi: np.ndarray) -> np.ndarray:
         pos = day - self.data.days[0]
         return _residual(phi, self.delta_beta[pos], self.data.daily_fields[pos])
 
-    def add(self, day: int, phi: np.ndarray) -> np.ndarray:
+    def add(self, day: int, phi: np.ndarray) -> None:
+        pos, days = self.n_added, self.data.days
+        if pos == self.data.n_days or day != days[pos]:
+            raise AlignmentError(f"day mark {day} is not the next of data days {days[0]}..{days[-1]}")
         r = self.residual(day, phi)
-        self.misfit += self.omega[day - self.data.days[0]] * float((r * r).sum()) * self.area
+        self.misfit += self.omega[pos] * float((r * r).sum()) * self.area
+        self.phi_r[pos] = float((phi * r).sum())
         self.n_added += 1
-        return r
 
-
-def _check_days(traj: Trajectory, data: DataInterpolant) -> None:
-    days = traj.days
-    if len(days) != data.n_days or days[0] != data.days[0] or days[-1] != data.days[-1]:
-        raise AlignmentError(
-            f"trajectory days {days[0]}..{days[-1]} ({len(days)}) do not match "
-            f"data days {data.days[0]}..{data.days[-1]} ({data.n_days})"
-        )
-
-
-def _day_marks(traj: Trajectory):
-    """(day, phi = u_S u_I) at each stored day mark of ``traj``, in order."""
-    for level, day in zip(traj.daily_indices, traj.days.tolist()):
-        yield day, transmission_bilinear(traj.model, traj.states[level])
+    def replay(self, traj: Trajectory) -> None:
+        """Add the day marks stored in ``traj``."""
+        for level, day in zip(traj.daily_indices, traj.days.tolist()):
+            self.add(day, transmission_bilinear(traj.model, traj.states[level]))
 
 
 def _initial_gap(traj: Trajectory, weights: ObjectiveWeights) -> np.ndarray:
@@ -275,7 +272,10 @@ def _initial_gap(traj: Trajectory, weights: ObjectiveWeights) -> np.ndarray:
 
 def _terms(marks: _DayMarks, traj: Trajectory, params: ParameterVector,
            weights: ObjectiveWeights) -> ObjectiveBreakdown:
-    """The three terms of J from the summed ``marks`` and the level 0 of ``traj``."""
+    """The three terms of J from the summed ``marks`` and the level 0 of ``traj``; raises
+    AlignmentError unless the marks cover every day of the data."""
+    if marks.n_added != marks.data.n_days:
+        raise AlignmentError(f"the run has {marks.n_added} day marks, the data {marks.data.n_days}")
     misfit = marks.misfit * (0.5 * weights.w0)
 
     chi_reg = 0.0
@@ -292,11 +292,9 @@ def _terms(marks: _DayMarks, traj: Trajectory, params: ParameterVector,
 
 def evaluate_terms(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
                    data: DataInterpolant) -> ObjectiveBreakdown:
-    """The three terms of J separately; ``.total`` is J."""
-    _check_days(traj, data)
+    """The three terms of J of a stored run separately; ``.total`` is J."""
     marks = _DayMarks(params, data, traj.grid.cell_area)
-    for day, phi in _day_marks(traj):
-        marks.add(day, phi)
+    marks.replay(traj)
     return _terms(marks, traj, params, weights)
 
 
@@ -309,20 +307,19 @@ class Sensitivities(NamedTuple):
     impulse: Callable[[int, np.ndarray], np.ndarray]  # (day, phi) -> dJ/dphi at that day mark
 
 
-def sensitivities(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
-                  data: DataInterpolant) -> Sensitivities:
-    """J's terms and its derivatives at fixed states, from one pass over the day marks.
+def sensitivities(marks: _DayMarks, traj: Trajectory, params: ParameterVector,
+                  weights: ObjectiveWeights) -> Sensitivities:
+    """J's terms and its derivatives at fixed states, from a run's summed day ``marks``.
 
-    ``impulse(day, phi)`` is w0 area omega_d beta(d) delta r_d, with r_d formed from the
-    given ``phi``, the day's u_S u_I in any shape over the grid's cells.
+    ``traj`` serves its level 0 alone.  ``impulse(day, phi)`` is w0 area omega_d beta(d)
+    delta r_d, with r_d formed from the given ``phi``, the day's u_S u_I in any shape over
+    the grid's cells.
     """
-    _check_days(traj, data)
-    marks = _DayMarks(params, data, traj.grid.cell_area)
-    dj_d = np.array([float((phi * marks.add(day, phi)).sum()) for day, phi in _day_marks(traj)])
+    days = marks.data.days
     terms = _terms(marks, traj, params, weights)
     w0a_omega = weights.w0 * marks.area * marks.omega
-    dj_d *= w0a_omega  # dJ/d(delta * beta(d))
-    intervals = [beta_interval(params.schedule, float(d)) for d in data.days]
+    dj_d = marks.phi_r * w0a_omega  # dJ/d(delta * beta(d))
+    intervals = [beta_interval(params.schedule, float(d)) for d in days]
     chi = np.zeros(5)
     chi[:3] = np.bincount(intervals, weights=params.delta * dj_d, minlength=3)
     chi[4] = float(marks.beta @ dj_d)
@@ -332,7 +329,7 @@ def sensitivities(traj: Trajectory, params: ParameterVector, weights: ObjectiveW
 
     def impulse(day: int, phi: np.ndarray) -> np.ndarray:
         r = marks.residual(day, phi)
-        r *= scale[day - data.days[0]]
+        r *= scale[day - days[0]]
         return r
 
     # 0.0 at w2 = 0, so the sweep holds no unused field beside its own
@@ -352,7 +349,8 @@ def detected_daily_cases(
     region k of delta * beta(d) * u_S * u_I, with P_k from ``population``.
     """
     delta_beta = params.delta * np.array([beta_at(params.schedule, float(d)) for d in traj.days])
-    incidence = np.stack([_residual(phi, db) for (_, phi), db in zip(_day_marks(traj), delta_beta)])
+    incidence = np.stack([_residual(transmission_bilinear(traj.model, traj.states[level]), db)
+                          for level, db in zip(traj.daily_indices, delta_beta)])
     pops = region_persons(1.0, population, masks.values(), traj.grid)
     return {name: pop * region_total(incidence, mask, traj.grid)
             for (name, mask), pop in zip(masks.items(), pops)}

@@ -76,8 +76,8 @@ backward step transforms those two fields out and the two nonzero rows of
 (d phi/du) o s in, 4 field transforms; SIR takes 4 and SIS 3.
 
 The sweep reads a full state only at level 0 and elsewhere only the rows phi
-reads, u_S and u_I (u in SIS).  So a run stored with ``every_level`` keeps full
-states where any run does, and those rows alone at the other levels (``between``).
+reads, u_S and u_I (u in SIS).  So a run stored with ``every_level`` keeps the
+full state at level 0 and those rows alone at every later level (``between``).
 """
 
 from __future__ import annotations
@@ -183,13 +183,13 @@ def _whole_days(times: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Stored forward solution at the kept levels: 0, the whole days and the last.
+    """Stored forward solution: ``states``, (n_kept, m, ny, nx), at the kept ``times``.
 
-    ``states`` has shape (n_kept, m, ny, nx), the compartments alone; the
-    population is formed by ``Problem.population_at``.  A run stored with
-    ``every_level`` also keeps ``between``, (n_steps + 1 - n_kept, r, ny, nx):
-    the r force rows (``ModelKind.force_rows``) of every other level, in order,
-    which is all the adjoint sweep reads there; it is None otherwise.
+    A default run keeps level 0, the whole days and the last level; a run with a day hook
+    or with ``every_level`` keeps level 0 alone.  The states hold the compartments alone;
+    the population is formed by ``Problem.population_at``.  An ``every_level`` run also
+    keeps ``between``, (n_steps, r, ny, nx): the r force rows (``ModelKind.force_rows``)
+    of levels 1..n_steps, all the adjoint sweep reads there; it is None otherwise.
     """
 
     grid: GridSpec
@@ -237,6 +237,12 @@ def _unforced(ws: CNWorkspace, fields: np.ndarray, levels: list[int]) -> np.ndar
     return np.stack(out)
 
 
+def _day_levels(steps: int, tau: float) -> dict[int, int]:
+    """Level -> day at the levels of a run of ``steps`` steps of tau that fall on whole days."""
+    levels = np.flatnonzero(_whole_days(np.arange(steps + 1) * tau))
+    return dict(zip(levels.tolist(), np.rint(levels * tau).astype(int).tolist()))
+
+
 def _drive(
     grid: GridSpec,
     u0: np.ndarray,
@@ -252,10 +258,11 @@ def _drive(
 
     ``start`` maps u0, flattened to (m, n_cells), to the carried state (u0 by default), and
     ``advance(carried, t)`` returns the (m, n_cells) read-out one step of tau after t and the
-    carried state there.  Level n lies at t = n tau; the loop keeps the read-outs at level 0,
-    the whole days and the last level, and with ``every_level`` the force rows of the others.
-    With ``on_day`` it keeps level 0 alone and calls ``on_day(day, q)`` with the read-out q,
-    (m, n_cells), of each whole day in order, level 0 included.
+    carried state there.  Level n lies at t = n tau.  By default the loop keeps the read-outs
+    at level 0, the whole days and the last level; with ``on_day`` or ``every_level`` it keeps
+    level 0 alone, and with ``every_level`` the force rows of levels 1..n_steps in ``between``.
+    ``on_day(day, q)`` is called with the read-out q, (m, n_cells), of each whole day in
+    order, level 0 included.
     """
     m = model.n_compartments
     if u0.shape != (m,) + grid.shape:
@@ -263,20 +270,14 @@ def _drive(
     steps = _whole_steps(t_end, tau)
     u = np.asarray(u0, dtype=float).reshape(m, -1)  # read only: the clip acts on new read-outs
 
-    times = np.arange(steps + 1) * tau
-    whole = _whole_days(times)
-    marks = {}   # level -> day, at the levels on_day reads
-    if on_day is None:
-        keep = whole.copy()
-        keep[-1] = True
-    else:
-        marks = dict(zip(np.flatnonzero(whole).tolist(), np.rint(times[whole]).astype(int).tolist()))
-        keep = np.arange(steps + 1) == 0
-        every_level = False
-    times = times[keep]
-    slot = np.where(keep, np.cumsum(keep), np.cumsum(~keep)) - 1  # into states or between
+    days = _day_levels(steps, tau)
+    keep = np.arange(steps + 1) == 0
+    if on_day is None and not every_level:
+        keep[list(days)] = keep[-1] = True
+    times = (np.arange(steps + 1) * tau)[keep]
+    slot = np.cumsum(keep) - 1
     rows = model.force_rows
-    n_kept, n_between = len(times), (steps + 1 - len(times)) * every_level
+    n_kept, n_between = len(times), steps * every_level
     # one allocation: as two smaller ones, glibc's trim threshold re-faulted them every run
     store_block = np.empty((n_kept * m + n_between * len(u0[rows]),) + grid.shape)
     states = store_block[:n_kept * m].reshape((n_kept, m) + grid.shape)
@@ -288,12 +289,12 @@ def _drive(
     carried = u if start is None else start(u)
     for n in range(steps):
         q, carried = advance(carried, n * tau)
-        if keep[n + 1]:
+        if every_level:
+            between[n] = q[rows].reshape(between.shape[1:])
+        elif keep[n + 1]:
             states[slot[n + 1]] = q.reshape(states.shape[1:])
-        elif every_level:
-            between[slot[n + 1]] = q[rows].reshape(between.shape[1:])
-        if n + 1 in marks:
-            on_day(marks[n + 1], q)
+        if on_day is not None and n + 1 in days:
+            on_day(days[n + 1], q)
 
     return Trajectory(grid, model, tau, times, states, between)
 
@@ -306,7 +307,7 @@ def run_from_state(
     kappa: float,
     t_end: float,
     tau: float,
-    every_level: bool = True,
+    every_level: bool = False,
     corrected: bool = False,
     on_day: Callable[[int, np.ndarray], Any] | None = None,
 ) -> Trajectory:
@@ -353,11 +354,10 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
 
     ``traj`` is the forward run stored with ``every_level``, and ``impulse(day, phi)``
     returns J's derivative in phi = u_S u_I at that day mark, (n_cells,), given the
-    day's phi, which the sweep forms from the stored force rows.
-    At each level the sweep reads only the force rows: those of the kept
-    states, and ``between`` elsewhere.  Returns dJ/dq_0 through the states,
-    (m, ny, nx), and the sweep's parts of dJ/dbeta, per plateau, and of
-    dJ/dkappa.  Raises SequencingError for a run stored without ``every_level``.
+    day's phi, which the sweep forms from the stored force rows: those of
+    ``states[0]`` at level 0 and ``between[n - 1]`` at level n.  Returns dJ/dq_0
+    through the states, (m, ny, nx), and the sweep's parts of dJ/dbeta, per plateau,
+    and of dJ/dkappa.  Raises SequencingError for a run stored without ``every_level``.
     """
     if traj.between is None:
         raise SequencingError("adjoint sweep needs every forward level; run with every_level=True")
@@ -367,10 +367,8 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
     model = traj.model
     m, n_cells = model.n_compartments, traj.grid.n_cells
     rows = model.force_rows  # the rows phi reads and d phi / du fills
-    levels = np.rint(traj.times / tau).astype(int).tolist()
-    kept = dict(zip(levels, traj.states[:, rows]))
-    others = iter(traj.between[::-1])
-    marks = dict(zip([levels[d] for d in traj.daily_indices], traj.days.tolist()))
+    steps = len(traj.between)
+    marks = _day_levels(steps, tau)
     K, e = reaction_split(model, schedule)
     half_tau = 0.5 * tau
     g_beta = np.zeros(3)
@@ -380,8 +378,8 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
     # module docstring's W over tau/2, so a_n is lam (Z_n + Z_{n-1}).
     Z = np.zeros((m, n_cells))
     W = np.zeros((m, n_cells))
-    for n in range(levels[-1], -1, -1):
-        v = (kept[n] if n in kept else next(others)).reshape(-1, n_cells)
+    for n in range(steps, -1, -1):
+        v = (traj.between[n - 1] if n else traj.states[0, rows]).reshape(-1, n_cells)
         t = n * tau
         beta = beta_at(schedule, t)
         out = np.stack([e @ Z, e @ W])

@@ -105,7 +105,7 @@ def run_fem_from_state(
     kappa: float,
     t_end: float,
     tau: float,
-    every_level: bool = True,
+    every_level: bool = False,
     on_day: Callable[[int, np.ndarray], Any] | None = None,
 ) -> Trajectory:
     """Split-scheme counterpart of solver_cn.run_from_state."""

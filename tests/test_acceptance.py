@@ -134,10 +134,10 @@ def _rk4_seir(s0, e0, i0, betas, bps, gamma, theta, t_end, tau, refine):
 def test_criterion_2_flat_run_reduces_to_the_ode(capsys, monkeypatch):
     """With kappa = 0 and a uniform start, every cell follows the plain ODE.
 
-    S, E and I are compared at every level.  The stored run holds S and I at
-    every level, full states on whole days and the force rows between them.
-    E between whole days is taken from the read-outs the negativity guard
-    sees, which are the stored levels: at kappa = 0 none is clipped.
+    S, E and I are compared at every level.  The every-level run holds the
+    full state at level 0 and the force rows, S and I, at every later level.
+    E after level 0 is taken from the read-outs the negativity guard sees,
+    which are the stored levels: at kappa = 0 none is clipped.
     """
     seen, lows = [], []
     check_sign = solver_cn._check_sign
@@ -156,19 +156,17 @@ def test_criterion_2_flat_run_reduces_to_the_ode(capsys, monkeypatch):
     u0[0] = 1.0 - 1.5 * i0
     u0[1] = 0.5 * i0
     u0[2] = i0
-    traj = run_from_state(grid, u0, ModelKind.SEIR, schedule, 0.0, t_end, tau)
+    traj = run_from_state(grid, u0, ModelKind.SEIR, schedule, 0.0, t_end, tau, every_level=True)
     ref = _rk4_seir(1.0 - 1.5 * i0, 0.5 * i0, i0,
                     np.asarray(schedule.betas), np.asarray(schedule.breakpoints),
                     schedule.gamma, schedule.theta, t_end, tau, 100)
     assert min(lows) >= 0.0 and len(seen) == len(ref) - 1
-    kept = np.zeros(len(ref), dtype=bool)
-    kept[np.rint(traj.times / tau).astype(int)] = True
     levels = np.empty_like(ref)
     levels[0] = u0[:, 0, 0]
     levels[1:] = seen
     stored = levels.copy()
-    stored[kept] = traj.states[:, :, 0, 0]
-    stored[~kept, 0::2] = traj.between[:, :, 0, 0]
+    stored[0] = traj.states[0, :, 0, 0]
+    stored[1:, 0::2] = traj.between[:, :, 0, 0]
     # the guard saw exactly what the run stored; S and I are read from the store
     assert stored.tobytes() == levels.tobytes()
     err = float(np.abs(stored - ref).max())

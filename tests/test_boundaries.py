@@ -104,3 +104,12 @@ def test_the_population_is_formed_in_one_place():
                 params = {a.arg for a in node.args.args + node.args.kwonlyargs}
                 assert not params & {"population", "evolve_population"}, (name, params)
     assert found == {name for _, name in runs}
+
+
+def test_j_is_summed_where_each_run_makes_it():
+    """Every fresh run that J reads sums its day marks at its day hook; only
+    evaluate_terms replays the days of a stored run."""
+    users = users_of("_marked_run")
+    assert users == {"estimate.Problem.objective", "estimate.adjoint_gradient",
+                     "estimate.adjoint_fit"}, users
+    assert users_of("replay") == {"objective.evaluate_terms"}, users_of("replay")

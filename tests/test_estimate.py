@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from epidiffuse import estimate, objective
 from epidiffuse.errors import (
-    AlignmentError,
     ConfigError,
     DimensionError,
     ParameterError,
@@ -39,7 +38,7 @@ from epidiffuse.objective import (
     evaluate_terms,
     interpolate_data,
 )
-from epidiffuse.solver_cn import conservation_drift
+from epidiffuse.solver_cn import conservation_drift, sweep
 
 from conftest import make_twin
 
@@ -121,11 +120,24 @@ class TestProblem:
         projected = problem.project_chi(np.array(chi))
         assert problem.in_bounds(problem.pack(truth.with_chi(projected)))
 
-    def test_objective_refuses_a_run_short_of_the_data(self, twin9):
-        """At t_end = 19.6 the data still end on day round(19.6) = 20, the run on day 19."""
-        problem = dataclasses.replace(twin9["problem"], t_end=19.6)
-        with pytest.raises(AlignmentError):
-            problem.objective(twin9["truth"])
+    def test_refuses_a_window_the_runs_cannot_finish_or_mark_when_built(self, twin9):
+        """At t_end = 19.6 the runs mark days 0..19, but the data end on day 20; steps of
+        0.25 cannot end at 19.6 at all."""
+        with pytest.raises(ParameterError, match="day marks 0..19"):
+            dataclasses.replace(twin9["problem"], t_end=19.6)
+        with pytest.raises(ParameterError, match="whole steps"):
+            dataclasses.replace(twin9["problem"], t_end=19.6, tau=0.25)
+
+    def test_refuses_a_schedule_the_runs_outlast_when_built(self, twin9):
+        """A schedule window that ends on day 17 cannot give beta on days 18..20."""
+        problem, truth = twin9["problem"], twin9["truth"]
+        short = dataclasses.replace(truth.schedule, t_end=17.0)
+        with pytest.raises(ParameterError, match="schedule window"):
+            dataclasses.replace(problem, initial=dataclasses.replace(truth, schedule=short))
+        # within beta_at's tolerance of 1e-6 the window still covers the run
+        near = dataclasses.replace(truth, schedule=dataclasses.replace(truth.schedule,
+                                                                       t_end=20.0 - 5e-7))
+        assert dataclasses.replace(problem, initial=near).objective(near) == problem.objective(truth)
 
     def test_unknown_backend_rejected(self, twin9):
         with pytest.raises(ConfigError, match="unknown backend 'bogus'"):
@@ -420,8 +432,9 @@ class TestAdjointGradient:
         assert abs(grad.chi[3] - fd) <= 1e-6 * abs(fd), (grad.chi[3], fd)
 
     def test_one_day_mark_pass(self, twin9, monkeypatch):
-        """The gradient forms J's residual r_d in one helper, once per day mark for its terms and
-        dJ/dchi and once where the sweep reads that day's phi for dJ/dphi."""
+        """The gradient forms J's residual r_d in one helper, once per day mark at its forward
+        run's day hook, for its terms and dJ/dchi, and once where the sweep reads that day's
+        phi for dJ/dphi."""
         problem, truth = twin9["problem"], twin9["truth"]
         calls = []
         original = objective._residual
@@ -438,7 +451,7 @@ class TestAdjointGradient:
         problem, truth = twin9["problem"], twin9["truth"]
         daily = problem.simulate(truth)  # whole days only
         with pytest.raises(SequencingError):
-            adjoint_gradient(problem, truth, daily)
+            sweep(daily, truth.schedule, truth.kappa, lambda day, phi: np.zeros_like(phi))
 
     def test_cn_backend_only(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path)
@@ -713,7 +726,11 @@ class TestRandomMaskProperties:
     )
     def test_streamed_objective_is_the_stored_one(self, model, nx, ny, n_regions, seed, backend,
                                                   w1, w2):
-        """J summed at the day hook is, bit for bit, J of the stored run and the gradient's J."""
+        """J summed at the day hook is, bit for bit, J of the stored run and the gradient's J.
+
+        So are the hook's sums, the misfit and each day's phi . r, and an every-level run's
+        force rows at the whole days are the daily run's.
+        """
         problem, point = random_mask_problem(model, nx, ny, n_regions, seed)
         weights = dataclasses.replace(problem.weights, w1=problem.weights.w1 * w1,
                                       w2=problem.weights.w2 * w2)
@@ -730,6 +747,14 @@ class TestRandomMaskProperties:
         assert j.hex() == evaluate_terms(traj, point, weights, problem.data).total.hex()
         if backend == "cn":
             assert j.hex() == adjoint_gradient(problem, point).breakdown.total.hex()
+        _, marks = problem._marked_run(point)
+        replayed = objective._DayMarks(point, problem.data, problem.grid.cell_area)
+        replayed.replay(traj)
+        assert marks.misfit.hex() == replayed.misfit.hex()
+        assert marks.phi_r.tobytes() == replayed.phi_r.tobytes()
+        every = problem.simulate(point, every_level=True)
+        days = np.rint(traj.times[1:] / problem.tau).astype(int)
+        assert every.between[days - 1].tobytes() == traj.states[1:, model.force_rows].tobytes()
         hooked = problem.simulate(point, on_day=lambda day, q: None)
         assert hooked.times.tobytes() == traj.times[:1].tobytes()
         assert hooked.states.tobytes() == traj.states[:1].tobytes()

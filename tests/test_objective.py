@@ -27,6 +27,7 @@ from epidiffuse.objective import (
     ObjectiveWeights,
     _DayMarks,
     _residual,
+    _terms,
     detected_daily_cases,
     evaluate_terms,
     interpolate_data,
@@ -243,6 +244,19 @@ class TestEvaluateJ:
         with pytest.raises(AlignmentError):
             evaluate_terms(traj, params, ObjectiveWeights(1.0), data_short)
 
+    def test_day_marks_take_the_data_days_in_order_and_all_of_them(self):
+        grid, masks, population, params, traj, data = run_and_data()
+        phi = transmission_bilinear(traj.model, traj.states[0])
+        marks = _DayMarks(params, data, grid.cell_area)
+        with pytest.raises(AlignmentError, match="day mark 1 is not the next"):
+            marks.add(1, phi)
+        marks.add(0, phi)
+        with pytest.raises(AlignmentError, match="1 day marks, the data 5"):
+            _terms(marks, traj, params, ObjectiveWeights(1.0))
+        head = dataclasses.replace(traj, times=traj.times[:2], states=traj.states[:2])
+        with pytest.raises(AlignmentError, match="2 day marks"):
+            evaluate_terms(head, params, ObjectiveWeights(1.0), data)
+
 
 class TestSensitivities:
     def test_terms_and_fixed_state_derivatives(self, twin9):
@@ -253,7 +267,9 @@ class TestSensitivities:
         weights = ObjectiveWeights(1.0, 0.3, 0.2, chi_ref=truth.chi * 1.02,
                                    u0_ref=problem.build_u0(truth) * 1.1)
         traj = problem.simulate(params)
-        sens = sensitivities(traj, params, weights, data)
+        marks = _DayMarks(params, data, problem.grid.cell_area)
+        marks.replay(traj)
+        sens = sensitivities(marks, traj, params, weights)
         assert sens.terms == evaluate_terms(traj, params, weights, data)
 
         fd = np.empty(5)

@@ -366,25 +366,24 @@ class TestRunForward:
 
 class TestTrajectory:
     def test_daily_bookkeeping(self):
-        """Both storage rules keep the whole days; every_level adds S and I between them."""
+        """The daily run keeps the whole days; every_level keeps level 0 and S and I after it."""
         problem = small_problem(t_end=3.0)
         traj = problem.simulate(problem.initial, every_level=True)
         daily = problem.simulate(problem.initial)
-        for run in (traj, daily):
-            npt.assert_array_equal(run.times, [0.0, 1.0, 2.0, 3.0])
-            npt.assert_array_equal(run.daily_indices, [0, 1, 2, 3])
-            npt.assert_array_equal(run.days, [0, 1, 2, 3])
-        npt.assert_array_equal(daily.states, traj.states)
-        kappa = problem.initial.kappa
-        npt.assert_array_equal(problem.population_at(kappa, daily.times),
-                               problem.population_at(kappa, traj.times))
-        # 13 levels of tau = 0.25, of which 4 fall on whole days
-        assert traj.between.shape == (9, 2) + problem.grid.shape
+        npt.assert_array_equal(daily.times, [0.0, 1.0, 2.0, 3.0])
+        npt.assert_array_equal(daily.daily_indices, [0, 1, 2, 3])
+        npt.assert_array_equal(daily.days, [0, 1, 2, 3])
+        npt.assert_array_equal(traj.times, [0.0])
+        npt.assert_array_equal(traj.days, [0])
+        npt.assert_array_equal(daily.states[:1], traj.states)
+        # levels 1..12 of tau = 0.25; levels 4, 8 and 12 fall on whole days
+        assert traj.between.shape == (12, 2) + problem.grid.shape
+        npt.assert_array_equal(traj.between[[3, 7, 11]], daily.states[1:, problem.model.force_rows])
         assert daily.between is None
 
     def test_mass_levels(self):
         problem = small_problem(t_end=1.0)
-        traj = problem.simulate(problem.initial, every_level=True)
+        traj = problem.simulate(problem.initial)
         population = problem.population_at(problem.initial.kappa, traj.times)
         mass = population.sum(axis=(1, 2)) * problem.grid.cell_area
         assert mass.shape == (2,)
@@ -522,13 +521,14 @@ class TestStorageRules:
     @given(grid=grids, kappa=kappas, model=st.sampled_from(list(ModelKind)),
            run=st.sampled_from([run_from_state, run_fem_from_state]),
            tau=st.sampled_from([0.5, 0.25, 0.125]), t_end=st.sampled_from([2.0, 2.5]))
-    def test_whole_days_are_the_every_level_run_at_days_and_end(
+    def test_every_level_keeps_level_0_and_the_force_rows_after_it(
         self, grid, kappa, model, run, tau, t_end
     ):
-        """Both rules keep the same levels bit for bit; every_level adds the force rows between.
+        """By default a run keeps level 0, the whole days and the last level, bit for bit.
 
-        A run always keeps its last level, so the runs cut at each level n
-        between the kept ones give its force rows independently of ``between``.
+        A hooked run and an every-level run keep level 0 alone, and every_level, hook or
+        not, adds the force rows of levels 1..n_steps.  The runs cut at each level n give
+        its read-out independently of either store.
         """
         # a smooth bump over a floor keeps fem-split clear of its undershoot
         cx = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.nx)))
@@ -536,35 +536,44 @@ class TestStorageRules:
         u0 = seed_state(model, 0.01 + 0.04 * np.outer(cy, cx))
         args = (grid, u0, model, SCHED, kappa, t_end, tau)
         try:
-            every = run(*args)
+            daily = run(*args)
         except StabilityError:
             # cn is not positive at large c |lam| (kappa = 1, tau = 0.5 on a 3x4 grid of
             # 0.5 x 0.5 goes below -1e-10 at t = 0.5); every rule takes the same steps
-            for kwargs in ({"every_level": False}, {"on_day": lambda day, q: None}):
+            for kwargs in ({"every_level": True}, {"on_day": lambda day, q: None}):
                 with pytest.raises(StabilityError):
                     run(*args, **kwargs)
             return
-        daily = run(*args, every_level=False)
+        steps = round(t_end / tau)
+        kept = sorted({n for n in range(steps + 1) if (n * tau).is_integer()} | {steps})
+        assert daily.times.tobytes() == (np.arange(steps + 1) * tau)[kept].tobytes()
         assert daily.between is None
-        assert daily.times.tobytes() == every.times.tobytes()
-        assert daily.states.tobytes() == every.states.tobytes()
+        every = run(*args, every_level=True)
+        assert every.times.tobytes() == daily.times[:1].tobytes()
+        assert every.states.tobytes() == daily.states[:1].tobytes()
         # the day hook reads the whole days in order, level 0 included; the run keeps level 0
-        read = []
-        hooked = run(*args, on_day=lambda day, q: read.append((day, q.tobytes())))
-        assert [day for day, _ in read] == every.days.tolist()
-        assert [q for _, q in read] == [every.states[n].tobytes() for n in every.daily_indices]
-        assert hooked.times.tobytes() == every.times[:1].tobytes()
-        assert hooked.states.tobytes() == every.states[:1].tobytes() and hooked.between is None
+        for every_level in (False, True):
+            read = []
+            hooked = run(*args, every_level=every_level,
+                         on_day=lambda day, q: read.append((day, q.tobytes())))
+            assert [day for day, _ in read] == daily.days.tolist()
+            assert [q for _, q in read] == [daily.states[n].tobytes() for n in daily.daily_indices]
+            assert hooked.times.tobytes() == daily.times[:1].tobytes()
+            assert hooked.states.tobytes() == daily.states[:1].tobytes()
+            if every_level:
+                assert hooked.between.tobytes() == every.between.tobytes()
+            else:
+                assert hooked.between is None
 
         rows = model.force_rows
-        kept = np.rint(every.times / tau).astype(int)
-        others = np.setdiff1d(np.arange(round(t_end / tau) + 1), kept)
-        assert every.between.shape == (len(others),) + u0[rows].shape
-        for n, force in zip(others, every.between):
-            cut = run(grid, u0, model, SCHED, kappa, n * tau, tau, every_level=False)
-            assert cut.states[-1][rows].tobytes() == force.tobytes()
+        assert every.between.shape == (steps,) + u0[rows].shape
+        for n in range(1, steps + 1):
+            cut = run(grid, u0, model, SCHED, kappa, n * tau, tau)
+            assert cut.states[-1][rows].tobytes() == every.between[n - 1].tobytes()
+            if n in kept:
+                assert cut.states[-1].tobytes() == daily.states[kept.index(n)].tobytes()
         m, r = model.n_compartments, len(u0[rows])
         fields = every.states.nbytes + every.between.nbytes
-        assert fields == (len(kept) * m + len(others) * r) * grid.n_cells * 8
+        assert fields == (m + steps * r) * grid.n_cells * 8
         arrays = [v for v in vars(every).values() if isinstance(v, np.ndarray)]
         assert sum(a.nbytes for a in arrays) == fields + every.times.nbytes
