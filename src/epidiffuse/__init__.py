@@ -17,7 +17,6 @@ from .grid import (
     GridSpec,
     RegionMask,
     distribute_uniform,
-    laplacian,
     region_total,
     union_mask,
 )

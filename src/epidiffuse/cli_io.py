@@ -60,7 +60,7 @@ from .models import (
 )
 from .objective import (CaseSeries, ObjectiveWeights, detected_daily_cases, interpolate_data,
                         region_persons)
-from .solver_cn import conservation_drift, temporal_refinement_study
+from .solver_cn import _check_tau, conservation_drift, temporal_refinement_study
 from .estimate import (
     CHI_NAMES,
     AdjointConfig,
@@ -84,6 +84,8 @@ _FLOAT_CELL = ",%.12g"  # one more float column of a table row
 # ---------------------------------------------------------------------------
 
 def write_mask(path, grid: GridSpec, mask: RegionMask) -> None:
+    """Write one mask file; raise DimensionError, writing nothing, if the mask is not on ``grid``."""
+    mask._check_grid(grid)
     path = Path(path)
     with path.open("w") as fh:
         fh.write(f"{grid.nx} {grid.ny} {float(grid.Lx)!r} {float(grid.Ly)!r}\n")
@@ -383,8 +385,10 @@ def load_config(path) -> RunConfig:
     if backend not in ("cn", "fem-split"):
         raise ConfigError(f"backend must be 'cn' or 'fem-split', got {backend!r}", path=p, key="solver.backend")
     tau = _cfg_get(raw, p, "solver.tau", _float, 0.1)
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}", path=p, key="solver.tau")
+    try:
+        _check_tau(tau)
+    except ParameterError as exc:
+        raise ConfigError(str(exc), path=p, key="solver.tau") from exc
     corrected = _cfg_get(raw, p, "solver.corrected", _boolean, False)
 
     estimator = _cfg_get(raw, p, "estimator.kind", str, "simulate-only")

@@ -69,8 +69,8 @@ from .objective import (
     region_persons,
     sensitivities,
 )
-from .solver_cn import (Trajectory, _check_step, _day_levels, _unforced, _whole_steps,
-                        assemble, run_from_state, sweep)
+from .solver_cn import (Trajectory, _check_step, _check_tau, _day_levels, _unforced,
+                        _whole_steps, assemble, run_from_state, sweep)
 from . import solver_fem
 
 BETA_MIN = 1e-8
@@ -108,13 +108,10 @@ class Problem:
     corrected: bool = False
 
     def __post_init__(self):
-        _check_step(self.initial.kappa, self.tau)  # tau in (0, MAX_TAU]; kappa is in [0, 1]
+        _check_tau(self.tau)  # ParameterVector keeps kappa in [0, 1]
         if self.population.shape != self.grid.shape:
             raise DimensionError(f"population shape {self.population.shape} does not match grid "
                                  f"{self.grid.shape}")
-        spd = 1.0 / self.tau
-        if abs(spd - round(spd)) > 1e-8:
-            raise ParameterError(f"tau={self.tau} must divide one day into whole steps")
         for name, mask in self.masks.items():
             if not mask.issubset(self.district):
                 raise ParameterError(f"region '{name}' is not contained in the district mask")

@@ -1,19 +1,10 @@
-"""Node-centered rectangular grids, region masks, and the Neumann Laplacian.
+"""Node-centered rectangular grids, region masks, and the Neumann Laplacian's eigenpairs.
 
 The computational window is the rectangle [0, Lx] x [0, Ly], discretized by
 ``nx`` by ``ny`` nodes so that the spacings are ``hx = Lx / (nx - 1)`` and
 ``hy = Ly / (ny - 1)``.  Fields are stored as arrays of shape ``(ny, nx)``
-with row 0 the southernmost row, matching the mask file layout.
-
-The five-point Laplacian uses homogeneous Neumann (zero normal flux)
-boundaries closed by mirrored ghost nodes: the ghost value outside an edge
-equals the boundary node's own value, so e.g. at the north edge
-
-    (u[k-1, j] - 2 u[k, j] + u_ghost) / hy**2  ->  (u[k-1, j] - u[k, j]) / hy**2.
-
-With this closure the operator matrix is symmetric and has zero row and
-column sums, which is what makes the Crank-Nicolson scheme conserve the
-integral of a diffused field exactly (up to round-off).
+with row 0 the southernmost row, matching the mask file layout.  The
+Laplacian L is defined by its eigenpairs alone (``neumann_eigenbasis``).
 """
 
 from __future__ import annotations
@@ -124,31 +115,23 @@ def union_mask(masks) -> RegionMask:
     return RegionMask("district", cells)
 
 
-def laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Apply the five-point Neumann Laplacian to a field or stack of fields (..., ny, nx)."""
-    if u.shape[-2:] != grid.shape:
-        raise DimensionError(f"field shape {u.shape} does not match grid {grid.shape}")
-    out = np.empty_like(u, dtype=float)
-    # x-direction second difference with mirrored ghosts
-    out[..., 1:-1] = u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]
-    out[..., 0] = u[..., 1] - u[..., 0]
-    out[..., -1] = u[..., -2] - u[..., -1]
-    out /= grid.hx ** 2
-    dyy = np.empty_like(u, dtype=float)
-    dyy[..., 1:-1, :] = u[..., :-2, :] - 2.0 * u[..., 1:-1, :] + u[..., 2:, :]
-    dyy[..., 0, :] = u[..., 1, :] - u[..., 0, :]
-    dyy[..., -1, :] = u[..., -2, :] - u[..., -1, :]
-    out += dyy / grid.hy ** 2
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def neumann_eigenbasis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of the 1-D Neumann second difference.
+    """Closed-form eigenpairs of the 1-D Neumann second difference, the definition of L.
 
-    The mirrored-ghost closure makes the 1-D second difference (diagonal
-    -1, -2, ..., -2, -1 and off-diagonals 1, over h^2) the matrix that the
-    DCT-II basis diagonalizes (Strang, SIAM Review 41(1), 1999): it equals
+    L = Dyy (x) I + I (x) Dxx is the five-point Laplacian with homogeneous
+    Neumann (zero normal flux) boundaries closed by mirrored ghost nodes: the
+    ghost value outside an edge equals the boundary node's own value, so e.g.
+    at the north edge
+
+        (u[k-1, j] - 2 u[k, j] + u_ghost) / hy**2  ->  (u[k-1, j] - u[k, j]) / hy**2.
+
+    With this closure L is symmetric with zero row and column sums, which is
+    what makes the Crank-Nicolson scheme conserve the integral of a diffused
+    field exactly (up to round-off).  The closure also makes the 1-D second
+    difference (diagonal -1, -2, ..., -2, -1 and off-diagonals 1, over h^2)
+    the matrix that the DCT-II basis diagonalizes (Strang, SIAM Review 41(1),
+    1999): it equals
     ``Q @ diag(lam) @ Q.T`` with the orthonormal columns
     ``Q[j, k] ∝ cos(pi k (j + 1/2) / n)`` and ``lam[k] = -4 sin^2(pi k / 2n) / h^2``.
     ``lam[0] = 0`` belongs to the constant vector.  The pair depends on the

@@ -178,7 +178,7 @@ def transmission_bilinear(model: ModelKind, u: np.ndarray) -> np.ndarray:
 
 
 def transmission_derivative(model: ModelKind, u: np.ndarray) -> np.ndarray:
-    """d(u_S u_I)/du, the derivative of transmission_bilinear; shape of u."""
+    """transmission_bilinear's derivative d(u_S u_I)/du, from a state or its ``force_rows``; shape of u."""
     out = np.zeros_like(u)
     if model is ModelKind.SIS:
         out[0] = 1.0 - 2.0 * u[0]

@@ -5,10 +5,10 @@ Each compartment field q advances through
     A q_{n+1} = B q_n + tau * f(q_n, t_n),
     A = I - c L,   B = I + c L,   c = tau kappa / 2,
 
-with L the Neumann Laplacian from :mod:`epidiffuse.grid`: diffusion is treated
-by the trapezoidal rule, the nonlinear reaction explicitly.  Neither A nor B
-is ever formed.  L = Dyy (x) I + I (x) Dxx is diagonalized by the cosine
-(DCT-II) basis Q_y (x) Q_x in closed form, so in that basis A^{-1} is the
+with L the Neumann Laplacian: diffusion is treated by the trapezoidal rule,
+the nonlinear reaction explicitly.  Neither A, B nor L is ever formed.
+L = Dyy (x) I + I (x) Dxx is defined by its eigenpairs in the cosine (DCT-II)
+basis Q_y (x) Q_x (``grid.neumann_eigenbasis``), so in that basis A^{-1} is the
 pointwise gain g = 1 / (1 - c (lam_y + lam_x)) and, through A + B = 2 I,
 B is b = 2 - 1/g.  Only g depends on kappa and tau.
 
@@ -46,10 +46,14 @@ most 5e-14 from steps taken in physical space that clip the state itself.
 
 An optional correction adds the second-order Taylor term
 (tau^2 / 2) * df/du [kappa L q + f] to the increment, restoring formal
-second order for the coupled system.  The corrected step transforms its
-e-force and that term, m fields, into the basis.  It is off by default; the
-plain scheme is the reference behaviour and the backward sweep mirrors it
-exactly (the adjoint refuses corrected problems).
+second order for the coupled system.  With flow = kappa L q + f, df/du flow
+is K flow + e beta (d phi/du) . flow, and d phi/du reads only the force rows.
+The corrected step reads those rows of kappa L q out of kappa lam o U^,
+transforms phi and phi + (tau beta / 2) (d phi/du) . flow into the basis,
+and forms K flow there from U^ and phi^: a SEIR step makes 7 field
+transforms, SIR 6 and SIS 4.  It is off by default; the plain scheme is the
+reference behaviour and the backward sweep mirrors it exactly (the adjoint
+refuses corrected problems).
 
 The step X <- g o (b o X + tau (K X + S)) is written once,
 ``CNWorkspace._step``, and the forward run and the sweep step in the basis
@@ -92,7 +96,6 @@ from .grid import (
     GridSpec,
     _from_eigen,
     _to_eigen,
-    laplacian,
     neumann_eigenbasis,
 )
 from .models import (
@@ -151,6 +154,13 @@ def _check_step(kappa: float, tau: float) -> None:
         raise ParameterError(f"kappa must be non-negative, got {kappa}")
     if not (0.0 < tau <= MAX_TAU):
         raise ParameterError(f"tau must lie in (0, {MAX_TAU}], got {tau}")
+
+
+def _check_tau(tau: float) -> None:
+    """Raise ParameterError unless tau lies in (0, MAX_TAU] and divides a day into whole steps."""
+    _check_step(0.0, tau)
+    if abs(1.0 / tau - round(1.0 / tau)) > 1e-8:
+        raise ParameterError(f"tau={tau} must divide one day into whole steps")
 
 
 def assemble(grid: GridSpec, kappa: float, tau: float) -> CNWorkspace:
@@ -318,9 +328,8 @@ def run_from_state(
     """
     ws = assemble(grid, kappa, tau)
     basis = ws.basis
-    m = model.n_compartments
     K, e = reaction_split(model, schedule)
-    fields = (m,) + grid.shape
+    rows = model.force_rows
 
     def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return u, _to_eigen(u, basis)
@@ -330,12 +339,14 @@ def run_from_state(
         beta = beta_at(schedule, t)
         phi = beta * transmission_bilinear(model, q)
         if corrected:
-            flow = kappa * laplacian(q.reshape(fields), grid).reshape(m, -1)
-            flow += K @ q
-            flow += np.multiply.outer(e, phi)  # kappa L q + f
-            dphi = (transmission_derivative(model, q) * flow).sum(axis=0)  # (d phi/du) . flow
-            source = _to_eigen((0.5 * tau) * (K @ flow)
-                               + np.multiply.outer(e, phi + (0.5 * tau * beta) * dphi), basis)
+            diffusion = (kappa * ws.lam) * coef  # kappa L U^
+            flow = _from_eigen(diffusion[rows], basis)
+            flow += K[rows] @ q
+            flow += np.multiply.outer(e[rows], phi)  # the force rows of kappa L q + f
+            dphi = (transmission_derivative(model, q[rows]) * flow).sum(axis=0)  # (d phi/du) . flow
+            phi_coef, force = _to_eigen(np.stack([phi, phi + (0.5 * tau * beta) * dphi]), basis)
+            source = (0.5 * tau) * (K @ (diffusion + K @ coef + np.multiply.outer(e, phi_coef)))
+            source += np.multiply.outer(e, force)
         else:
             source = e[:, None] * _to_eigen(phi, basis)
         ws._step(coef, K, source)

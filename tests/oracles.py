@@ -1,10 +1,9 @@
 """Matrix forms of the grid operators and per-token file readers, kept as test oracles.
 
-The package inverts the Crank-Nicolson matrix in its cosine eigenbasis and
-applies the Neumann Laplacian by its stencil (:func:`epidiffuse.grid.laplacian`)
-only in the corrected step; neither needs the matrices built here.  It checks
-a mask laid out as ``write_mask`` writes it as one byte buffer, and its case
-reader, per row too, parses each distinct date once.  The readers here split
+The package defines the Neumann Laplacian by its cosine eigenpairs alone and
+inverts the Crank-Nicolson matrix in that basis; it never needs the matrices
+built here.  It checks a mask laid out as ``write_mask`` writes it as one byte
+buffer, and its case reader, per row too, parses each distinct date once.  The readers here split
 and check every row's tokens and parse every date, as the package once did.
 """
 

@@ -113,3 +113,10 @@ def test_j_is_summed_where_each_run_makes_it():
     assert users == {"estimate.Problem.objective", "estimate.adjoint_gradient",
                      "estimate.adjoint_fit"}, users
     assert users_of("replay") == {"objective.evaluate_terms"}, users_of("replay")
+
+
+def test_the_laplacian_is_defined_once():
+    """The finite-difference L is defined by its eigenpairs alone: grid keeps no stencil,
+    and only solver_cn.assemble reads the eigenpairs."""
+    assert not hasattr(epidiffuse.grid, "laplacian")
+    assert users_of("neumann_eigenbasis") == {"solver_cn.assemble"}, users_of("neumann_eigenbasis")

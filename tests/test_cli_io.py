@@ -41,6 +41,7 @@ from epidiffuse.cli_io import (
 from epidiffuse.errors import (
     CaseDataError,
     ConfigError,
+    DimensionError,
     MaskFormatError,
     ParameterError,
 )
@@ -123,6 +124,13 @@ class TestMaskFiles:
         g2, m2 = read_mask(tmp_path / "N.mask")
         assert (g2.nx, g2.ny, g2.Lx, g2.Ly) == (4, 3, 2.5, 1.0)
         np.testing.assert_array_equal(m2.cells, mask.cells)
+
+    def test_mask_off_the_grid_is_refused_before_writing(self, tmp_path):
+        """A 5x2 mask under a '4 3' header would be a file read_mask cannot read back."""
+        grid = GridSpec(4, 3, 1.0, 1.0)
+        with pytest.raises(DimensionError, match="grid expects"):
+            write_mask(tmp_path / "W.mask", grid, RegionMask("W", np.ones((5, 2), dtype=bool)))
+        assert not (tmp_path / "W.mask").exists()
 
     def test_rewrite_is_bit_identical(self, tmp_path):
         grid, masks = small_geometry()
@@ -452,8 +460,20 @@ class TestLoadConfig:
     def test_nonpositive_tau(self, scenario_dir):
         tmp_path, mask_paths = scenario_dir
         raw = scenario_raw(mask_paths, solver={"tau": 0.0})
-        with pytest.raises(ConfigError, match="tau must be positive"):
+        with pytest.raises(ConfigError, match=r"tau must lie in \(0, 1.0\], got 0.0") as err:
             load_config(dump_config(tmp_path, raw))
+        assert err.value.key == "solver.tau"
+
+    @pytest.mark.parametrize("tau, message", [(0.0, "must lie in"), (1.5, "must lie in"),
+                                              (0.3, "must divide one day")])
+    def test_tau_rule_names_its_key(self, scenario_dir, tau, message):
+        """The reader applies Problem's tau rule and names [solver.tau] in the refusal."""
+        tmp_path, mask_paths = scenario_dir
+        raw = scenario_raw(mask_paths, solver={"tau": tau})
+        with pytest.raises(ConfigError, match=message) as err:
+            load_config(dump_config(tmp_path, raw))
+        assert err.value.key == "solver.tau"
+        assert "[solver.tau]" in str(err.value)
 
     def test_nonpositive_population(self, scenario_dir):
         tmp_path, mask_paths = scenario_dir

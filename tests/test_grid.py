@@ -14,19 +14,21 @@ from epidiffuse.errors import (
 from epidiffuse.grid import (
     GridSpec,
     RegionMask,
+    _from_eigen,
+    _to_eigen,
     distribute_uniform,
-    laplacian,
     neumann_eigenbasis,
     region_total,
     union_mask,
 )
+from epidiffuse.solver_cn import assemble
 from oracles import laplacian_operator, second_difference_1d
 
 
 def reference_laplacian(u, grid):
     """Per-node stencil with explicitly mirrored ghost values.
 
-    Independent of the vectorized implementation: indexes one node at a
+    Independent of the eigenbasis that defines L: indexes one node at a
     time and substitutes the boundary node's own value for every ghost.
     """
     ny, nx = grid.shape
@@ -112,36 +114,22 @@ class TestRegionMask:
             union_mask([a, b])
 
 
+def eigen_laplacian(u, grid):
+    """L u formed in the cosine eigenbasis, as the solver reads it: Q (lam o Q^T u)."""
+    ws = assemble(grid, 0.0, 1.0)
+    return _from_eigen(ws.lam * _to_eigen(u.reshape(1, -1), ws.basis), ws.basis).reshape(grid.shape)
+
+
 class TestLaplacian:
-    def test_constant_field_maps_to_zero(self):
-        grid = GridSpec(7, 5, 2.0, 1.0)
-        npt.assert_allclose(laplacian(np.full(grid.shape, 3.7), grid), 0.0, atol=1e-13)
-
-    def test_interior_spike_stencil(self):
-        """A unit spike reproduces the raw five-point weights."""
-        grid = GridSpec(5, 5, 4.0, 4.0)  # hx = hy = 1
-        u = np.zeros(grid.shape)
-        u[2, 2] = 1.0
-        out = laplacian(u, grid)
-        assert out[2, 2] == pytest.approx(-4.0)
-        for k, j in ((1, 2), (3, 2), (2, 1), (2, 3)):
-            assert out[k, j] == pytest.approx(1.0)
-        assert abs(out).sum() == pytest.approx(8.0)
-
     def test_matches_reference_stencil(self):
+        """The eigenpairs define the mirrored-ghost five-point stencil, node by node."""
         rng = np.random.default_rng(42)
-        for nx, ny in ((2, 2), (3, 5), (6, 4), (8, 8)):
+        for nx, ny in ((2, 2), (3, 5), (6, 4), (8, 8), (101, 64)):
             grid = GridSpec(nx, ny, 1.3, 0.7)
             u = rng.normal(size=grid.shape)
-            npt.assert_allclose(laplacian(u, grid), reference_laplacian(u, grid), rtol=1e-12)
-
-    def test_operator_matches_function(self):
-        rng = np.random.default_rng(7)
-        grid = GridSpec(6, 5, 1.0, 2.0)
-        L = laplacian_operator(grid)
-        for _ in range(5):
-            u = rng.normal(size=grid.shape)
-            npt.assert_allclose((L @ u.ravel()).reshape(grid.shape), laplacian(u, grid), rtol=1e-12)
+            expected = reference_laplacian(u, grid)
+            err = np.abs(eigen_laplacian(u, grid) - expected).max()
+            assert err <= 1e-12 * np.abs(expected).max()
 
     def test_operator_is_symmetric_with_zero_row_sums(self):
         grid = GridSpec(6, 4, 1.0, 2.0)
@@ -156,21 +144,6 @@ class TestLaplacian:
         assert w.max() <= 1e-10
         # one zero eigenvalue for the constant mode
         assert (np.abs(w) < 1e-10).sum() == 1
-
-    def test_shape_mismatch(self):
-        grid = GridSpec(4, 3, 1.0, 1.0)
-        with pytest.raises(DimensionError):
-            laplacian(np.zeros((4, 3)), grid)
-
-    def test_stack_matches_per_field(self):
-        rng = np.random.default_rng(5)
-        grid = GridSpec(6, 4, 1.0, 2.0)
-        u = rng.normal(size=(2, 3) + grid.shape)
-        out = laplacian(u, grid)
-        for idx in np.ndindex(2, 3):
-            npt.assert_array_equal(out[idx], laplacian(u[idx], grid))
-        with pytest.raises(DimensionError):
-            laplacian(np.zeros((2, 3, 4)), grid)
 
 
 class TestNeumannEigenbasis:

@@ -25,10 +25,13 @@ from epidiffuse.models import (
     ModelKind,
     ParameterVector,
     RateSchedule,
+    beta_at,
     initial_fractions,
     reaction,
     reaction_split,
     seed_state,
+    transmission_bilinear,
+    transmission_derivative,
 )
 from epidiffuse import solver_cn
 from epidiffuse.objective import ObjectiveWeights
@@ -40,7 +43,7 @@ from epidiffuse.solver_cn import (
 )
 from epidiffuse.solver_fem import run_fem_from_state
 
-from oracles import dense_operators
+from oracles import dense_operators, laplacian_operator
 
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 
@@ -258,6 +261,32 @@ class TestStepForward:
         # halving tau quarters the corrected error (second order)
         err_corr_half = abs(advance(0.05, True) - ref)
         assert err_corr / err_corr_half == pytest.approx(4.0, rel=0.3)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("nx, ny, kappa, tau", [(5, 6, 0.2, 0.25), (7, 4, 0.05, 0.5),
+                                                    (3, 3, 1.0, 1.0)])
+    def test_corrected_step_matches_dense_oracle(self, model, nx, ny, kappa, tau):
+        """One corrected step is A^{-1}[B q + tau f + (tau^2/2)(K flow + e beta (dphi/du) flow)].
+
+        flow = kappa L q + f is the full right-hand side, so the diffusion part
+        of the correction is checked as well as the reaction part.
+        """
+        grid = GridSpec(nx, ny, 1.2, 0.9)
+        rng = np.random.default_rng(nx * ny)
+        m = model.n_compartments
+        q = rng.uniform(0.05, 0.3, size=(m, grid.n_cells))
+        A, B = dense_operators(grid, kappa, tau)
+        L = laplacian_operator(grid).toarray()
+        K, e = reaction_split(model, SCHED)
+        beta = beta_at(SCHED, 0.0)
+        f = K @ q + np.multiply.outer(e, beta * transmission_bilinear(model, q))
+        flow = kappa * q @ L.T + f
+        dphi = (transmission_derivative(model, q) * flow).sum(axis=0)
+        rhs = q @ B.T + tau * f + 0.5 * tau ** 2 * (K @ flow + np.multiply.outer(e, beta * dphi))
+        expected = np.linalg.solve(A, rhs.T).T
+        out = run_from_state(grid, q.reshape((m,) + grid.shape), model, SCHED, kappa, tau, tau,
+                             corrected=True).states[-1].reshape(m, -1)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestStepBackward:
