@@ -22,20 +22,22 @@ code they differentiate: objective.sensitivities gives J's terms and J's
 derivatives at fixed states in chi and u0, from the sums the run's day hook
 made, and an impulse(day, phi) that solver_cn.sweep calls at each day
 mark to form dJ/dphi from the phi it reads there, carrying it back through
-the forward recursion to dJ/du0, dJ/dbeta and dJ/dkappa.  The
-search direction for chi comes from a damped limited-memory BFGS (identity
-initialization); the initial-condition direction follows the
-optimality-condition target u0_tilde = u0_ref - z(0)/w2 = u0 - dJ/du0 / (area w2).
-A shared Armijo backtracking step is applied to both directions at once.
+the forward recursion to dJ/du0, dJ/dbeta and dJ/dkappa.  The search
+direction for chi is -H g, with H BFGS's dense 5x5 inverse Hessian of chi
+(-g until the first accepted curvature pair); the initial-condition direction
+follows the optimality-condition target
+u0_tilde = u0_ref - z(0)/w2 = u0 - dJ/du0 / (area w2).
+A shared Armijo backtracking step is applied to both directions at once; a
+trial whose run trips the negativity guard fails like one that raises J.
 Trial chi are projected onto the parameter types' box (beta_j > 0, kappa and
 delta in [0, 1]) and trial seeds onto I0 >= 0; Problem.in_bounds also asks
 initial_fractions, which caps a cell's seeded fraction at max_seed_fraction.
 
 The search settings are module constants, not options: ARMIJO_C (sufficient
 decrease), ARMIJO_SHRINK and ALPHA_MIN (backtracking), TOL (relative change
-of J that stops the fit), GTOL (gradient norm that stops it), BFGS_MEMORY,
-and the caps on one initial-condition step, MAX_SEED_STEP persons per region
-or MAX_INITIAL_STEP in infected-fraction units per cell.  The sampler warns
+of J that stops the fit), GTOL (gradient norm that stops it), and the caps on
+one initial-condition step, MAX_SEED_STEP persons per region or
+MAX_INITIAL_STEP in infected-fraction units per cell.  The sampler warns
 after STUCK_WINDOW draws without an acceptance.
 """
 
@@ -48,7 +50,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError, StabilityError
 from .grid import GridSpec, RegionMask
 from .models import (
     ModelKind,
@@ -84,7 +86,6 @@ ARMIJO_SHRINK = 0.5
 ALPHA_MIN = 1e-10
 TOL = 1e-6
 GTOL = 1e-12
-BFGS_MEMORY = 10
 MAX_SEED_STEP = 50.0        # persons, per-region initial-condition mode
 MAX_INITIAL_STEP = 0.05     # infected fraction, per-cell initial-condition mode
 FD_REL_STEP = 1e-5          # gradient_check's central-difference step, relative to max(|x|, 1e-2)
@@ -484,7 +485,7 @@ def gradient_check(
 
 
 # ---------------------------------------------------------------------------
-# Adjoint fit (forward-backward sweep with L-BFGS + Armijo)
+# Adjoint fit (forward-backward sweep with dense BFGS + Armijo)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -506,53 +507,26 @@ class AdjointConfig:
             raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}", key="max_outer")
 
 
-class _Lbfgs:
-    """Two-loop limited-memory BFGS with identity init and Powell damping."""
+def _bfgs_update(H: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """BFGS's update of chi's inverse Hessian H by the step s and gradient change y.
 
-    def __init__(self, memory: int):
-        self.memory = memory
-        self.s: list[np.ndarray] = []
-        self.y: list[np.ndarray] = []
-        self.rho: list[float] = []
-        self.gamma = 1.0
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        q = g.copy()
-        alphas = []
-        for s, y, r in zip(reversed(self.s), reversed(self.y), reversed(self.rho)):
-            a = r * (s @ q)
-            q -= a * y
-            alphas.append(a)
-        q *= self.gamma
-        for (s, y, r), a in zip(zip(self.s, self.y, self.rho), reversed(alphas)):
-            b = r * (y @ q)
-            q += (a - b) * s
-        return -q
-
-    def update(self, s: np.ndarray, y: np.ndarray):
-        ss = float(s @ s)
-        if ss == 0.0:
-            return
-        sy = float(s @ y)
-        s_bs = ss / self.gamma  # B approximated by its diagonal proxy I/gamma
-        if sy < 0.2 * s_bs:
-            theta = 0.8 * s_bs / (s_bs - sy)
-            y = theta * y + (1.0 - theta) * (s / self.gamma)
-            sy = float(s @ y)
-        if sy <= 1e-16 * ss:
-            return
-        self.s.append(s.copy())
-        self.y.append(y.copy())
-        self.rho.append(1.0 / sy)
-        if len(self.s) > self.memory:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
-        self.gamma = sy / float(y @ y)
+    This is (I - rho s y') H (I - rho y s') + rho s s', rho = 1/s'y (Nocedal & Wright,
+    eq. 6.17), multiplied out so that a symmetric H stays exactly symmetric.  A pair
+    with s'y <= 1e-16 s's returns H itself: Armijo alone does not make s'y positive,
+    and the skip keeps H positive definite.  H is None until the first accepted pair,
+    which starts it at (s'y / y'y) I (eq. 6.20).
+    """
+    sy = float(s @ y)
+    if sy <= 1e-16 * float(s @ s):
+        return H
+    if H is None:
+        H = (sy / float(y @ y)) * np.eye(s.size)
+    Hy = H @ y
+    return H + ((sy + y @ Hy) / sy * np.outer(s, s) - (np.outer(Hy, s) + np.outer(s, Hy))) / sy
 
 
 def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
-    """Forward-backward sweeps with L-BFGS on chi and Armijo backtracking.
+    """Forward-backward sweeps with dense BFGS on chi and Armijo backtracking.
 
     When ``optimize_initial`` is on (requires w2 > 0) the initial condition
     moves along s2 = target - x in the same line search.  The iterate x is
@@ -588,15 +562,16 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     n_eval = 1
     history = [(j_cur, problem.pack(params))]
     gnorms = [float(np.linalg.norm(grad.full))]
-    diagnostics: dict = {"resets": 0, "line_search_failed": False, "stop": "max_outer"}
-    lbfgs = _Lbfgs(BFGS_MEMORY)
+    diagnostics: dict = {"resets": 0, "skipped_updates": 0, "unstable_trials": 0,
+                         "line_search_failed": False, "stop": "max_outer"}
+    H = None  # chi's inverse Hessian, from the first accepted curvature pair on
 
     for _ in range(config.max_outer):
         if gnorms[-1] <= GTOL:
             diagnostics["stop"] = "stationary"
             break
         g_chi = grad.chi
-        s1 = lbfgs.direction(g_chi)
+        s1 = -g_chi if H is None else -(H @ g_chi)
         if float(s1 @ g_chi) >= 0.0:
             s1 = -g_chi
             diagnostics["resets"] += 1
@@ -630,11 +605,15 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             # every level's force rows are stored so that an accepted trial's run feeds the
             # gradient; the last trial's run is dropped first, so that two are never held at once
             run_t = None
-            run_t = problem._marked_run(trial, every_level=True, u0_override=u0_t)
-            j_t = _terms(run_t[1], run_t[0], trial, problem.weights).total
             n_eval += 1
-            if j_t <= j_cur + ARMIJO_C * alpha * slope:
-                break
+            try:
+                run_t = problem._marked_run(trial, every_level=True, u0_override=u0_t)
+            except StabilityError:  # a trial step too long for the guard fails like a rise of J
+                diagnostics["unstable_trials"] += 1
+            else:
+                j_t = _terms(run_t[1], run_t[0], trial, problem.weights).total
+                if j_t <= j_cur + ARMIJO_C * alpha * slope:
+                    break
             alpha *= ARMIJO_SHRINK
         else:
             diagnostics["line_search_failed"] = True
@@ -651,7 +630,9 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
 
         grad = adjoint_gradient(problem, params, run_t)
         gnorms.append(float(np.linalg.norm(grad.full)))
-        lbfgs.update(params.chi - chi_prev, grad.chi - g_prev)
+        H_next = _bfgs_update(H, params.chi - chi_prev, grad.chi - g_prev)
+        diagnostics["skipped_updates"] += H_next is H
+        H = H_next
 
     return FitResult(
         params=params,

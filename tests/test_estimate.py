@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epidiffuse import estimate, objective
@@ -578,6 +578,59 @@ class TestAdjointFit:
         assert result.params == start and len(result.history) == 1
         assert result.n_evaluations == 1
 
+    def test_converges_on_a_kappa_free_twin(self, tmp_path):
+        """Off the truth of a kappa = 0 twin the fit reaches the minimum in few runs.
+
+        The damped limited-memory update this fit once used took 207 runs here and stopped
+        on max_outer.
+        """
+        problem, truth, _ = make_twin(tmp_path, kappa=0.0)
+        problem.initial = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        result = adjoint_fit(problem, AdjointConfig(max_outer=200))
+        assert result.diagnostics["stop"] in ("stationary", "tol")
+        assert result.n_evaluations <= 50
+        keep = [0, 1, 2, 4]  # kappa's truth is 0
+        npt.assert_allclose(result.params.chi[keep], truth.chi[keep], rtol=1e-4, atol=0.0)
+
+    def test_unstable_trial_is_a_failed_trial(self, tmp_path, monkeypatch):
+        """A trial whose run trips the negativity guard halves alpha; the fit goes on.
+
+        With w0 = 1e6 the first steepest-descent step from this start reaches beta1 ~ 142,
+        whose run goes negative.  That run counts as an evaluation.  The fit's first run
+        still raises: a start the guard refuses is not a line-search matter.
+        """
+        problem, truth, _ = make_twin(tmp_path, weights=ObjectiveWeights(1e6, 0.0, 0.0))
+        problem.initial = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        runs = []
+        simulate = Problem.simulate
+
+        def counted(self, *args, **kwargs):
+            runs.append(1)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Problem, "simulate", counted)
+        result = adjoint_fit(problem, AdjointConfig(max_outer=20))
+        monkeypatch.undo()
+        assert result.diagnostics["unstable_trials"] >= 1
+        assert len(runs) == result.n_evaluations
+        js = [j for j, _ in result.history]
+        assert all(b <= a for a, b in zip(js, js[1:])) and js[-1] < js[0]
+
+        problem.initial = truth.with_chi(np.array([0.2, 142.0, 0.1, 0.1, 0.5]))
+        with pytest.raises(StabilityError):
+            adjoint_fit(problem, AdjointConfig(max_outer=2))
+
+    def test_counts_skipped_updates(self, twin9, monkeypatch):
+        """A fit whose every curvature pair is skipped walks along -g and counts each skip."""
+        monkeypatch.setattr(estimate, "_bfgs_update", lambda H, s, y: H)
+        truth = twin9["truth"]
+        start = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        problem = dataclasses.replace(twin9["problem"], initial=start)
+        result = adjoint_fit(problem, AdjointConfig(max_outer=3))
+        assert result.diagnostics["stop"] == "max_outer"
+        assert result.diagnostics["skipped_updates"] == 3
+        assert result.diagnostics["resets"] == 0
+
     def test_chi_moves_toward_truth(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, t_end=30.0, breakpoints=(10.0, 20.0))
         start = truth.with_chi(truth.chi * np.array([1.5, 1.0, 1.0, 1.0, 1.0]))
@@ -683,6 +736,52 @@ def random_mask_problem(model, nx, ny, n_regions, seed):
         {name: c * rng.uniform(0.7, 1.3) for name, c in counts.items()}
     )
     return problem, point
+
+
+def _curvature_pair(data):
+    """Two random 5-vectors s, y with s'y >= 1e-3 |s| |y|."""
+    vec = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=5, max_size=5)
+    s, z = np.array(data.draw(vec)), np.array(data.draw(vec))
+    y = z if s @ z >= 0.0 else -z
+    ns, ny = np.linalg.norm(s), np.linalg.norm(y)
+    assume(min(ns, ny) >= 1e-3 and s @ y >= 1e-3 * ns * ny)
+    return s, y
+
+
+class TestBfgsUpdate:
+    """_bfgs_update from the first pair, or after one earlier pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), earlier=st.booleans())
+    def test_secant_symmetric_positive_definite(self, data, earlier):
+        H = estimate._bfgs_update(None, *_curvature_pair(data)) if earlier else None
+        s, y = _curvature_pair(data)
+        H1 = estimate._bfgs_update(H, s, y)
+        # H1 y is formed with rounding of order eps |H1| |y|: the residual's scale
+        assert np.linalg.norm(H1 @ y - s) <= 1e-12 * np.linalg.norm(H1, 2) * np.linalg.norm(y)
+        assert (H1 == H1.T).all()
+        np.linalg.cholesky(H1)
+        if H is None:
+            # Nocedal & Wright eq. 6.20's start, updated once in eq. 6.17's product form
+            sy = s @ y
+            v = np.eye(5) - np.outer(s, y) / sy
+            once = v @ (sy / (y @ y) * np.eye(5)) @ v.T + np.outer(s, s) / sy
+            npt.assert_allclose(H1, once, rtol=0.0, atol=1e-12 * np.abs(once).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), earlier=st.booleans(), kind=st.sampled_from(["descent", "tiny", "zero"]))
+    def test_a_pair_without_curvature_is_skipped(self, data, earlier, kind):
+        """A pair with s'y <= 1e-16 s's leaves H as it is, the very object."""
+        H = estimate._bfgs_update(None, *_curvature_pair(data)) if earlier else None
+        s, y = _curvature_pair(data)
+        if kind == "descent":
+            y = -y
+        elif kind == "tiny":
+            y = 1e-17 * s
+        else:
+            s = np.zeros(5)
+        assert s @ y <= 1e-16 * (s @ s)
+        assert estimate._bfgs_update(H, s, y) is H
 
 
 class TestRandomMaskProperties:
