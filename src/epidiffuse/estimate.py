@@ -18,14 +18,14 @@ stores no day.  The gradient's run also stores the force rows of every level.
 
 The adjoint engine computes the exact gradient of the discrete objective
 by reverse mode, as the chain rule through two pieces that sit beside the
-code they differentiate: objective.sensitivities gives J's terms and J's
-derivatives at fixed states in chi and u0, from the sums the run's day hook
-made, and an impulse(day, phi) that solver_cn.sweep calls at each day
+code they differentiate: the run's objective._DayMarks gives J's terms and
+J's derivatives at fixed states in chi and u0, from the sums its day hook
+made, and its impulse(day, phi), which solver_cn.sweep calls at each day
 mark to form dJ/dphi from the phi it reads there, carrying it back through
 the forward recursion to dJ/du0, dJ/dbeta and dJ/dkappa.  The search
 direction for chi is -H g, with H BFGS's dense 5x5 inverse Hessian of chi
-(-g until the first accepted curvature pair); the initial-condition direction
-follows the optimality-condition target
+(-g, at most 1 long, until the first accepted curvature pair); the
+initial-condition direction follows the optimality-condition target
 u0_tilde = u0_ref - z(0)/w2 = u0 - dJ/du0 / (area w2).
 A shared Armijo backtracking step is applied to both directions at once; a
 trial whose run trips the negativity guard fails like one that raises J.
@@ -60,16 +60,13 @@ from .models import (
     seed_direction,
     seed_jacobian,
     seed_state,
-    transmission_bilinear,
 )
 from .objective import (
     DataInterpolant,
     ObjectiveBreakdown,
     ObjectiveWeights,
     _DayMarks,
-    _terms,
     region_persons,
-    sensitivities,
 )
 from .solver_cn import (Trajectory, _check_step, _check_tau, _day_levels, _unforced,
                         _whole_steps, assemble, run_from_state, sweep)
@@ -214,15 +211,14 @@ class Problem:
     def _marked_run(self, params: ParameterVector, every_level: bool = False,
                     u0_override: np.ndarray | None = None) -> tuple[Trajectory, _DayMarks]:
         """A forward run that sums J's day marks at its day hook: the run and its marks."""
-        marks = _DayMarks(params, self._require_data(), self.grid.cell_area)
+        marks = _DayMarks(params, self._require_data(), self.weights, self.model, self.grid.cell_area)
         traj = self.simulate(params, every_level=every_level, u0_override=u0_override,
-                             on_day=lambda day, q: marks.add(day, transmission_bilinear(self.model, q)))
+                             on_day=marks.add)
         return traj, marks
 
     def objective(self, params: ParameterVector) -> float:
         """J at ``params``, its misfit summed at the run's day hook, so no day is stored."""
-        traj, marks = self._marked_run(params)
-        return _terms(marks, traj, params, self.weights).total
+        return self._marked_run(params)[1].terms.total
 
 
 @dataclass
@@ -424,22 +420,21 @@ def adjoint_gradient(
     """Exact gradient of the discrete J by the chain rule.
 
     ``run`` is ``problem._marked_run(params, every_level=True)``, made here when absent.
-    objective.sensitivities differentiates J at fixed states, solver_cn.sweep
-    carries its dJ/dphi impulses back through the run, and dJ/du0 chains through
+    Its marks give J's terms and J's derivatives at fixed states, solver_cn.sweep
+    carries their dJ/dphi impulses back through the run, and dJ/du0 chains through
     seed_jacobian to the seed gradients.
     """
     _require_exact_adjoint(problem)
     traj, marks = run if run is not None else problem._marked_run(params, every_level=True)
-    sens = sensitivities(marks, traj, params, problem.weights)
-    dq0, g_beta, g_kappa = sweep(traj, params.schedule, params.kappa, sens.impulse)
-    du0 = dq0 + sens.u0
+    g_chi, g_u0 = marks.gradient()
+    dq0, g_beta, g_kappa = sweep(traj, params.schedule, params.kappa, marks.impulse)
+    du0 = dq0 + g_u0
     model, grid, pop = problem.model, problem.grid, problem.population
     g_seeds = np.array([
         float((du0 * seed_jacobian(model, grid, problem.masks[name], pop)).sum())
         for name in problem.region_names
     ])
-    chi = sens.chi + np.r_[g_beta, g_kappa, 0.0]
-    return AdjointGradient(chi, g_seeds, du0, sens.terms)
+    return AdjointGradient(g_chi + np.r_[g_beta, g_kappa, 0.0], g_seeds, du0, marks.terms)
 
 
 def gradient_check(
@@ -571,9 +566,10 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             diagnostics["stop"] = "stationary"
             break
         g_chi = grad.chi
-        s1 = -g_chi if H is None else -(H @ g_chi)
+        steepest = -g_chi / max(1.0, float(np.linalg.norm(g_chi)))  # at most 1 long in chi
+        s1 = steepest if H is None else -(H @ g_chi)
         if float(s1 @ g_chi) >= 0.0:
-            s1 = -g_chi
+            s1 = steepest
             diagnostics["resets"] += 1
         slope = float(s1 @ g_chi)
 
@@ -611,7 +607,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
             except StabilityError:  # a trial step too long for the guard fails like a rise of J
                 diagnostics["unstable_trials"] += 1
             else:
-                j_t = _terms(run_t[1], run_t[0], trial, problem.weights).total
+                j_t = run_t[1].terms.total
                 if j_t <= j_cur + ARMIJO_C * alpha * slope:
                     break
             alpha *= ARMIJO_SHRINK

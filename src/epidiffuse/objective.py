@@ -20,23 +20,23 @@ The full objective is
 with g_d the detected-incidence field at day d, chi = (beta0, beta1, beta2,
 kappa, delta) and u0_ref the disease-free state unless one is given.
 ``_residual`` is the one place that forms r_d = delta beta(d) phi_d - v_d, one
-day mark at a time.  ``_DayMarks`` sums from it, in day order, the misfit and
-each day's phi_d . r_d, and is the one check of a run's days against the
-data's.  Every fresh run that J reads sums them at its day hook
-(``Problem._marked_run``), so J needs no per-day stack; only evaluate_terms
-replays the days of a stored run.  ``sensitivities`` reads the same sums, so
-both estimators minimize exactly the J they report: from them it gives J's
-terms and J's derivatives with the states held fixed, in chi (beta and delta
-at the day marks and the w1 anchor) and in u_0 (the w2 anchor); for the
-force phi = u_S u_I it returns ``impulse(day, phi)``, dJ/dphi formed from the
-phi solver_cn.sweep reads at that day mark.  ``region_persons`` is the one
-rule by which a fraction field counts persons.
+day mark at a time.  ``_DayMarks`` holds J at one point: its day hook sums
+from it, in day order, the misfit and each day's phi_d . r_d, keeps u_0's gap
+to its anchor, and is the one check of a run's days against the data's.  Every
+fresh run that J reads sums them at its day hook (``Problem._marked_run``), so
+J needs no per-day stack; only evaluate_terms replays the days of a stored
+run.  From the same sums ``_DayMarks`` gives J's terms, J's derivatives with
+the states held fixed, in chi (beta and delta at the day marks and the w1
+anchor) and in u_0 (the w2 anchor), and, for the force phi = u_S u_I,
+``impulse(day, phi)``, dJ/dphi formed from the phi solver_cn.sweep reads at
+that day mark; so both estimators minimize exactly the J they report.
+``region_persons`` is the one rule by which a fraction field counts persons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .grid import GridSpec, RegionMask, region_total
 from .models import (
+    ModelKind,
     ParameterVector,
     beta_at,
     beta_interval,
@@ -227,32 +228,41 @@ def _residual(phi: np.ndarray, delta_beta: float, v: np.ndarray | None = None) -
 
 
 class _DayMarks:
-    """J's per-day factors for one evaluation, and its sums over a run's day marks.
+    """J at one point: its per-day factors, and its sums over a run's day marks.
 
-    ``beta`` and ``delta_beta`` hold beta(d) and delta beta(d) at the data's days.  ``add``
-    takes a run's day marks in order, each with its phi = u_S u_I, and sums the misfit and
-    keeps ``phi_r``, phi_d . r_d per day; a day that is not the data's next raises
-    AlignmentError.
+    ``beta`` and ``delta_beta`` hold beta(d) and delta beta(d) at the data's days.  ``add``,
+    the runs' day hook, takes a run's day marks in order, each with its read-out q, forms
+    phi = u_S u_I, and sums the misfit and keeps ``phi_r``, phi_d . r_d per day; at the first
+    mark, level 0, it keeps ``gap``, u_0 - u0_ref, when w2 > 0.  A day that is not the data's
+    next raises AlignmentError.
     """
 
-    def __init__(self, params: ParameterVector, data: DataInterpolant, area: float):
-        self.data = data
-        self.area = area
+    def __init__(self, params: ParameterVector, data: DataInterpolant, weights: ObjectiveWeights,
+                 model: ModelKind, area: float):
+        self.params, self.data, self.weights, self.model, self.area = (
+            params, data, weights, model, area)
         self.beta = np.array([beta_at(params.schedule, float(day)) for day in data.days])
         self.delta_beta = params.delta * self.beta
         self.omega = trapezoid_day_weights(data.n_days)
         self.misfit = 0.0   # sum_d omega_d ||r_d||^2 area, before the factor w0 / 2
         self.phi_r = np.zeros(data.n_days)   # phi_d . r_d, summed over the cells
+        self.gap: np.ndarray | float = 0.0   # u_0 - u0_ref, kept when w2 > 0
         self.n_added = 0
 
     def residual(self, day: int, phi: np.ndarray) -> np.ndarray:
         pos = day - self.data.days[0]
         return _residual(phi, self.delta_beta[pos], self.data.daily_fields[pos])
 
-    def add(self, day: int, phi: np.ndarray) -> None:
+    def add(self, day: int, q: np.ndarray) -> None:
         pos, days = self.n_added, self.data.days
         if pos == self.data.n_days or day != days[pos]:
             raise AlignmentError(f"day mark {day} is not the next of data days {days[0]}..{days[-1]}")
+        if pos == 0 and self.weights.w2 > 0.0:
+            # with no u0_ref the anchor is the disease-free state (S = 1, E = I = 0)
+            ref = self.weights.u0_ref
+            ref = seed_state(self.model, np.zeros((1, 1))) if ref is None else ref
+            self.gap = q.reshape((len(q),) + self.data.grid.shape) - ref
+        phi = transmission_bilinear(self.model, q)
         r = self.residual(day, phi)
         self.misfit += self.omega[pos] * float((r * r).sum()) * self.area
         self.phi_r[pos] = float((phi * r).sum())
@@ -261,80 +271,52 @@ class _DayMarks:
     def replay(self, traj: Trajectory) -> None:
         """Add the day marks stored in ``traj``."""
         for level, day in zip(traj.daily_indices, traj.days.tolist()):
-            self.add(day, transmission_bilinear(traj.model, traj.states[level]))
+            self.add(day, traj.states[level])
 
+    @property
+    def terms(self) -> ObjectiveBreakdown:
+        """The three terms of J; AlignmentError unless the marks cover every day of the data."""
+        if self.n_added != self.data.n_days:
+            raise AlignmentError(f"the run has {self.n_added} day marks, the data {self.data.n_days}")
+        w = self.weights
+        chi_reg = 0.0
+        if w.w1 > 0.0:
+            diff = self.params.chi - w.chi_ref
+            chi_reg = 0.5 * w.w1 * float(diff @ diff)
+        init_reg = 0.5 * w.w2 * float(np.sum(self.gap * self.gap)) * self.area  # 0.0 at w2 = 0
+        return ObjectiveBreakdown(self.misfit * (0.5 * w.w0), chi_reg, init_reg)
 
-def _initial_gap(traj: Trajectory, weights: ObjectiveWeights) -> np.ndarray:
-    """u_0 - u0_ref; with no u0_ref the anchor is the disease-free state (S = 1, E = I = 0)."""
-    ref = weights.u0_ref
-    return traj.states[0] - (seed_state(traj.model, np.zeros((1, 1))) if ref is None else ref)
+    def gradient(self) -> tuple[np.ndarray, np.ndarray | float]:
+        """(dJ/dchi, dJ/du_0) with the states held fixed.
 
+        dJ/dchi has beta and delta at the day marks and the w1 anchor; dJ/du_0, the w2
+        anchor's, is 0.0 when w2 = 0, so the sweep holds no unused field beside its own.
+        """
+        p, w = self.params, self.weights
+        dj_d = self.phi_r * (w.w0 * self.area * self.omega)  # dJ/d(delta * beta(d))
+        intervals = [beta_interval(p.schedule, float(d)) for d in self.data.days]
+        chi = np.zeros(5)
+        chi[:3] = np.bincount(intervals, weights=p.delta * dj_d, minlength=3)
+        chi[4] = float(self.beta @ dj_d)
+        if w.w1 > 0.0:
+            chi += w.w1 * (p.chi - w.chi_ref)
+        return chi, w.w2 * self.area * self.gap
 
-def _terms(marks: _DayMarks, traj: Trajectory, params: ParameterVector,
-           weights: ObjectiveWeights) -> ObjectiveBreakdown:
-    """The three terms of J from the summed ``marks`` and the level 0 of ``traj``; raises
-    AlignmentError unless the marks cover every day of the data."""
-    if marks.n_added != marks.data.n_days:
-        raise AlignmentError(f"the run has {marks.n_added} day marks, the data {marks.data.n_days}")
-    misfit = marks.misfit * (0.5 * weights.w0)
-
-    chi_reg = 0.0
-    if weights.w1 > 0.0:
-        diff = params.chi - weights.chi_ref
-        chi_reg = 0.5 * weights.w1 * float(diff @ diff)
-
-    init_reg = 0.0
-    if weights.w2 > 0.0:
-        d = _initial_gap(traj, weights)
-        init_reg = 0.5 * weights.w2 * float((d * d).sum()) * traj.grid.cell_area
-    return ObjectiveBreakdown(misfit, chi_reg, init_reg)
+    def impulse(self, day: int, phi: np.ndarray) -> np.ndarray:
+        """dJ/dphi at day mark ``day``, w0 area omega_d beta(d) delta r_d, with r_d formed from
+        the given ``phi``, the day's u_S u_I in any shape over the grid's cells."""
+        pos = day - self.data.days[0]
+        r = self.residual(day, phi)
+        r *= self.weights.w0 * self.area * self.omega[pos] * self.beta[pos] * self.params.delta
+        return r
 
 
 def evaluate_terms(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
                    data: DataInterpolant) -> ObjectiveBreakdown:
     """The three terms of J of a stored run separately; ``.total`` is J."""
-    marks = _DayMarks(params, data, traj.grid.cell_area)
+    marks = _DayMarks(params, data, weights, traj.model, traj.grid.cell_area)
     marks.replay(traj)
-    return _terms(marks, traj, params, weights)
-
-
-class Sensitivities(NamedTuple):
-    """J's terms and J's derivatives with the trajectory's states held fixed."""
-
-    terms: ObjectiveBreakdown
-    chi: np.ndarray     # dJ/dchi: beta and delta at the day marks, plus the w1 anchor
-    u0: np.ndarray | float  # dJ/du_0 of the w2 anchor, (m, ny, nx); 0.0 when w2 = 0
-    impulse: Callable[[int, np.ndarray], np.ndarray]  # (day, phi) -> dJ/dphi at that day mark
-
-
-def sensitivities(marks: _DayMarks, traj: Trajectory, params: ParameterVector,
-                  weights: ObjectiveWeights) -> Sensitivities:
-    """J's terms and its derivatives at fixed states, from a run's summed day ``marks``.
-
-    ``traj`` serves its level 0 alone.  ``impulse(day, phi)`` is w0 area omega_d beta(d)
-    delta r_d, with r_d formed from the given ``phi``, the day's u_S u_I in any shape over
-    the grid's cells.
-    """
-    days = marks.data.days
-    terms = _terms(marks, traj, params, weights)
-    w0a_omega = weights.w0 * marks.area * marks.omega
-    dj_d = marks.phi_r * w0a_omega  # dJ/d(delta * beta(d))
-    intervals = [beta_interval(params.schedule, float(d)) for d in days]
-    chi = np.zeros(5)
-    chi[:3] = np.bincount(intervals, weights=params.delta * dj_d, minlength=3)
-    chi[4] = float(marks.beta @ dj_d)
-    if weights.w1 > 0.0:
-        chi += weights.w1 * (params.chi - weights.chi_ref)
-    scale = w0a_omega * marks.beta * params.delta
-
-    def impulse(day: int, phi: np.ndarray) -> np.ndarray:
-        r = marks.residual(day, phi)
-        r *= scale[day - days[0]]
-        return r
-
-    # 0.0 at w2 = 0, so the sweep holds no unused field beside its own
-    u0 = weights.w2 * marks.area * _initial_gap(traj, weights) if weights.w2 > 0.0 else 0.0
-    return Sensitivities(terms, chi, u0, impulse)
+    return marks.terms
 
 
 def detected_daily_cases(

@@ -115,6 +115,42 @@ def test_j_is_summed_where_each_run_makes_it():
     assert users_of("replay") == {"objective.evaluate_terms"}, users_of("replay")
 
 
+def test_j_at_one_point_has_one_owner():
+    """J's anchors and sums are read by objective._DayMarks's methods alone, beside the
+    weights and breakdown that declare them and the loader that reads chi_ref; no
+    function outside it rebuilds J's terms or its derivatives."""
+    declared = ("objective.ObjectiveWeights", "objective.ObjectiveBreakdown",
+                "cli_io.load_scenario")
+    for name in ("u0_ref", "chi_ref", "phi_r", "misfit"):
+        users = {user for user in users_of(name) if not user.startswith(declared)}
+        assert users and all(user.startswith("objective._DayMarks.") for user in users), (
+            name, users)
+    for gone in ("sensitivities", "_terms", "_initial_gap"):
+        assert not hasattr(epidiffuse.objective, gone), gone
+
+
+def test_every_import_is_used():
+    """Each name a module imports is used in it; __init__'s re-exports and
+    ``from __future__ import annotations`` are exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}:{line} imports {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused
+
+
 def test_the_laplacian_is_defined_once():
     """The finite-difference L is defined by its eigenpairs alone: grid keeps no stencil,
     and only solver_cn.assemble reads the eigenpairs."""

@@ -595,9 +595,9 @@ class TestAdjointFit:
     def test_unstable_trial_is_a_failed_trial(self, tmp_path, monkeypatch):
         """A trial whose run trips the negativity guard halves alpha; the fit goes on.
 
-        With w0 = 1e6 the first steepest-descent step from this start reaches beta1 ~ 142,
-        whose run goes negative.  That run counts as an evaluation.  The fit's first run
-        still raises: a start the guard refuses is not a line-search matter.
+        The fit's 2nd run, its first trial, raises StabilityError as a run that goes
+        negative does.  That run counts as an evaluation.  The fit's first run still
+        raises: a start the guard refuses, at beta1 = 142, is not a line-search matter.
         """
         problem, truth, _ = make_twin(tmp_path, weights=ObjectiveWeights(1e6, 0.0, 0.0))
         problem.initial = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
@@ -606,6 +606,8 @@ class TestAdjointFit:
 
         def counted(self, *args, **kwargs):
             runs.append(1)
+            if len(runs) == 2:
+                raise StabilityError("the first trial's run goes negative")
             return simulate(self, *args, **kwargs)
 
         monkeypatch.setattr(Problem, "simulate", counted)
@@ -619,6 +621,18 @@ class TestAdjointFit:
         problem.initial = truth.with_chi(np.array([0.2, 142.0, 0.1, 0.1, 0.5]))
         with pytest.raises(StabilityError):
             adjoint_fit(problem, AdjointConfig(max_outer=2))
+
+    def test_steepest_step_is_capped(self, tmp_path):
+        """A step along -g is at most 1 long in chi, so J's scale does not stretch it.
+
+        With w0 = 1e6, |g_chi| is far above 1; an uncapped first step reaches beta1 ~ 142,
+        whose run goes negative.  Each evaluation is one forward run.
+        """
+        problem, truth, _ = make_twin(tmp_path, weights=ObjectiveWeights(1e6, 0.0, 0.0))
+        problem.initial = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        result = adjoint_fit(problem, AdjointConfig(max_outer=20))
+        assert result.diagnostics["unstable_trials"] == 0
+        assert result.n_evaluations <= 30
 
     def test_counts_skipped_updates(self, twin9, monkeypatch):
         """A fit whose every curvature pair is skipped walks along -g and counts each skip."""
@@ -847,7 +861,8 @@ class TestRandomMaskProperties:
         if backend == "cn":
             assert j.hex() == adjoint_gradient(problem, point).breakdown.total.hex()
         _, marks = problem._marked_run(point)
-        replayed = objective._DayMarks(point, problem.data, problem.grid.cell_area)
+        replayed = objective._DayMarks(point, problem.data, weights, problem.model,
+                                       problem.grid.cell_area)
         replayed.replay(traj)
         assert marks.misfit.hex() == replayed.misfit.hex()
         assert marks.phi_r.tobytes() == replayed.phi_r.tobytes()
