@@ -488,6 +488,8 @@ def load_scenario(config: RunConfig) -> Problem:
             weights=weights, data=data, initial=initial,
             backend=config.backend, corrected=config.corrected,
         )
+    except ConfigError as exc:
+        raise ConfigError(exc.message, path=config.path, key=exc.key) from exc
     except EpidiffuseError as exc:
         raise ConfigError(str(exc), path=config.path) from exc
 

@@ -15,7 +15,7 @@ class EpidiffuseError(Exception):
 
 
 class ConfigError(EpidiffuseError):
-    """A run configuration is missing, malformed, or self-contradictory."""
+    """A run configuration is missing, malformed, or self-contradictory; ``message`` is unprefixed."""
 
     def __init__(self, message: str, *, path: str | None = None, key: str | None = None):
         prefix = ""
@@ -24,8 +24,7 @@ class ConfigError(EpidiffuseError):
         if key is not None:
             prefix += f"[{key}] "
         super().__init__(prefix + message)
-        self.path = path
-        self.key = key
+        self.message, self.path, self.key = message, path, key
 
 
 class MaskFormatError(EpidiffuseError):

@@ -12,9 +12,10 @@ means and standard deviations over the accepted post-burn-in draws.  Every
 decision is logged so the rule can be re-checked offline.
 
 Every forward run that J reads, the objective's, the gradient's and the
-adjoint fit's trials, is a Problem._marked_run: it sums J's day marks at the
-run's day hook, one day mark at a time, into an objective._DayMarks, and
-stores no day.  The gradient's run also stores the force rows of every level.
+adjoint fit's trials, is a Problem._marked_run: an objective._DayMarks is
+built from the run's u0, and the run's day hook hands it each day's
+phi = u_S u_I, one day mark at a time, so the run stores no day.  The
+gradient's run also stores the force rows of every level.
 
 The adjoint engine computes the exact gradient of the discrete objective
 by reverse mode, as the chain rule through two pieces that sit beside the
@@ -121,6 +122,8 @@ class Problem:
         if self.t_end > self.initial.schedule.t_end + 1e-6:  # beta_at's tolerance
             raise ParameterError(f"the schedule window [0, {self.initial.schedule.t_end}] ends "
                                  f"before t_end={self.t_end}")
+        if self.data is not None and not self.data.grid.compatible(self.grid):
+            raise DimensionError(f"case data on grid {self.data.grid} do not match grid {self.grid}")
         marked = list(_day_levels(_whole_steps(self.t_end, self.tau), self.tau).values())
         if self.data is not None and self.data.days.tolist() != marked:
             raise ParameterError(f"data days {self.data.days[0]}..{self.data.days[-1]} do not "
@@ -211,9 +214,9 @@ class Problem:
     def _marked_run(self, params: ParameterVector, every_level: bool = False,
                     u0_override: np.ndarray | None = None) -> tuple[Trajectory, _DayMarks]:
         """A forward run that sums J's day marks at its day hook: the run and its marks."""
-        marks = _DayMarks(params, self._require_data(), self.weights, self.model, self.grid.cell_area)
-        traj = self.simulate(params, every_level=every_level, u0_override=u0_override,
-                             on_day=marks.add)
+        u0 = u0_override if u0_override is not None else self.build_u0(params)
+        marks = _DayMarks(params, self._require_data(), self.weights, self.model, u0)
+        traj = self.simulate(params, every_level=every_level, u0_override=u0, on_day=marks.add)
         return traj, marks
 
     def objective(self, params: ParameterVector) -> float:

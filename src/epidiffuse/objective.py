@@ -20,12 +20,13 @@ The full objective is
 with g_d the detected-incidence field at day d, chi = (beta0, beta1, beta2,
 kappa, delta) and u0_ref the disease-free state unless one is given.
 ``_residual`` is the one place that forms r_d = delta beta(d) phi_d - v_d, one
-day mark at a time.  ``_DayMarks`` holds J at one point: its day hook sums
-from it, in day order, the misfit and each day's phi_d . r_d, keeps u_0's gap
-to its anchor, and is the one check of a run's days against the data's.  Every
+day mark at a time.  ``_DayMarks`` holds J at one point: built from the run's
+u_0, it keeps u_0's gap to its anchor, and its day hook, handed each day's
+phi_d = u_S u_I, sums from it, in day order, the misfit and each day's
+phi_d . r_d; it is the one check of a run's days against the data's.  Every
 fresh run that J reads sums them at its day hook (``Problem._marked_run``), so
-J needs no per-day stack; only evaluate_terms replays the days of a stored
-run.  From the same sums ``_DayMarks`` gives J's terms, J's derivatives with
+J needs no per-day stack; only evaluate_terms adds the days of a stored run.
+From the same sums ``_DayMarks`` gives J's terms, J's derivatives with
 the states held fixed, in chi (beta and delta at the day marks and the w1
 anchor) and in u_0 (the w2 anchor), and, for the force phi = u_S u_I,
 ``impulse(day, phi)``, dJ/dphi formed from the phi solver_cn.sweep reads at
@@ -45,6 +46,7 @@ from .errors import (
     CaseDataError,
     ConfigError,
     DegenerateRegionError,
+    DimensionError,
     ParameterError,
 )
 from .grid import GridSpec, RegionMask, region_total
@@ -230,48 +232,41 @@ def _residual(phi: np.ndarray, delta_beta: float, v: np.ndarray | None = None) -
 class _DayMarks:
     """J at one point: its per-day factors, and its sums over a run's day marks.
 
-    ``beta`` and ``delta_beta`` hold beta(d) and delta beta(d) at the data's days.  ``add``,
-    the runs' day hook, takes a run's day marks in order, each with its read-out q, forms
-    phi = u_S u_I, and sums the misfit and keeps ``phi_r``, phi_d . r_d per day; at the first
-    mark, level 0, it keeps ``gap``, u_0 - u0_ref, when w2 > 0.  A day that is not the data's
+    ``beta`` and ``delta_beta`` hold beta(d) and delta beta(d) at the data's days, and
+    ``gap`` is u_0 - u0_ref when w2 > 0, formed from the run's ``u0``, (m, ny, nx).  ``add``,
+    the runs' day hook, takes a run's day marks in order, each with its phi = u_S u_I, and
+    sums the misfit and keeps ``phi_r``, phi_d . r_d per day.  A day that is not the data's
     next raises AlignmentError.
     """
 
     def __init__(self, params: ParameterVector, data: DataInterpolant, weights: ObjectiveWeights,
-                 model: ModelKind, area: float):
-        self.params, self.data, self.weights, self.model, self.area = (
-            params, data, weights, model, area)
+                 model: ModelKind, u0: np.ndarray):
+        self.params, self.data, self.weights, self.area = (
+            params, data, weights, data.grid.cell_area)
         self.beta = np.array([beta_at(params.schedule, float(day)) for day in data.days])
         self.delta_beta = params.delta * self.beta
         self.omega = trapezoid_day_weights(data.n_days)
         self.misfit = 0.0   # sum_d omega_d ||r_d||^2 area, before the factor w0 / 2
         self.phi_r = np.zeros(data.n_days)   # phi_d . r_d, summed over the cells
         self.gap: np.ndarray | float = 0.0   # u_0 - u0_ref, kept when w2 > 0
+        if weights.w2 > 0.0:
+            # with no u0_ref the anchor is the disease-free state (S = 1, E = I = 0)
+            ref = weights.u0_ref
+            self.gap = u0 - (seed_state(model, np.zeros((1, 1))) if ref is None else ref)
         self.n_added = 0
 
     def residual(self, day: int, phi: np.ndarray) -> np.ndarray:
         pos = day - self.data.days[0]
         return _residual(phi, self.delta_beta[pos], self.data.daily_fields[pos])
 
-    def add(self, day: int, q: np.ndarray) -> None:
+    def add(self, day: int, phi: np.ndarray) -> None:
         pos, days = self.n_added, self.data.days
         if pos == self.data.n_days or day != days[pos]:
             raise AlignmentError(f"day mark {day} is not the next of data days {days[0]}..{days[-1]}")
-        if pos == 0 and self.weights.w2 > 0.0:
-            # with no u0_ref the anchor is the disease-free state (S = 1, E = I = 0)
-            ref = self.weights.u0_ref
-            ref = seed_state(self.model, np.zeros((1, 1))) if ref is None else ref
-            self.gap = q.reshape((len(q),) + self.data.grid.shape) - ref
-        phi = transmission_bilinear(self.model, q)
         r = self.residual(day, phi)
         self.misfit += self.omega[pos] * float((r * r).sum()) * self.area
         self.phi_r[pos] = float((phi * r).sum())
         self.n_added += 1
-
-    def replay(self, traj: Trajectory) -> None:
-        """Add the day marks stored in ``traj``."""
-        for level, day in zip(traj.daily_indices, traj.days.tolist()):
-            self.add(day, traj.states[level])
 
     @property
     def terms(self) -> ObjectiveBreakdown:
@@ -314,8 +309,11 @@ class _DayMarks:
 def evaluate_terms(traj: Trajectory, params: ParameterVector, weights: ObjectiveWeights,
                    data: DataInterpolant) -> ObjectiveBreakdown:
     """The three terms of J of a stored run separately; ``.total`` is J."""
-    marks = _DayMarks(params, data, weights, traj.model, traj.grid.cell_area)
-    marks.replay(traj)
+    if not data.grid.compatible(traj.grid):
+        raise DimensionError(f"case data on grid {data.grid} do not match run grid {traj.grid}")
+    marks = _DayMarks(params, data, weights, traj.model, traj.states[0])
+    for level, day in zip(traj.daily_indices, traj.days.tolist()):
+        marks.add(day, transmission_bilinear(traj.model, traj.states[level]))
     return marks.terms
 
 

@@ -35,14 +35,15 @@ is many times slower.  Each read-out first sets those modes to zero, which
 cannot move a read-out bit: their products lie below 2.2e-308 and the
 read-out's sums are at population scale.
 
-The negativity guard checks the read-out and clips its round-off negatives
-(down to -NEGATIVITY_TOL) to zero; the clipped read-out is what the next
-force reads and what is stored.  The carried coefficients are not clipped:
-a clip would have to be transformed back into them, and round-off negatives
-of about 1e-16 appear on most steps of the bundled demo.  So a clip does not
-feed into the linear part of the next step.  That moves the states by
-round-off only: over the bundled demo's first 10 days they differ by at
-most 5e-14 from steps taken in physical space that clip the state itself.
+``_drive``, the one time-stepping loop, checks each read-out with the
+negativity guard and clips its round-off negatives (down to -NEGATIVITY_TOL)
+to zero before it stores, steps from or hands on the read-out.  The carried
+coefficients are not clipped: a clip would have to be transformed back into
+them, and round-off negatives of about 1e-16 appear on most steps of the
+bundled demo.  So a clip does not feed into the linear part of the next step.
+That moves the states by round-off only: over the bundled demo's first 10
+days they differ by at most 5e-14 from steps taken in physical space that
+clip the state itself.
 
 An optional correction adds the second-order Taylor term
 (tau^2 / 2) * df/du [kappa L q + f] to the increment, restoring formal
@@ -260,25 +261,24 @@ def _drive(
     t_end: float,
     tau: float,
     every_level: bool,
-    advance: Callable[[Any, float], tuple[np.ndarray, Any]],
-    start: Callable[[np.ndarray], Any] | None = None,
+    advance: Callable[[np.ndarray, float], np.ndarray],
+    remedy: str,
     on_day: Callable[[int, np.ndarray], Any] | None = None,
 ) -> Trajectory:
     """The time-stepping loop behind every forward run; it steps the m compartments alone.
 
-    ``start`` maps u0, flattened to (m, n_cells), to the carried state (u0 by default), and
-    ``advance(carried, t)`` returns the (m, n_cells) read-out one step of tau after t and the
-    carried state there.  Level n lies at t = n tau.  By default the loop keeps the read-outs
-    at level 0, the whole days and the last level; with ``on_day`` or ``every_level`` it keeps
-    level 0 alone, and with ``every_level`` the force rows of levels 1..n_steps in ``between``.
-    ``on_day(day, q)`` is called with the read-out q, (m, n_cells), of each whole day in
-    order, level 0 included.
+    ``advance(q, t)`` returns the (m, n_cells) read-out one step of tau after the read-out q
+    at t = n tau, level n.  The loop checks each new read-out (``remedy`` is the guard's
+    advice) and clips it before it is stored, stepped from or handed on.  By default it keeps
+    level 0, the whole days and the last level; with ``on_day`` or ``every_level`` level 0
+    alone, and with ``every_level`` the force rows of levels 1..n_steps in ``between``.
+    ``on_day(day, phi)`` gets phi = u_S u_I, (n_cells,), of each whole day, level 0 included.
     """
     m = model.n_compartments
     if u0.shape != (m,) + grid.shape:
         raise DimensionError(f"u0 shape {u0.shape} does not match ({m},) + {grid.shape}")
     steps = _whole_steps(t_end, tau)
-    u = np.asarray(u0, dtype=float).reshape(m, -1)  # read only: the clip acts on new read-outs
+    q = np.asarray(u0, dtype=float).reshape(m, -1)  # read only: the clip acts on new read-outs
 
     days = _day_levels(steps, tau)
     keep = np.arange(steps + 1) == 0
@@ -295,16 +295,17 @@ def _drive(
 
     states[0] = u0
     if on_day is not None:
-        on_day(0, u)
-    carried = u if start is None else start(u)
+        on_day(0, transmission_bilinear(model, q))
     for n in range(steps):
-        q, carried = advance(carried, n * tau)
+        q = advance(q, n * tau)
+        if _check_sign(q, n * tau + tau, remedy) < 0.0:
+            np.clip(q, 0.0, None, out=q)
         if every_level:
             between[n] = q[rows].reshape(between.shape[1:])
         elif keep[n + 1]:
             states[slot[n + 1]] = q.reshape(states.shape[1:])
         if on_day is not None and n + 1 in days:
-            on_day(days[n + 1], q)
+            on_day(days[n + 1], transmission_bilinear(model, q))
 
     return Trajectory(grid, model, tau, times, states, between)
 
@@ -331,11 +332,12 @@ def run_from_state(
     K, e = reaction_split(model, schedule)
     rows = model.force_rows
 
-    def start(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u, _to_eigen(u, basis)
+    coef = None  # the carried coefficients U^, formed from level 0's read-out
 
-    def advance(state: tuple[np.ndarray, np.ndarray], t: float) -> tuple[np.ndarray, Any]:
-        q, coef = state
+    def advance(q: np.ndarray, t: float) -> np.ndarray:
+        nonlocal coef
+        if coef is None:
+            coef = _to_eigen(q, basis)
         beta = beta_at(schedule, t)
         phi = beta * transmission_bilinear(model, q)
         if corrected:
@@ -350,13 +352,9 @@ def run_from_state(
         else:
             source = e[:, None] * _to_eigen(phi, basis)
         ws._step(coef, K, source)
-        q = _from_eigen(coef, basis)
-        low = _check_sign(q, t + tau, "use a smaller tau")
-        if low < 0.0:
-            np.clip(q, 0.0, None, out=q)
-        return q, (q, coef)
+        return _from_eigen(coef, basis)
 
-    return _drive(grid, u0, model, t_end, tau, every_level, advance, start, on_day)
+    return _drive(grid, u0, model, t_end, tau, every_level, advance, "use a smaller tau", on_day)
 
 
 def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,

@@ -108,11 +108,24 @@ def test_the_population_is_formed_in_one_place():
 
 def test_j_is_summed_where_each_run_makes_it():
     """Every fresh run that J reads sums its day marks at its day hook; only
-    evaluate_terms replays the days of a stored run."""
+    evaluate_terms adds the days of a stored run."""
     users = users_of("_marked_run")
     assert users == {"estimate.Problem.objective", "estimate.adjoint_gradient",
                      "estimate.adjoint_fit"}, users
-    assert users_of("replay") == {"objective.evaluate_terms"}, users_of("replay")
+    assert users_of("add") == {"estimate.Problem._marked_run", "objective.evaluate_terms"}, (
+        users_of("add"))
+
+
+def test_the_driver_owns_every_read_out():
+    """solver_cn._drive checks and clips each read-out; a stepper only steps, and only
+    fem-split checks its inner stages beside it.  _drive takes no carried-state start."""
+    users = users_of("_check_sign")
+    assert users == {"solver_cn._drive", "solver_fem.run_fem_from_state"}, users
+    clips = {user for user in users_of("clip") if user.startswith("solver")}
+    assert clips == {"solver_cn._drive"}, clips
+    drive = next(node for node in ast.walk(ast.parse((SRC / "solver_cn.py").read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_drive")
+    assert "start" not in {a.arg for a in drive.args.args + drive.args.kwonlyargs}
 
 
 def test_j_at_one_point_has_one_owner():

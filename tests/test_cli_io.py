@@ -556,6 +556,15 @@ class TestLoadScenario:
         union = union_mask(problem.masks.values())
         np.testing.assert_array_equal(problem.district.cells, union.cells)
 
+    def test_refusal_of_the_problem_keeps_its_key(self, tmp_path):
+        """A ConfigError keyed by Problem reaches the caller with its key, printed once."""
+        config_path, _ = self.build(tmp_path, solver={"backend": "fem-split", "tau": 0.25,
+                                                      "corrected": True})
+        with pytest.raises(ConfigError) as err:
+            load_scenario(load_config(config_path))
+        assert err.value.key == "solver.corrected"
+        assert str(err.value).count("[solver.corrected]") == 1
+
     def test_district_mask_file_used(self, tmp_path):
         config_path, _ = self.build(tmp_path)
         config = load_config(config_path)
@@ -664,7 +673,7 @@ class TestGenerateSynthetic:
         paths = generate_synthetic(
             truth, grid, masks, population, ModelKind.SEIR, 10.0, 0.25, 0.1, 7, tmp_path
         )
-        record = yaml.safe_load(open(paths["truth"]))
+        record = yaml.safe_load(Path(paths["truth"]).read_text())
         assert record["cases_sha256"] == sha256_of(paths["cases"])
         assert record["betas"] == [0.3, 0.15, 0.2]
         assert record["init_infected"] == {"A": 20.0, "B": 10.0}

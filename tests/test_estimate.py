@@ -30,7 +30,7 @@ from epidiffuse.estimate import (
     metropolis_fit,
 )
 from epidiffuse.grid import GridSpec, RegionMask, distribute_uniform, region_total, union_mask
-from epidiffuse.models import ModelKind, ParameterVector, RateSchedule
+from epidiffuse.models import ModelKind, ParameterVector, RateSchedule, transmission_bilinear
 from epidiffuse.objective import (
     CaseSeries,
     ObjectiveWeights,
@@ -154,6 +154,26 @@ class TestProblem:
         problem = twin9["problem"]
         with pytest.raises(DimensionError, match="population shape"):
             dataclasses.replace(problem, population=problem.population[:-1])
+
+    @staticmethod
+    def wide_data(problem):
+        """The problem's cases spread over a window of the same node counts, twice as wide:
+        they would weigh J with the wrong cell area."""
+        g, data = problem.grid, problem.data
+        wide = GridSpec(g.nx, g.ny, 2.0 * g.Lx, 2.0 * g.Ly)
+        series = {name: CaseSeries(name, data.days, cases)
+                  for name, cases in zip(problem.region_names, data.cases)}
+        return interpolate_data(series, problem.masks, wide, problem.population)
+
+    def test_case_data_on_another_grid_rejected_when_built(self, twin9):
+        problem = twin9["problem"]
+        with pytest.raises(DimensionError, match="case data on grid"):
+            dataclasses.replace(problem, data=self.wide_data(problem))
+
+    def test_evaluate_terms_refuses_case_data_on_another_grid(self, twin9):
+        problem, truth = twin9["problem"], twin9["truth"]
+        with pytest.raises(DimensionError, match="case data on grid"):
+            evaluate_terms(problem.simulate(truth), truth, problem.weights, self.wide_data(problem))
 
     @pytest.mark.parametrize("times", [[], [1.0, 2.0], [0.0, 0.05], [0.0, 2.0, 1.0]])
     def test_population_at_refuses_times_a_cn_run_does_not_reach(self, twin9, times):
@@ -861,9 +881,9 @@ class TestRandomMaskProperties:
         if backend == "cn":
             assert j.hex() == adjoint_gradient(problem, point).breakdown.total.hex()
         _, marks = problem._marked_run(point)
-        replayed = objective._DayMarks(point, problem.data, weights, problem.model,
-                                       problem.grid.cell_area)
-        replayed.replay(traj)
+        replayed = objective._DayMarks(point, problem.data, weights, problem.model, traj.states[0])
+        for level, day in zip(traj.daily_indices, traj.days.tolist()):
+            replayed.add(day, transmission_bilinear(problem.model, traj.states[level]))
         assert marks.misfit.hex() == replayed.misfit.hex()
         assert marks.phi_r.tobytes() == replayed.phi_r.tobytes()
         every = problem.simulate(point, every_level=True)

@@ -194,7 +194,7 @@ class TestEvaluateJ:
 
     def test_daily_residuals_are_incidence_minus_data(self):
         grid, masks, population, params, traj, data = run_and_data()
-        marks = _DayMarks(params, data, ObjectiveWeights(1.0), traj.model, grid.cell_area)
+        marks = _DayMarks(params, data, ObjectiveWeights(1.0), traj.model, traj.states[0])
         for pos, day in enumerate(traj.days):
             u = traj.states[traj.daily_indices[pos]]
             phi = transmission_bilinear(traj.model, u)
@@ -244,10 +244,11 @@ class TestEvaluateJ:
 
     def test_day_marks_take_the_data_days_in_order_and_all_of_them(self):
         grid, masks, population, params, traj, data = run_and_data()
-        marks = _DayMarks(params, data, ObjectiveWeights(1.0), traj.model, grid.cell_area)
+        marks = _DayMarks(params, data, ObjectiveWeights(1.0), traj.model, traj.states[0])
+        phi = transmission_bilinear(traj.model, traj.states[0])
         with pytest.raises(AlignmentError, match="day mark 1 is not the next"):
-            marks.add(1, traj.states[0])
-        marks.add(0, traj.states[0])
+            marks.add(1, phi)
+        marks.add(0, phi)
         with pytest.raises(AlignmentError, match="1 day marks, the data 5"):
             marks.terms
         head = dataclasses.replace(traj, times=traj.times[:2], states=traj.states[:2])
@@ -264,8 +265,9 @@ class TestSensitivities:
         weights = ObjectiveWeights(1.0, 0.3, 0.2, chi_ref=truth.chi * 1.02,
                                    u0_ref=problem.build_u0(truth) * 1.1)
         traj = problem.simulate(params)
-        marks = _DayMarks(params, data, weights, problem.model, problem.grid.cell_area)
-        marks.replay(traj)
+        marks = _DayMarks(params, data, weights, problem.model, traj.states[0])
+        for level, day in zip(traj.daily_indices, traj.days.tolist()):
+            marks.add(day, transmission_bilinear(problem.model, traj.states[level]))
         g_chi, g_u0 = marks.gradient()
         assert marks.terms == evaluate_terms(traj, params, weights, data)
 

@@ -144,8 +144,13 @@ class TestStepForward:
             npt.assert_allclose(out.times, [0.0, 1.0, 2.0])
             npt.assert_allclose(population_of(out, kappa, pop), exp_pop, rtol=1e-12)
 
-    def test_stored_levels_are_clipped_read_outs(self, monkeypatch):
-        """Where the read-out dips below zero by round-off, the stored level is clipped."""
+    @pytest.mark.parametrize("run", [run_from_state, run_fem_from_state])
+    def test_stored_levels_are_clipped_read_outs(self, monkeypatch, run):
+        """Where the read-out dips below zero by round-off, the stored level is clipped.
+
+        solver_cn._drive checks every read-out of both runners, so recording its
+        _check_sign sees each one.
+        """
         lows = []
         check_sign = solver_cn._check_sign
 
@@ -154,13 +159,19 @@ class TestStepForward:
             return lows[-1]
 
         monkeypatch.setattr(solver_cn, "_check_sign", recording_check)
-        # far from a corner seed the fields are smaller than the transforms' round-off
         grid = GridSpec(17, 17, 1.0, 1.0)
-        frac = np.zeros(grid.shape)
-        frac[:3, :3] = 0.01
+        if run is run_from_state:
+            # far from a corner seed the fields are smaller than the transforms' round-off
+            frac = np.zeros(grid.shape)
+            frac[:3, :3] = 0.01
+        else:
+            # a sharper corner seed makes fem-split's diffusion undershoot past the guard
+            y, x = np.meshgrid(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 17), indexing="ij")
+            frac = 0.01 * np.exp(-(x ** 2 + y ** 2) / 0.2 ** 2)
         for model in ModelKind:
             lows.clear()
-            traj = run_from_state(grid, seed_state(model, frac), model, SCHED, 0.001, 2.0, 0.25)
+            traj = run(grid, seed_state(model, frac), model, SCHED, 0.001, 2.0, 0.25)
+            assert len(lows) == 8
             assert min(lows) < 0.0
             assert traj.states.min() == 0.0
 
@@ -545,11 +556,21 @@ class TestRefinementStudy:
             temporal_refinement_study("bogus", grid, ModelKind.SIS, SCHED, 0.1, 2.0)
 
 
+def each_model_on_both_runners(test):
+    """Hypothesis examples that run ``test`` for SIS, SIR and SEIR on cn and fem-split."""
+    for model in ModelKind:
+        for run in (run_from_state, run_fem_from_state):
+            test = example(grid=GridSpec(7, 5, 1.0, 1.0), kappa=0.1, model=model, run=run,
+                           tau=0.25, t_end=2.5)(test)
+    return test
+
+
 class TestStorageRules:
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, model=st.sampled_from(list(ModelKind)),
            run=st.sampled_from([run_from_state, run_fem_from_state]),
            tau=st.sampled_from([0.5, 0.25, 0.125]), t_end=st.sampled_from([2.0, 2.5]))
+    @each_model_on_both_runners
     def test_every_level_keeps_level_0_and_the_force_rows_after_it(
         self, grid, kappa, model, run, tau, t_end
     ):
@@ -580,13 +601,16 @@ class TestStorageRules:
         every = run(*args, every_level=True)
         assert every.times.tobytes() == daily.times[:1].tobytes()
         assert every.states.tobytes() == daily.states[:1].tobytes()
-        # the day hook reads the whole days in order, level 0 included; the run keeps level 0
+        # the day hook reads phi = u_S u_I, (n_cells,), of the whole days in order, level 0
+        # included; the run keeps level 0
         for every_level in (False, True):
             read = []
             hooked = run(*args, every_level=every_level,
-                         on_day=lambda day, q: read.append((day, q.tobytes())))
-            assert [day for day, _ in read] == daily.days.tolist()
-            assert [q for _, q in read] == [daily.states[n].tobytes() for n in daily.daily_indices]
+                         on_day=lambda day, phi: read.append((day, phi.shape, phi.tobytes())))
+            assert [day for day, _, _ in read] == daily.days.tolist()
+            assert {shape for _, shape, _ in read} == {(grid.n_cells,)}
+            assert [phi for _, _, phi in read] == [
+                transmission_bilinear(model, daily.states[n]).tobytes() for n in daily.daily_indices]
             assert hooked.times.tobytes() == daily.times[:1].tobytes()
             assert hooked.states.tobytes() == daily.states[:1].tobytes()
             if every_level:
