@@ -26,7 +26,6 @@ from .models import (
     RateSchedule,
     beta_at,
     initial_fractions,
-    reaction,
     reaction_split,
 )
 from .solver_cn import (

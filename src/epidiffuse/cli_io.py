@@ -711,11 +711,11 @@ def _cmd_fit(config: RunConfig, out_dir: Path, args) -> dict:
         config.metropolis = dict(config.metropolis, draws=args.draws)
     problem = load_scenario(config)
     if problem.data is None:
-        raise ConfigError("fitting requires data.cases", path=config.path, key="data.cases")
+        raise ConfigError("fitting requires data.cases", key="data.cases")
     estimator = config.estimator
     if estimator == "simulate-only":
         raise ConfigError("estimator.kind must be 'metropolis' or 'adjoint' for fit",
-                          path=config.path, key="estimator.kind")
+                          key="estimator.kind")
     try:
         try:
             if estimator == "metropolis":
@@ -723,13 +723,12 @@ def _cmd_fit(config: RunConfig, out_dir: Path, args) -> dict:
             else:
                 fit, options = adjoint_fit, AdjointConfig(**config.adjoint)
         except TypeError as exc:  # an unknown option; one raised inside the fit is a defect
-            raise ConfigError(f"bad estimator options: {exc}", path=config.path,
-                              key=f"estimator.{estimator}") from exc
+            raise ConfigError(f"bad estimator options: {exc}", key=f"estimator.{estimator}") from exc
         result = fit(problem, options)
     except ConfigError as exc:
-        if exc.path is None:
-            raise ConfigError(str(exc), path=config.path, key=f"estimator.{estimator}") from exc
-        raise
+        if "." in (exc.key or ""):  # names its own config section
+            raise
+        raise ConfigError(str(exc), key=f"estimator.{estimator}") from exc
     report_path = out_dir / "fit_report.json"
     history_path = out_dir / "fit_history.csv"
     write_fit_report(report_path, problem, result, config, estimator)
@@ -746,7 +745,7 @@ def _cmd_fit(config: RunConfig, out_dir: Path, args) -> dict:
 def _cmd_gradient_check(config: RunConfig, out_dir: Path, args) -> dict:
     problem = load_scenario(config)
     if problem.data is None:
-        raise ConfigError("gradient-check requires data.cases", path=config.path, key="data.cases")
+        raise ConfigError("gradient-check requires data.cases", key="data.cases")
     check = gradient_check(problem, problem.initial)
     table_path = out_dir / "gradient_check.csv"
     columns = zip(map(_csv_field, check["names"]), check["adjoint"], check["fd"], check["rel_err"],
@@ -762,7 +761,7 @@ def _cmd_convergence_study(config: RunConfig, out_dir: Path, args) -> dict:
     kinds = ["diffusion", "coupled"] if args.kind == "both" else [args.kind]
     if config.backend != "cn":
         raise ConfigError("convergence-study refines the cn scheme only; use --backend cn",
-                          path=config.path, key="solver.backend")
+                          key="solver.backend")
     problem = load_scenario(config)
     horizon = 4.0 if config.n_days >= 4 else 2.0  # every STUDY_TAUS step divides 4 and 2 days
     results = {}
@@ -783,7 +782,7 @@ def _cmd_convergence_study(config: RunConfig, out_dir: Path, args) -> dict:
 
 def _cmd_export_plots(config: RunConfig, out_dir: Path, args) -> dict:
     if config.cases is None:
-        raise ConfigError("export-plots requires data.cases", path=config.path, key="data.cases")
+        raise ConfigError("export-plots requires data.cases", key="data.cases")
     series = read_cases(config.cases, config.start, config.n_days, sorted(config.region_masks))
     names = sorted(series)
     days = series[names[0]].days
@@ -856,7 +855,12 @@ def main(argv=None) -> int:
             config.out_dir = str(Path(args.out).resolve())
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = _COMMANDS[args.command](config, out_dir, args)
+        try:
+            result = _COMMANDS[args.command](config, out_dir, args)
+        except ConfigError as exc:
+            if exc.path is not None:
+                raise
+            raise ConfigError(exc.message, path=config.path, key=exc.key) from exc
         _write_summary(out_dir, args.command, config, result["outputs"], result["metrics"])
         print(f"{args.command}: ok ({out_dir / 'summary.json'})")
         return 0

@@ -89,7 +89,7 @@ MAX_INITIAL_STEP = 0.05     # infected fraction, per-cell initial-condition mode
 FD_REL_STEP = 1e-5          # gradient_check's central-difference step, relative to max(|x|, 1e-2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """Everything a fit needs: geometry, model, data, weights, and defaults."""
 
@@ -406,7 +406,8 @@ class AdjointGradient:
 def _require_exact_adjoint(problem: Problem):
     """Refuse problems whose forward recursion the backward sweep does not transpose."""
     if problem.backend != "cn":
-        raise ConfigError("adjoint gradients are only available on the cn backend")
+        raise ConfigError("adjoint gradients are only available on the cn backend",
+                          key="solver.backend")
     if problem.corrected:
         raise ConfigError(
             "adjoint gradients transpose the plain cn step only; "
@@ -532,7 +533,7 @@ def adjoint_fit(problem: Problem, config: AdjointConfig) -> FitResult:
     with ``per_cell_initial``; its target comes from u0_tilde.
     """
     if config.optimize_initial and problem.weights.w2 <= 0.0:
-        raise ConfigError("initial-condition optimization requires w2 > 0", key="w2")
+        raise ConfigError("initial-condition optimization requires w2 > 0", key="weights.w2")
     if config.per_cell_initial and not config.optimize_initial:
         raise ConfigError("per_cell_initial needs optimize_initial enabled", key="per_cell_initial")
     _require_exact_adjoint(problem)

@@ -10,7 +10,7 @@ eliminated through S + I (+ E + R) = 1, which leaves
 
 Each f is linear in u apart from the transmission force beta u_S u_I:
 ``reaction_split`` gives f = K u + e * beta(t) * u_S u_I with constant K
-and e, and ``reaction`` evaluates that split.
+and e; each solver reads that split once per run.
 
 The transmission rate is piecewise constant in time with two breakpoints
 (three plateau values), mirroring the way contact restrictions change a
@@ -155,18 +155,6 @@ def reaction_split(model: ModelKind, schedule: RateSchedule) -> tuple[np.ndarray
         return np.array([[0.0, 0.0], [0.0, -g]]), np.array([-1.0, 1.0])
     K = np.array([[0.0, 0.0, 0.0], [0.0, -th, 0.0], [0.0, th, -g]])
     return K, np.array([-1.0, 1.0, 0.0])
-
-
-def reaction(model: ModelKind, u: np.ndarray, t: float, schedule: RateSchedule) -> np.ndarray:
-    """Pointwise reaction term f(u, t) from ``reaction_split``; u has shape (m,) or (m, ...)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != model.n_compartments:
-        raise DimensionError(
-            f"{model.value} expects {model.n_compartments} compartment(s), got {u.shape[0]}"
-        )
-    K, e = reaction_split(model, schedule)
-    force = beta_at(schedule, t) * transmission_bilinear(model, u)
-    return np.tensordot(K, u, axes=1) + np.multiply.outer(e, force)
 
 
 def transmission_bilinear(model: ModelKind, u: np.ndarray) -> np.ndarray:

@@ -21,9 +21,10 @@ lam_0 = 0 belongs to the constant vector, so the flow conserves 1^T M u up
 to round-off, and the largest eigenvalue of M^{-1} K is 12/hx^2 + 12/hy^2.
 
 One time step splits symmetrically: half-step diffusion, full-step reaction
-by the classical 4-stage Runge-Kutta scheme, half-step diffusion.  This
-backend exists to cross-validate the finite-difference solver; the adjoint
-machinery runs only on solver_cn.
+by the classical 4-stage Runge-Kutta scheme on models.reaction_split's
+f = K u + e beta(t) u_S u_I, half-step diffusion.  This backend exists to
+cross-validate the finite-difference solver; the adjoint machinery runs only
+on solver_cn.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .grid import GridSpec, _from_eigen, _to_eigen
-from .models import ModelKind, RateSchedule, reaction
+from .models import ModelKind, RateSchedule, beta_at, reaction_split, transmission_bilinear
 from .solver_cn import Trajectory, _check_sign, _check_step, _drive
 
 
@@ -80,14 +81,18 @@ def _diffuse(asm: FemAssembly, u: np.ndarray, kappa: float, dt_total: float) -> 
     return _from_eigen(coef, asm.back)
 
 
-def _react(
-    u: np.ndarray, model: ModelKind, schedule: RateSchedule, t: float, tau: float
-) -> np.ndarray:
-    """Classical RK4 on the pointwise reaction ODE over [t, t + tau]."""
-    k1 = reaction(model, u, t, schedule)
-    k2 = reaction(model, u + 0.5 * tau * k1, t + 0.5 * tau, schedule)
-    k3 = reaction(model, u + 0.5 * tau * k2, t + 0.5 * tau, schedule)
-    k4 = reaction(model, u + tau * k3, t + tau, schedule)
+def _react(u: np.ndarray, K: np.ndarray, e: np.ndarray, model: ModelKind,
+           schedule: RateSchedule, t: float, tau: float) -> np.ndarray:
+    """Classical RK4 on the pointwise reaction ODE over [t, t + tau], from the split (K, e)."""
+
+    def f(v: np.ndarray, s: float) -> np.ndarray:
+        return np.tensordot(K, v, axes=1) + np.multiply.outer(
+            e, beta_at(schedule, s) * transmission_bilinear(model, v))
+
+    k1 = f(u, t)
+    k2 = f(u + 0.5 * tau * k1, t + 0.5 * tau)
+    k3 = f(u + 0.5 * tau * k2, t + 0.5 * tau)
+    k4 = f(u + tau * k3, t + tau)
     return u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -111,6 +116,7 @@ def run_fem_from_state(
     """Split-scheme counterpart of solver_cn.run_from_state."""
     _check_step(kappa, tau)
     asm = assemble_fem(grid)
+    K, e = reaction_split(model, schedule)
 
     def advance(u: np.ndarray, t: float) -> np.ndarray:
         # The diffusion half-steps are checked on their own: their undershoot
@@ -118,7 +124,7 @@ def run_fem_from_state(
         # _drive checks the read-out, after the second, with the same advice.
         q = _diffuse(asm, u, kappa, 0.5 * tau)
         _check_sign(q, t + 0.5 * tau, _DIFFUSION_UNDERSHOOT)
-        q = _react(q, model, schedule, t, tau)
+        q = _react(q, K, e, model, schedule, t, tau)
         _check_sign(q, t + tau, "use a smaller tau")
         return _diffuse(asm, q, kappa, 0.5 * tau)
 

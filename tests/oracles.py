@@ -1,10 +1,15 @@
-"""Matrix forms of the grid operators and per-token file readers, kept as test oracles.
+"""Matrix forms of the grid operators, the written-out reactions and per-token file
+readers, kept as test oracles.
 
 The package defines the Neumann Laplacian by its cosine eigenpairs alone and
 inverts the Crank-Nicolson matrix in that basis; it never needs the matrices
-built here.  It checks a mask laid out as ``write_mask`` writes it as one byte
-buffer, and its case reader, per row too, parses each distinct date once.  The readers here split
-and check every row's tokens and parse every date, as the package once did.
+built here.  Its solvers evaluate each model's reaction from one split,
+f = K u + e beta(t) u_S u_I; ``reaction`` here is written out from the model
+equations instead, so the split is checked against something other than
+itself.  The package checks a mask laid out as ``write_mask`` writes it as
+one byte buffer, and its case reader, per row too, parses each distinct date
+once.  The readers here split and check every row's tokens and parse every
+date, as the package once did.
 """
 
 import csv
@@ -16,6 +21,7 @@ import scipy.sparse as sp
 
 from epidiffuse.errors import CaseDataError, MaskFormatError
 from epidiffuse.grid import GridSpec, RegionMask
+from epidiffuse.models import ModelKind, RateSchedule, beta_at
 from epidiffuse.objective import CaseSeries
 
 
@@ -41,6 +47,24 @@ def dense_operators(grid, kappa: float, tau: float) -> tuple[np.ndarray, np.ndar
     L = laplacian_operator(grid).toarray()
     eye = np.eye(grid.n_cells)
     return eye - 0.5 * tau * kappa * L, eye + 0.5 * tau * kappa * L
+
+
+def reaction(model: ModelKind, u, t: float, schedule: RateSchedule) -> np.ndarray:
+    """f(u, t) of each model's equations, with beta = beta_at(schedule, t); u is (m,) or (m, ...).
+
+    SIS: beta (1 - I) I - gamma I; SIR: (-beta S I, beta S I - gamma I);
+    SEIR: (-beta S I, beta S I - theta E, theta E - gamma I).
+    """
+    beta, gamma, theta = beta_at(schedule, t), schedule.gamma, schedule.theta
+    u = np.asarray(u, dtype=float)
+    if model is ModelKind.SIS:
+        (i,) = u
+        return np.array([beta * (1.0 - i) * i - gamma * i])
+    if model is ModelKind.SIR:
+        s, i = u
+        return np.array([-beta * s * i, beta * s * i - gamma * i])
+    s, e, i = u
+    return np.array([-beta * s * i, beta * s * i - theta * e, theta * e - gamma * i])
 
 
 def read_mask_by_rows(path) -> tuple[GridSpec, RegionMask]:

@@ -169,3 +169,12 @@ def test_the_laplacian_is_defined_once():
     and only solver_cn.assemble reads the eigenpairs."""
     assert not hasattr(epidiffuse.grid, "laplacian")
     assert users_of("neumann_eigenbasis") == {"solver_cn.assemble"}, users_of("neumann_eigenbasis")
+
+
+def test_the_reaction_has_one_form():
+    """The solvers read the split f = K u + e beta(t) u_S u_I once per run; no wrapper
+    rebuilds it per call."""
+    assert not hasattr(epidiffuse.models, "reaction")
+    users = users_of("reaction_split")
+    assert users == {"solver_cn.run_from_state", "solver_cn.sweep",
+                     "solver_fem.run_fem_from_state"}, users

@@ -972,6 +972,29 @@ class TestCommandLine:
         assert rc == 2
         assert "[solver.corrected]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, value, key", [
+        ("fit", "solver", {"backend": "cn", "tau": 0.25, "corrected": True}, "solver.corrected"),
+        ("gradient-check", "solver", {"backend": "cn", "tau": 0.25, "corrected": True},
+         "solver.corrected"),
+        ("fit", "solver", {"backend": "fem-split", "tau": 0.25}, "solver.backend"),
+        ("gradient-check", "solver", {"backend": "fem-split", "tau": 0.25}, "solver.backend"),
+        ("fit", "estimator", {"kind": "adjoint", "adjoint": {"optimize_initial": True}},
+         "weights.w2"),
+    ])
+    def test_refusal_inside_a_command_names_the_file_once_and_its_own_key(
+            self, scenario, capsys, command, section, value, key):
+        """A refusal raised after the config loaded starts with the config path, once, and
+        keys the value at fault, not the estimator block that ran into it."""
+        raw = copy.deepcopy(scenario["raw"])
+        raw["estimator"] = {"kind": "adjoint", "adjoint": {"max_outer": 2}}
+        raw[section] = value
+        config_path = dump_config(scenario["dir"], raw, "refused.yaml")
+        rc = main([command, "--config", str(config_path), "--out", str(scenario["dir"] / "refused")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error (config/data): {config_path}: [{key}] "), err
+        assert err.count(str(config_path)) == 1 and "[estimator." not in err, err
+
     @pytest.mark.parametrize("days", [2, 3, 4])
     def test_convergence_study_command(self, scenario, days):
         """Any window of at least 2 days gets a horizon that every study step divides."""

@@ -170,6 +170,12 @@ class TestProblem:
         with pytest.raises(DimensionError, match="case data on grid"):
             dataclasses.replace(problem, data=self.wide_data(problem))
 
+    def test_a_built_problem_is_frozen(self, twin9):
+        """Assignment would skip the checks of __post_init__, which replace runs again."""
+        problem = dataclasses.replace(twin9["problem"])  # a copy, so the fixture stays intact
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.backend = "spectral"
+
     def test_evaluate_terms_refuses_case_data_on_another_grid(self, twin9):
         problem, truth = twin9["problem"], twin9["truth"]
         with pytest.raises(DimensionError, match="case data on grid"):
@@ -429,7 +435,8 @@ class TestAdjointGradient:
         """On a kappa=0 twin at truth the gradient reduces to the chi anchor."""
         problem, truth, _ = make_twin(tmp_path, kappa=0.0)
         chi_ref = truth.chi + np.array([0.03, -0.02, 0.01, 0.0, -0.04])
-        problem.weights = ObjectiveWeights(1.0, 0.7, 0.0, chi_ref=chi_ref)
+        problem = dataclasses.replace(
+            problem, weights=ObjectiveWeights(1.0, 0.7, 0.0, chi_ref=chi_ref))
         grad = adjoint_gradient(problem, truth)
         npt.assert_allclose(grad.chi, 0.7 * (truth.chi - chi_ref), atol=1e-12)
         npt.assert_allclose(grad.seeds, 0.0, atol=1e-12)
@@ -475,7 +482,7 @@ class TestAdjointGradient:
 
     def test_cn_backend_only(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path)
-        problem.backend = "fem-split"
+        problem = dataclasses.replace(problem, backend="fem-split")
         with pytest.raises(ConfigError):
             adjoint_gradient(problem, truth)
 
@@ -487,7 +494,7 @@ class TestAdjointGradient:
             adjoint_gradient(problem, start)
         with pytest.raises(ConfigError, match="corrected"):
             gradient_check(problem, start)
-        problem.initial = start
+        problem = dataclasses.replace(problem, initial=start)
         with pytest.raises(ConfigError, match="corrected"):
             adjoint_fit(problem, AdjointConfig(max_outer=2))
 
@@ -528,7 +535,7 @@ class TestAdjointFit:
     def test_objective_is_non_increasing(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path)
         start = truth.with_chi(truth.chi * np.array([1.4, 0.7, 1.3, 1.5, 0.8]))
-        problem.initial = start
+        problem = dataclasses.replace(problem, initial=start)
         result = adjoint_fit(problem, AdjointConfig(max_outer=12))
         js = [j for j, _ in result.history]
         assert all(b <= a + 1e-15 for a, b in zip(js, js[1:]))
@@ -605,7 +612,8 @@ class TestAdjointFit:
         on max_outer.
         """
         problem, truth, _ = make_twin(tmp_path, kappa=0.0)
-        problem.initial = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        problem = dataclasses.replace(
+            problem, initial=truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9])))
         result = adjoint_fit(problem, AdjointConfig(max_outer=200))
         assert result.diagnostics["stop"] in ("stationary", "tol")
         assert result.n_evaluations <= 50
@@ -620,7 +628,8 @@ class TestAdjointFit:
         raises: a start the guard refuses, at beta1 = 142, is not a line-search matter.
         """
         problem, truth, _ = make_twin(tmp_path, weights=ObjectiveWeights(1e6, 0.0, 0.0))
-        problem.initial = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        problem = dataclasses.replace(
+            problem, initial=truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9])))
         runs = []
         simulate = Problem.simulate
 
@@ -638,7 +647,8 @@ class TestAdjointFit:
         js = [j for j, _ in result.history]
         assert all(b <= a for a, b in zip(js, js[1:])) and js[-1] < js[0]
 
-        problem.initial = truth.with_chi(np.array([0.2, 142.0, 0.1, 0.1, 0.5]))
+        problem = dataclasses.replace(
+            problem, initial=truth.with_chi(np.array([0.2, 142.0, 0.1, 0.1, 0.5])))
         with pytest.raises(StabilityError):
             adjoint_fit(problem, AdjointConfig(max_outer=2))
 
@@ -649,7 +659,8 @@ class TestAdjointFit:
         whose run goes negative.  Each evaluation is one forward run.
         """
         problem, truth, _ = make_twin(tmp_path, weights=ObjectiveWeights(1e6, 0.0, 0.0))
-        problem.initial = truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9]))
+        problem = dataclasses.replace(
+            problem, initial=truth.with_chi(truth.chi * np.array([1.2, 0.9, 1.1, 1.3, 0.9])))
         result = adjoint_fit(problem, AdjointConfig(max_outer=20))
         assert result.diagnostics["unstable_trials"] == 0
         assert result.n_evaluations <= 30
@@ -668,7 +679,7 @@ class TestAdjointFit:
     def test_chi_moves_toward_truth(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, t_end=30.0, breakpoints=(10.0, 20.0))
         start = truth.with_chi(truth.chi * np.array([1.5, 1.0, 1.0, 1.0, 1.0]))
-        problem.initial = start
+        problem = dataclasses.replace(problem, initial=start)
         result = adjoint_fit(problem, AdjointConfig(max_outer=25))
         err0 = abs(start.chi[0] - truth.chi[0])
         err1 = abs(result.params.chi[0] - truth.chi[0])
@@ -684,11 +695,12 @@ class TestAdjointFit:
     def test_per_region_seed_updates_reduce_J(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, kappa=0.0)
         u0_ref = problem.build_u0(truth)
-        problem.weights = ObjectiveWeights(1.0, 0.0, 1e-4, u0_ref=u0_ref)
+        problem = dataclasses.replace(
+            problem, weights=ObjectiveWeights(1.0, 0.0, 1e-4, u0_ref=u0_ref))
         start = truth.with_seeds(
             {k: v * 2.0 for k, v in truth.init_infected.items()}
         )
-        problem.initial = start
+        problem = dataclasses.replace(problem, initial=start)
         config = AdjointConfig(max_outer=15, optimize_initial=True)
         result = adjoint_fit(problem, config)
         js = [j for j, _ in result.history]
@@ -702,11 +714,12 @@ class TestAdjointFit:
     def test_per_cell_mode_runs_and_reduces_J(self, tmp_path):
         problem, truth, _ = make_twin(tmp_path, kappa=0.0)
         u0_ref = problem.build_u0(truth)
-        problem.weights = ObjectiveWeights(1.0, 0.0, 1e-4, u0_ref=u0_ref)
+        problem = dataclasses.replace(
+            problem, weights=ObjectiveWeights(1.0, 0.0, 1e-4, u0_ref=u0_ref))
         start = truth.with_seeds(
             {k: v * 1.8 for k, v in truth.init_infected.items()}
         )
-        problem.initial = start
+        problem = dataclasses.replace(problem, initial=start)
         config = AdjointConfig(max_outer=8, optimize_initial=True, per_cell_initial=True)
         result = adjoint_fit(problem, config)
         js = [j for j, _ in result.history]

@@ -18,13 +18,13 @@ from epidiffuse.models import (
     beta_interval,
     initial_fractions,
     max_seed_fraction,
-    reaction,
     reaction_split,
     seed_jacobian,
     transmission_bilinear,
     transmission_derivative,
 )
 from epidiffuse.objective import ObjectiveWeights
+from oracles import reaction
 
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 30.0)
 
@@ -108,45 +108,67 @@ class TestParameterVector:
         npt.assert_array_equal(q.chi, p.chi)
 
 
+def split_reaction(model, u, t):
+    """f from the split, K u + e (x) beta(t) u_S u_I: shape of u."""
+    K, e = reaction_split(model, SCHED)
+    force = beta_at(SCHED, t) * transmission_bilinear(model, u)
+    return np.tensordot(K, u, axes=1) + np.multiply.outer(e, force)
+
+
 class TestReaction:
+    """The split the solvers read against the model equations written out."""
+
     def test_sis_hand_value(self):
         """f = beta (1-u)u - gamma u at u=0.3, beta=0.2, gamma=0.1."""
-        f = reaction(ModelKind.SIS, np.array([0.3]), 0.0, SCHED)
-        assert f[0] == pytest.approx(0.2 * 0.7 * 0.3 - 0.1 * 0.3)
+        u = np.array([0.3])
+        for f in (split_reaction(ModelKind.SIS, u, 0.0), reaction(ModelKind.SIS, u, 0.0, SCHED)):
+            assert f[0] == pytest.approx(0.2 * 0.7 * 0.3 - 0.1 * 0.3)
 
     def test_sir_hand_value(self):
         u = np.array([0.9, 0.05])
-        f = reaction(ModelKind.SIR, u, 0.0, SCHED)
         force = 0.2 * 0.9 * 0.05
-        npt.assert_allclose(f, [-force, force - 0.1 * 0.05])
+        for f in (split_reaction(ModelKind.SIR, u, 0.0), reaction(ModelKind.SIR, u, 0.0, SCHED)):
+            npt.assert_allclose(f, [-force, force - 0.1 * 0.05])
 
     def test_seir_hand_value(self):
         u = np.array([0.9, 0.02, 0.05])
-        f = reaction(ModelKind.SEIR, u, 0.0, SCHED)
         force = 0.2 * 0.9 * 0.05
         theta = SCHED.theta
-        npt.assert_allclose(
-            f, [-force, force - theta * 0.02, theta * 0.02 - 0.1 * 0.05], rtol=1e-12
-        )
+        for f in (split_reaction(ModelKind.SEIR, u, 0.0), reaction(ModelKind.SEIR, u, 0.0, SCHED)):
+            npt.assert_allclose(
+                f, [-force, force - theta * 0.02, theta * 0.02 - 0.1 * 0.05], rtol=1e-12
+            )
 
     def test_uses_schedule_plateau(self):
+        """Each side of both breakpoints reads its own plateau."""
         u = np.array([0.9, 0.02, 0.05])
-        early = reaction(ModelKind.SEIR, u, 5.0, SCHED)
-        late = reaction(ModelKind.SEIR, u, 25.0, SCHED)
-        assert late[0] == pytest.approx(early[0] * 0.3 / 0.2)
+        for t0, before, after in ((10.0, 0.2, 0.1), (20.0, 0.1, 0.3)):
+            early = split_reaction(ModelKind.SEIR, u, t0 - 1e-9)
+            late = split_reaction(ModelKind.SEIR, u, t0)
+            npt.assert_allclose(early, reaction(ModelKind.SEIR, u, t0 - 1e-9, SCHED), rtol=1e-12)
+            npt.assert_allclose(late, reaction(ModelKind.SEIR, u, t0, SCHED), rtol=1e-12)
+            assert late[0] == pytest.approx(early[0] * after / before)
+
+    def test_matches_the_model_equations(self):
+        """Random states and times, all three models."""
+        rng = np.random.default_rng(23)
+        for model in ModelKind:
+            for _ in range(50):
+                u = rng.uniform(0.0, 1.0, size=model.n_compartments)
+                t = float(rng.uniform(0.0, 30.0))
+                npt.assert_allclose(split_reaction(model, u, t), reaction(model, u, t, SCHED),
+                                    rtol=1e-12, atol=1e-15)
 
     def test_field_shapes_pass_through(self):
         rng = np.random.default_rng(0)
-        u = rng.uniform(0.0, 0.4, size=(3, 4, 5))
-        f = reaction(ModelKind.SEIR, u, 0.0, SCHED)
-        assert f.shape == u.shape
-        # pointwise agreement with the scalar evaluation
-        f_cell = reaction(ModelKind.SEIR, u[:, 2, 3], 0.0, SCHED)
-        npt.assert_allclose(f[:, 2, 3], f_cell)
-
-    def test_arity_check(self):
-        with pytest.raises(DimensionError):
-            reaction(ModelKind.SIR, np.zeros((3, 2, 2)), 0.0, SCHED)
+        for model in ModelKind:
+            u = rng.uniform(0.0, 0.4, size=(model.n_compartments, 4, 5))
+            f = split_reaction(model, u, 0.0)
+            assert f.shape == u.shape
+            npt.assert_allclose(f, reaction(model, u, 0.0, SCHED), rtol=1e-12, atol=1e-15)
+            # pointwise agreement with the scalar evaluation
+            for iy, ix in np.ndindex(4, 5):
+                npt.assert_allclose(f[:, iy, ix], split_reaction(model, u[:, iy, ix], 0.0))
 
 
 def split_jacobian(model, u, t):

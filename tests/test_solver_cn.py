@@ -27,7 +27,6 @@ from epidiffuse.models import (
     RateSchedule,
     beta_at,
     initial_fractions,
-    reaction,
     reaction_split,
     seed_state,
     transmission_bilinear,
@@ -43,7 +42,7 @@ from epidiffuse.solver_cn import (
 )
 from epidiffuse.solver_fem import run_fem_from_state
 
-from oracles import dense_operators, laplacian_operator
+from oracles import dense_operators, laplacian_operator, reaction
 
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 

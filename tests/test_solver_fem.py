@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from epidiffuse.cli_io import demo_geometry, demo_population
 from epidiffuse.errors import DimensionError, ParameterError, StabilityError
 from epidiffuse.grid import GridSpec
-from epidiffuse.models import ModelKind, ParameterVector, RateSchedule, initial_fractions, reaction
+from epidiffuse.models import ModelKind, ParameterVector, RateSchedule, initial_fractions
 from epidiffuse.solver_cn import run_from_state
 from epidiffuse.solver_fem import _diffuse, _q1_eigenbasis, assemble_fem, run_fem_from_state
+from oracles import reaction
 
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 
