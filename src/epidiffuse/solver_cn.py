@@ -22,8 +22,11 @@ and only the transmission force phi = u_S u_I needs physical space.  A step
     u_{n+1} = Q_y U^_{n+1} Q_x^T                      (the read-out),
 
 is the recursion above in the eigenbasis.  It transforms one field into the
-basis (the force) and the m compartments back: 4 field transforms per SEIR
-step, 3 for SIR and 2 for SIS, against 2m for a solve in physical space.
+basis (the force) and back the rows the next step reads, u_S and u_I (u in
+SIS): 3 field transforms per SEIR step, 3 for SIR and 2 for SIS.  All m rows
+come back by one call, E a 4th, at the whole days and where the guard below
+needs E, and at a last level off a whole day E comes back alone: so S and I
+of a level never depend on where the run ends.
 The population diffuses with the same kappa but no run steps it: nothing
 forces it, so ``Problem.population_at`` forms it with ``_unforced`` at the
 levels it is read alone, scaling its coefficients by (b o g)^d between
@@ -43,7 +46,10 @@ them, and round-off negatives of about 1e-16 appear on most steps of the
 bundled demo.  So a clip does not feed into the linear part of the next step.
 That moves the states by round-off only: over the bundled demo's first 10
 days they differ by at most 5e-14 from steps taken in physical space that
-clip the state itself.
+clip the state itself.  The guard checks the rows read back.  A plain SEIR run
+skips E between whole days only where tau (kappa (hx^-2 + hy^-2) + theta) <= 1:
+then A^{-1} and B - tau theta I are entry-wise non-negative, and E_{n+1} =
+A^{-1}((B - tau theta I) E_n + tau beta phi_n) >= 0 from E_0 >= 0, phi_n >= 0.
 
 An optional correction adds the second-order Taylor term
 (tau^2 / 2) * df/du [kappa L q + f] to the increment, restoring formal
@@ -261,14 +267,15 @@ def _drive(
     t_end: float,
     tau: float,
     every_level: bool,
-    advance: Callable[[np.ndarray, float], np.ndarray],
+    advance: Callable[[np.ndarray, float, slice], np.ndarray],
     remedy: str,
     on_day: Callable[[int, np.ndarray], Any] | None = None,
 ) -> Trajectory:
     """The time-stepping loop behind every forward run; it steps the m compartments alone.
 
-    ``advance(q, t)`` returns the (m, n_cells) read-out one step of tau after the read-out q
-    at t = n tau, level n.  The loop checks each new read-out (``remedy`` is the guard's
+    ``advance(q, t, rows)`` returns the read-out of ``rows`` (or of all m) one step of tau after
+    the read-out q at t = n tau, level n; the loop asks for all m at the whole days and the last
+    level, the force rows elsewhere.  It checks each new read-out (``remedy`` is the guard's
     advice) and clips it before it is stored, stepped from or handed on.  By default it keeps
     level 0, the whole days and the last level; with ``on_day`` or ``every_level`` level 0
     alone, and with ``every_level`` the force rows of levels 1..n_steps in ``between``.
@@ -281,9 +288,8 @@ def _drive(
     q = np.asarray(u0, dtype=float).reshape(m, -1)  # read only: the clip acts on new read-outs
 
     days = _day_levels(steps, tau)
-    keep = np.arange(steps + 1) == 0
-    if on_day is None and not every_level:
-        keep[list(days)] = keep[-1] = True
+    full = np.isin(np.arange(steps + 1), [*days, steps])  # the levels read out in all m rows
+    keep = full if on_day is None and not every_level else np.arange(steps + 1) == 0
     times = (np.arange(steps + 1) * tau)[keep]
     slot = np.cumsum(keep) - 1
     rows = model.force_rows
@@ -297,11 +303,11 @@ def _drive(
     if on_day is not None:
         on_day(0, transmission_bilinear(model, q))
     for n in range(steps):
-        q = advance(q, n * tau)
+        q = advance(q, n * tau, slice(None) if full[n + 1] else rows)
         if _check_sign(q, n * tau + tau, remedy) < 0.0:
             np.clip(q, 0.0, None, out=q)
         if every_level:
-            between[n] = q[rows].reshape(between.shape[1:])
+            between[n] = (q[rows] if len(q) == m else q).reshape(between.shape[1:])
         elif keep[n + 1]:
             states[slot[n + 1]] = q.reshape(states.shape[1:])
         if on_day is not None and n + 1 in days:
@@ -324,17 +330,19 @@ def run_from_state(
 ) -> Trajectory:
     """Integrate from an explicit initial state with the Crank-Nicolson step.
 
-    The run carries the eigenbasis coefficients of the compartments and steps
-    them as the module docstring describes.  ``on_day`` is ``_drive``'s day hook.
+    The run carries the compartments' eigenbasis coefficients and reads back the rows that
+    ``_drive`` asks for, or every row, as the module docstring says.  ``on_day`` is the day hook.
     """
     ws = assemble(grid, kappa, tau)
     basis = ws.basis
     K, e = reaction_split(model, schedule)
     rows = model.force_rows
+    # every row at every level: the corrected step reads E, and in the plain one E may dip
+    every_row = corrected or tau * (kappa * (grid.hx ** -2 + grid.hy ** -2) + schedule.theta) > 1
 
     coef = None  # the carried coefficients U^, formed from level 0's read-out
 
-    def advance(q: np.ndarray, t: float) -> np.ndarray:
+    def advance(q: np.ndarray, t: float, read: slice) -> np.ndarray:
         nonlocal coef
         if coef is None:
             coef = _to_eigen(q, basis)
@@ -352,7 +360,9 @@ def run_from_state(
         else:
             source = e[:, None] * _to_eigen(phi, basis)
         ws._step(coef, K, source)
-        return _from_eigen(coef, basis)
+        if every_row or len(coef[read]) == len(coef[rows]) or _whole_days(t + tau):
+            return _from_eigen(coef if every_row else coef[read], basis)  # by one call
+        return np.insert(_from_eigen(coef[rows], basis), 1, _from_eigen(coef[1:2], basis), axis=0)
 
     return _drive(grid, u0, model, t_end, tau, every_level, advance, "use a smaller tau", on_day)
 

@@ -118,10 +118,10 @@ def run_fem_from_state(
     asm = assemble_fem(grid)
     K, e = reaction_split(model, schedule)
 
-    def advance(u: np.ndarray, t: float) -> np.ndarray:
-        # The diffusion half-steps are checked on their own: their undershoot
-        # does not shrink with tau, so "use a smaller tau" would be wrong advice.
-        # _drive checks the read-out, after the second, with the same advice.
+    def advance(u: np.ndarray, t: float, rows: slice) -> np.ndarray:
+        # It returns every row, whatever ``rows`` asks.  The diffusion half-steps are checked
+        # on their own: their undershoot does not shrink with tau, so "use a smaller tau" would
+        # be wrong advice.  _drive checks the read-out, after the second, with the same advice.
         q = _diffuse(asm, u, kappa, 0.5 * tau)
         _check_sign(q, t + 0.5 * tau, _DIFFUSION_UNDERSHOOT)
         q = _react(q, K, e, model, schedule, t, tau)

@@ -40,6 +40,7 @@ from epidiffuse import (
     union_mask,
 )
 from epidiffuse import solver_cn
+from epidiffuse.grid import _from_eigen
 from epidiffuse.solver_fem import run_fem_from_state
 
 from conftest import START, make_twin
@@ -136,18 +137,25 @@ def test_criterion_2_flat_run_reduces_to_the_ode(capsys, monkeypatch):
 
     S, E and I are compared at every level.  The every-level run holds the
     full state at level 0 and the force rows, S and I, at every later level.
-    E after level 0 is taken from the read-outs the negativity guard sees,
-    which are the stored levels: at kappa = 0 none is clipped.
+    A step reads E back only at the whole days, so E after level 0 is read
+    back here from the coefficients each step carries, through the run's own
+    transform.  The negativity guard sees those read-outs: at kappa = 0 none
+    is clipped.
     """
-    seen, lows = [], []
-    check_sign = solver_cn._check_sign
+    seen, lows, carried = [], [], []
+    check_sign, step = solver_cn._check_sign, solver_cn.CNWorkspace._step
 
     def recording_check(u, t, remedy):
         seen.append(u[:, 0].copy())
         lows.append(check_sign(u, t, remedy))
         return lows[-1]
 
+    def recording_step(ws, x, K, source=None, rows=slice(None)):
+        carried.append(_from_eigen(step(ws, x, K, source, rows), ws.basis)[:, 0])
+        return x
+
     monkeypatch.setattr(solver_cn, "_check_sign", recording_check)
+    monkeypatch.setattr(solver_cn.CNWorkspace, "_step", recording_step)
     nx = 5
     grid = GridSpec(nx, nx, 4.0, 4.0)
     schedule = RateSchedule((0.2, 0.1, 0.1), (32.0, 77.0), 150.0)
@@ -163,12 +171,16 @@ def test_criterion_2_flat_run_reduces_to_the_ode(capsys, monkeypatch):
     assert min(lows) >= 0.0 and len(seen) == len(ref) - 1
     levels = np.empty_like(ref)
     levels[0] = u0[:, 0, 0]
-    levels[1:] = seen
+    levels[1:] = carried
     stored = levels.copy()
     stored[0] = traj.states[0, :, 0, 0]
     stored[1:, 0::2] = traj.between[:, :, 0, 0]
-    # the guard saw exactly what the run stored; S and I are read from the store
+    # the run stored and the guard saw exactly the carried read-outs; S and I are read
+    # from the store, E from the whole days' read-outs and the carried coefficients
     assert stored.tobytes() == levels.tobytes()
+    assert [len(u) for u in seen] == [3 if n % 100 == 0 else 2 for n in range(1, len(ref))]
+    assert all(u.tobytes() == levels[n, ::1 if len(u) == 3 else 2].tobytes()
+               for n, u in enumerate(seen, 1))
     err = float(np.abs(stored - ref).max())
     report(capsys, 2, err < 1e-4,
            f"max abs state error {err:.2e} vs RK4 oracle at tau/100 over "

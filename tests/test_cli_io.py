@@ -256,7 +256,8 @@ class TestCaseFiles:
             "2020-10-02,A,1\n"
             "2020-10-20,A,99\n"
         )
-        back = read_cases(path, START, 2, ["A"])
+        with pytest.warns(RuntimeWarning, match="zero-filled"):
+            back = read_cases(path, START, 2, ["A"])
         assert_allclose(back["A"].new_cases, [4.0, 1.0, 0.0])
 
     def test_duplicate_day_rejected(self, tmp_path):

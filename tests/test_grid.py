@@ -21,6 +21,7 @@ from epidiffuse.grid import (
     region_total,
     union_mask,
 )
+from epidiffuse.models import ModelKind
 from epidiffuse.solver_cn import assemble
 from oracles import laplacian_operator, second_difference_1d
 
@@ -159,6 +160,27 @@ class TestNeumannEigenbasis:
         npt.assert_allclose(Q.T @ D @ Q, np.diag(lam), rtol=0, atol=1e-12 * scale)
         assert lam[0] == 0.0
         assert (np.diff(lam) < 0.0).all()
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("ny, nx", [(9, 9), (17, 17), (33, 33), (101, 101), (256, 256),
+                                        (9, 17), (17, 9), (33, 20), (60, 101), (256, 200)])
+    def test_read_out_of_the_force_rows_alone_is_the_full_read_out(self, model, ny, nx):
+        """_from_eigen of the force rows gives the bytes of those rows of the full read-out.
+
+        A cn step between whole days reads back the force rows alone, so its S and I are those
+        of a read-out of every row where this holds: on the bundled 101x101 grid, the 33x33
+        twin and 256x256, among others.  It does not hold on every shape: with the OpenBLAS
+        0.3.31 that numpy 2.4.6 bundles, about 1 in 18 of the grids up to 40x40 differ in the
+        last bit, such as 2x34 and 3x33.  So a run never mixes the two calls for one level's
+        S and I (``TestStorageRules``).
+        """
+        grid = GridSpec(nx, ny, 3.0, 2.0)
+        basis = assemble(grid, 0.1, 0.25).basis
+        rng = np.random.default_rng(ny * nx)
+        coef = rng.standard_normal((model.n_compartments, grid.n_cells))
+        coef *= np.exp(-rng.uniform(0.0, 30.0, grid.n_cells))  # decaying, as modes do
+        rows = model.force_rows
+        assert _from_eigen(coef[rows], basis).tobytes() == _from_eigen(coef, basis)[rows].tobytes()
 
     def test_cached_basis_is_read_only(self):
         """One basis per (n, h), shared by every caller, so no caller may write into it."""

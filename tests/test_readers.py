@@ -12,6 +12,7 @@ import datetime as dt
 import inspect
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,9 +248,15 @@ class TestCaseReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cases.csv"
             path.write_text("date,region,new_cases\n" + "".join(",".join(r) + "\n" for r in rows))
-            got = outcome(read_cases, path, START, n_days, ["A", "B"])
+            # an example may draw days without a record: read_cases warns exactly then
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = outcome(read_cases, path, START, n_days, ["A", "B"])
             expected = outcome(read_cases_by_rows, path, START, n_days, ["A", "B"])
         assert same_cases(got, expected), (got, expected)
+        gaps = not isinstance(got, str) and any(s.filled_days for s in got.values())
+        assert [(w.category, "zero-filled" in str(w.message)) for w in caught] == (
+            [(RuntimeWarning, True)] if gaps else [])
 
     def test_first_bad_line_is_reported(self, tmp_path):
         """A later row's error never masks an earlier one, whatever the column."""
@@ -263,7 +270,8 @@ class TestCaseReader:
         path = tmp_path / "cases.csv"
         path.write_text("date,region,new_cases\n2020-09-01,A,1\n2020-09-01,A,2\n"
                         "2020-10-01,A,3\n")
-        series = read_cases(path, START, 1, ["A"])
+        with pytest.warns(RuntimeWarning, match="zero-filled"):
+            series = read_cases(path, START, 1, ["A"])
         np.testing.assert_array_equal(series["A"].new_cases, [3.0, 0.0])
         assert series["A"].filled_days == (1,)
 

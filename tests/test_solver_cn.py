@@ -32,7 +32,7 @@ from epidiffuse.models import (
     transmission_bilinear,
     transmission_derivative,
 )
-from epidiffuse import solver_cn
+from epidiffuse import solver_cn, solver_fem
 from epidiffuse.objective import ObjectiveWeights
 from epidiffuse.solver_cn import (
     assemble,
@@ -213,6 +213,27 @@ class TestStepForward:
             coef = coef * power
             expected.append(from_eigen(coef, ws.basis).reshape(grid.shape))
         assert population.tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.integers(2, 9), ny=st.integers(2, 9), lx=st.floats(0.5, 20.0),
+           ly=st.floats(0.5, 20.0), kappa=st.floats(0.0, 1.0),
+           tau=st.sampled_from([1.0, 0.5, 0.25, 0.1]), theta=st.floats(0.01, 2.0))
+    def test_e_cannot_go_negative_where_its_read_out_is_skipped(self, nx, ny, lx, ly, kappa,
+                                                                  tau, theta):
+        """Where tau (kappa (hx^-2 + hy^-2) + theta) <= 1, A^{-1} and B - tau theta I are
+        entry-wise non-negative, so E_{n+1} = A^{-1}((B - tau theta I) E_n + tau beta phi_n)
+        stays non-negative and a plain SEIR step may skip E's read-out between whole days.
+        Above the bound B - tau theta I has a negative entry on a grid of 3 nodes a side.
+        """
+        grid = GridSpec(nx, ny, lx, ly)
+        bound = tau * (kappa * (grid.hx ** -2 + grid.hy ** -2) + theta)
+        A, B = dense_operators(grid, kappa, tau)
+        step = B - tau * theta * np.eye(grid.n_cells)
+        if bound <= 1.0:
+            assert np.linalg.inv(A).min() >= -1e-15
+            assert step.min() >= -1e-15
+        elif min(nx, ny) >= 3:
+            assert step.min() < 0.0
 
     def test_trivial_step_is_explicit_euler(self):
         grid = GridSpec(3, 3, 1.0, 1.0)
@@ -570,6 +591,10 @@ class TestStorageRules:
            run=st.sampled_from([run_from_state, run_fem_from_state]),
            tau=st.sampled_from([0.5, 0.25, 0.125]), t_end=st.sampled_from([2.0, 2.5]))
     @each_model_on_both_runners
+    @example(grid=GridSpec(3, 4, 0.5, 0.5), kappa=1.0, model=ModelKind.SEIR, run=run_from_state,
+             tau=0.5, t_end=2.0)  # E alone goes below -1e-10, at t = 0.5
+    @example(grid=GridSpec(33, 2, 1.0, 1.0), kappa=0.0, model=ModelKind.SEIR, run=run_from_state,
+             tau=0.5, t_end=2.0)  # a shape where _from_eigen's rows depend on how many it reads
     def test_every_level_keeps_level_0_and_the_force_rows_after_it(
         self, grid, kappa, model, run, tau, t_end
     ):
@@ -586,12 +611,14 @@ class TestStorageRules:
         args = (grid, u0, model, SCHED, kappa, t_end, tau)
         try:
             daily = run(*args)
-        except StabilityError:
+        except StabilityError as refused:
             # cn is not positive at large c |lam| (kappa = 1, tau = 0.5 on a 3x4 grid of
-            # 0.5 x 0.5 goes below -1e-10 at t = 0.5); every rule takes the same steps
+            # 0.5 x 0.5 takes SEIR's E below -1e-10 at t = 0.5); every rule takes the same
+            # steps and checks the same rows at the same levels, so each refuses the same step
             for kwargs in ({"every_level": True}, {"on_day": lambda day, q: None}):
-                with pytest.raises(StabilityError):
+                with pytest.raises(StabilityError) as err:
                     run(*args, **kwargs)
+                assert str(err.value) == str(refused)
             return
         steps = round(t_end / tau)
         kept = sorted({n for n in range(steps + 1) if (n * tau).is_integer()} | {steps})
@@ -629,3 +656,40 @@ class TestStorageRules:
         assert fields == (m + steps * r) * grid.n_cells * 8
         arrays = [v for v in vars(every).values() if isinstance(v, np.ndarray)]
         assert sum(a.nbytes for a in arrays) == fields + every.times.nbytes
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("kappa", [0.1, 3.0])
+    def test_steps_read_back_the_force_rows_alone_between_whole_days(self, monkeypatch, model,
+                                                                      kappa):
+        """A plain cn step reads back every row by one call at the whole days, the force rows
+        alone at the other levels, and at a last level off a whole day the force rows, then E
+        alone, whatever the run keeps.
+
+        That holds where tau (kappa (hx^-2 + hy^-2) + theta) <= 1, here 0.12 at kappa = 0.1;
+        at kappa = 3 (1.17) E might go negative, and the step reads back every row.  The
+        corrected step and fem-split step from the full read-out, so they read back every row
+        at every level.  In SIR and SIS the force rows are every row.
+        """
+        reads = []
+        for module in (solver_cn, solver_fem):
+            def counted(coef, basis, inner=module._from_eigen):
+                reads.append(len(coef))
+                return inner(coef, basis)
+            monkeypatch.setattr(module, "_from_eigen", counted)
+        grid = GridSpec(7, 5, 6.0, 6.0)
+        cx = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.nx)))
+        cy = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.ny)))
+        u0 = seed_state(model, 0.01 + 0.04 * np.outer(cy, cx))
+        args = (grid, u0, model, SCHED, kappa, 2.5, 0.25)
+        m, r = model.n_compartments, len(u0[model.force_rows])
+        assert (m, r) == {ModelKind.SIS: (1, 1), ModelKind.SIR: (2, 2), ModelKind.SEIR: (3, 2)}[model]
+        # levels 4 and 8 fall on days 1 and 2, and 10, at t = 2.5, is the last
+        plain = [[m] if n in (4, 8) or kappa > 1.0 or r == m else [r] for n in range(1, 10)]
+        plain = sum(plain, []) + ([m] if kappa > 1.0 or r == m else [r, m - r])
+        for store in ({}, {"every_level": True}, {"on_day": lambda day, phi: None}):
+            for run, per_step in ((run_from_state, None),
+                                  (lambda *a, **k: run_from_state(*a, corrected=True, **k), [r, m]),
+                                  (run_fem_from_state, [m, m])):  # two diffusion half-steps
+                reads.clear()
+                run(*args, **store)
+                assert reads == (plain if per_step is None else per_step * 10)
