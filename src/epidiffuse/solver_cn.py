@@ -10,7 +10,7 @@ the nonlinear reaction explicitly.  Neither A, B nor L is ever formed.
 L = Dyy (x) I + I (x) Dxx is defined by its eigenpairs in the cosine (DCT-II)
 basis Q_y (x) Q_x (``grid.neumann_eigenbasis``), so in that basis A^{-1} is the
 pointwise gain g = 1 / (1 - c (lam_y + lam_x)) and, through A + B = 2 I,
-B is b = 2 - 1/g.  Only g depends on kappa and tau.
+B is 2 - 1/g.  Only g depends on kappa and tau.
 
 The forward run carries the coefficients U^ = Q_y^T U Q_x of its state from
 step to step.  The reaction splits as f(u) = K u + e beta(t) phi(u)
@@ -18,19 +18,19 @@ step to step.  The reaction splits as f(u) = K u + e beta(t) phi(u)
 and only the transmission force phi = u_S u_I needs physical space.  A step
 
     phi_n = beta(t_n) phi(u_n)                        on the read-out u_n,
-    U^_{n+1} = g o (b o U^_n + tau (K U^_n + e (x) phi^_n)),
+    U^_{n+1} = M U^_n + e (x) (tau g o phi^_n),     M = g o ((2 - 1/g) I + tau K),
     u_{n+1} = Q_y U^_{n+1} Q_x^T                      (the read-out),
 
-is the recursion above in the eigenbasis.  It transforms one field into the
-basis (the force) and back the rows the next step reads, u_S and u_I (u in
-SIS): 3 field transforms per SEIR step, 3 for SIR and 2 for SIS.  All m rows
+is the recursion above in the eigenbasis: M, one fixed m x m matrix per mode,
+lower triangular as K is, is formed once per run.  A step transforms one field
+into the basis (the force) and back the rows the next step reads, u_S and u_I
+(u in SIS): 3 field transforms per SEIR step, 3 for SIR and 2 for SIS.  All m rows
 come back by one call, E a 4th, at the whole days and where the guard below
 needs E, and at a last level off a whole day E comes back alone: so S and I
 of a level never depend on where the run ends.
-The population diffuses with the same kappa but no run steps it: nothing
-forces it, so ``Problem.population_at`` forms it with ``_unforced`` at the
-levels it is read alone, scaling its coefficients by (b o g)^d between
-levels d steps apart.
+The population diffuses with the same kappa, but nothing forces it and no run
+steps it: ``Problem.population_at`` forms it with ``_unforced`` at the levels
+it is read alone, scaling its coefficients by ((2 - 1/g) o g)^d over d steps.
 The constant mode has gain 1, so its integral is conserved exactly up to
 round-off.  Modes with c |lam| near 1 fall below the smallest normal double
 (2.2e-308) within a few dozen steps, and a product with a subnormal operand
@@ -62,16 +62,16 @@ transforms, SIR 6 and SIS 4.  It is off by default; the plain scheme is the
 reference behaviour and the backward sweep mirrors it exactly (the adjoint
 refuses corrected problems).
 
-The step X <- g o (b o X + tau (K X + S)) is written once,
-``CNWorkspace._step``, and the forward run and the sweep step in the basis
-with it, at kappa = 0 too (g = b = 1 there).
+The step X <- M X + g o S, or M^T X + g o S from the same arrays, is written
+once, ``CNWorkspace._step``, and the forward run and the sweep step in the
+basis with it, at kappa = 0 too (g = 1 and M = I + tau K there).
 
 ``sweep`` is the reverse mode (Griewank & Walther, Evaluating Derivatives,
 2nd ed., SIAM 2008) of the plain run: the transpose of its carried
 recursion.  It carries Z = Q^T z, the multiplier in the cosine eigenbasis,
-and steps it with the forward's step and K^T:
+and steps it with the transpose of the forward's step:
 
-    Z <- g o (b o Z + tau (K^T Z + Q^T[(d phi/du)(u_n) o s_n])),
+    Z <- M^T Z + tau g o Q^T[(d phi/du)(u_n) o s_n],
     s_n = beta(t_n) (e . z_n) + (dJ/dphi at day mark n) / tau,
 
 the impulse only on day marks, where it shares the step's d phi/du and so
@@ -79,7 +79,7 @@ costs no transform, and is formed from the phi the step already reads.  The
 kappa derivative pairs (tau/2) Z_{n-1} with
 lam (U^_{n-1} + U^_n), and the trajectory does not store the carried
 coefficients U^.  So the sweep carries a second multiplier
-W <- a_n + g o (b o W + tau K^T W), a_n = (tau/2) lam (Z_n + Z_{n-1}), and
+W <- a_n + M^T W, a_n = (tau/2) lam (Z_n + Z_{n-1}), and
 summation by parts gives sum_n a_n . U^_n = W_0 . Q^T u_0
 + sum_n (g tau e . W_{n+1}) . phi^_n: g tau e . W leaves the basis with
 e . Z and pairs, by Parseval, with the stored force beta phi(u_n).  A SEIR
@@ -128,30 +128,40 @@ STUDY_TAUS = (0.4, 0.2, 0.1)
 
 @dataclass
 class CNWorkspace:
-    """The Crank-Nicolson step for one (grid, kappa, tau) combination.
+    """The Crank-Nicolson step for one (grid, kappa, tau) and one reaction split (K, e).
 
-    ``basis`` = (Q_y, Q_x) is the eigenbasis of L and ``lam`` its eigenvalues;
-    A^{-1} is the pointwise ``gain`` and B is ``b`` = 2 - 1/gain, all flat
-    over the n_cells modes.  At kappa == 0 gain and b are ones.  Fields and
-    coefficients are stacks of shape (k, n_cells), flattened in C order.
+    ``basis`` = (Q_y, Q_x) is L's eigenbasis, ``lam`` its eigenvalues and ``gain`` g the pointwise
+    A^{-1}.  M keeps its diagonal in ``diag``, (m, n_cells), and each (i, k, tau K_ik g) off it
+    with K_ik != 0 in ``off``; the force enters rows ``gains`` (e_i = 1), leaves ``losses`` (-1).
     """
 
-    tau: float
     basis: tuple[np.ndarray, np.ndarray]
     lam: np.ndarray
     gain: np.ndarray
-    b: np.ndarray
+    diag: np.ndarray
+    off: list[tuple[int, int, np.ndarray]]
+    gains: np.ndarray
+    losses: np.ndarray
 
-    def _step(self, x: np.ndarray, K: np.ndarray, source: np.ndarray | None = None,
-              rows: slice = slice(None)) -> np.ndarray:
-        """x <- g o (b o x + tau (K x + source)) in place, ``source`` on the ``rows`` it names."""
-        rate = K @ x
-        if source is not None:
-            rate[rows] += source
-        rate *= self.tau
-        x *= self.b
-        x += rate
-        x *= self.gain
+    def _step(self, x: np.ndarray, source: np.ndarray | None = None, rows: slice = slice(None),
+              transpose: bool = False) -> np.ndarray:
+        """x <- M x + g o S in place, or M^T x + g o S with ``transpose``; S is tau times a force.
+
+        S is e (x) ``source`` for one field (n_cells,), or a stack ``source`` on its ``rows``.
+        """
+        carried = [(k, c * x[i]) if transpose else (i, c * x[k]) for i, k, c in self.off]
+        x *= self.diag
+        for i, product in carried:
+            x[i] += product
+        if source is not None and source.ndim == 1:
+            force = self.gain * source
+            for i in self.gains:
+                x[i] += force
+            for i in self.losses:
+                x[i] -= force
+        elif source is not None:
+            for row, field in zip(x[rows], source):
+                row += self.gain * field
         return x
 
 
@@ -170,17 +180,21 @@ def _check_tau(tau: float) -> None:
         raise ParameterError(f"tau={tau} must divide one day into whole steps")
 
 
-def assemble(grid: GridSpec, kappa: float, tau: float) -> CNWorkspace:
-    """Build the Crank-Nicolson step: the eigenbasis of L and the gain of A^{-1}.
+def assemble(grid: GridSpec, kappa: float, tau: float,
+             split: tuple[np.ndarray, np.ndarray] | None = None) -> CNWorkspace:
+    """The step of the reaction ``split`` = (K, e) (``reaction_split``), or of an unforced field.
 
     Raises ParameterError for kappa < 0 or tau outside (0, MAX_TAU].
     """
     _check_step(kappa, tau)
+    K, e = split if split is not None else (np.zeros((1, 1)), np.zeros(1))
     Qy, lam_y = neumann_eigenbasis(grid.ny, grid.hy)
     Qx, lam_x = neumann_eigenbasis(grid.nx, grid.hx)
     lam = (lam_y[:, None] + lam_x[None, :]).reshape(-1)
     gain = 1.0 / (1.0 - 0.5 * tau * kappa * lam)
-    return CNWorkspace(tau, (Qy, Qx), lam, gain, 2.0 - 1.0 / gain)
+    diag = gain * ((2.0 - 1.0 / gain) + tau * np.diag(K)[:, None])
+    off = [(i, k, (tau * K[i, k]) * gain) for i, k in np.argwhere(K) if i != k]
+    return CNWorkspace((Qy, Qx), lam, gain, diag, off, np.flatnonzero(e > 0), np.flatnonzero(e < 0))
 
 
 def _check_sign(u: np.ndarray, t: float, remedy: str) -> float:
@@ -237,10 +251,10 @@ def _whole_steps(t_end: float, tau: float) -> int:
 def _unforced(ws: CNWorkspace, fields: np.ndarray, levels: list[int]) -> np.ndarray:
     """Fields (..., ny, nx) that nothing forces, read out at the step ``levels`` (the first 0).
 
-    Over a gap of d steps the coefficients are scaled by (b o gain)^d, formed by d products
+    Over a gap of d steps the coefficients are scaled by ((2 - 1/g) o g)^d, formed by d products
     once per d, and zeroed below the smallest normal double before each read-out.
     """
-    factor, powers = ws.b * ws.gain, {}
+    factor, powers = (2.0 - 1.0 / ws.gain) * ws.gain, {}
     coef = _to_eigen(fields, ws.basis)
     out = [fields]
     for d in np.diff(levels).tolist():
@@ -333,9 +347,9 @@ def run_from_state(
     The run carries the compartments' eigenbasis coefficients and reads back the rows that
     ``_drive`` asks for, or every row, as the module docstring says.  ``on_day`` is the day hook.
     """
-    ws = assemble(grid, kappa, tau)
-    basis = ws.basis
     K, e = reaction_split(model, schedule)
+    ws = assemble(grid, kappa, tau, (K, e))
+    basis = ws.basis
     rows = model.force_rows
     # every row at every level: the corrected step reads E, and in the plain one E may dip
     every_row = corrected or tau * (kappa * (grid.hx ** -2 + grid.hy ** -2) + schedule.theta) > 1
@@ -347,7 +361,7 @@ def run_from_state(
         if coef is None:
             coef = _to_eigen(q, basis)
         beta = beta_at(schedule, t)
-        phi = beta * transmission_bilinear(model, q)
+        phi = (beta if corrected else tau * beta) * transmission_bilinear(model, q)
         if corrected:
             diffusion = (kappa * ws.lam) * coef  # kappa L U^
             flow = _from_eigen(diffusion[rows], basis)
@@ -357,9 +371,9 @@ def run_from_state(
             phi_coef, force = _to_eigen(np.stack([phi, phi + (0.5 * tau * beta) * dphi]), basis)
             source = (0.5 * tau) * (K @ (diffusion + K @ coef + np.multiply.outer(e, phi_coef)))
             source += np.multiply.outer(e, force)
+            ws._step(coef, tau * source)
         else:
-            source = e[:, None] * _to_eigen(phi, basis)
-        ws._step(coef, K, source)
+            ws._step(coef, _to_eigen(phi, basis)[0])  # the force times tau
         if every_row or len(coef[read]) == len(coef[rows]) or _whole_days(t + tau):
             return _from_eigen(coef if every_row else coef[read], basis)  # by one call
         return np.insert(_from_eigen(coef[rows], basis), 1, _from_eigen(coef[1:2], basis), axis=0)
@@ -381,14 +395,14 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
     if traj.between is None:
         raise SequencingError("adjoint sweep needs every forward level; run with every_level=True")
     tau = traj.tau
-    ws = assemble(traj.grid, kappa, tau)
-    basis = ws.basis
     model = traj.model
+    K, e = reaction_split(model, schedule)
+    ws = assemble(traj.grid, kappa, tau, (K, e))
+    basis = ws.basis
     m, n_cells = model.n_compartments, traj.grid.n_cells
     rows = model.force_rows  # the rows phi reads and d phi / du fills
     steps = len(traj.between)
     marks = _day_levels(steps, tau)
-    K, e = reaction_split(model, schedule)
     half_tau = 0.5 * tau
     g_beta = np.zeros(3)
     g_kappa = 0.0
@@ -409,15 +423,15 @@ def sweep(traj: Trajectory, schedule: RateSchedule, kappa: float,
         # compartment (E in SEIR, I in SIR); in SIS it is the gain of I
         g_beta[beta_interval(schedule, t)] += tau * float(phi @ ez)
         g_kappa += half_tau * tau * beta * float(phi @ gw)
-        s = ez
-        s *= beta
+        s = ez  # tau s_n
+        s *= tau * beta
         if n in marks:
-            s += impulse(marks[n], phi) / tau
+            s += impulse(marks[n], phi)
         source = _to_eigen(transmission_derivative(model, v) * s, basis)
         # W <- a_n + M^T W, with Z_{-1} = 0 in a_0
-        ws._step(W, K.T)
+        ws._step(W, transpose=True)
         W += ws.lam * Z
-        ws._step(Z, K.T, source, rows)
+        ws._step(Z, source, rows, transpose=True)
         if n:
             W += ws.lam * Z
 

@@ -150,8 +150,8 @@ def test_criterion_2_flat_run_reduces_to_the_ode(capsys, monkeypatch):
         lows.append(check_sign(u, t, remedy))
         return lows[-1]
 
-    def recording_step(ws, x, K, source=None, rows=slice(None)):
-        carried.append(_from_eigen(step(ws, x, K, source, rows), ws.basis)[:, 0])
+    def recording_step(ws, x, source=None, rows=slice(None), transpose=False):
+        carried.append(_from_eigen(step(ws, x, source, rows, transpose), ws.basis)[:, 0])
         return x
 
     monkeypatch.setattr(solver_cn, "_check_sign", recording_check)

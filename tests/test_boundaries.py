@@ -89,6 +89,13 @@ def test_one_driver_two_steppers():
     assert users == {"solver_cn.run_from_state", "solver_fem.run_fem_from_state"}, users
 
 
+def test_the_runs_step_with_one_operator():
+    """CNWorkspace._step, the per-mode step M and its transpose, is called by the forward
+    run and the sweep alone."""
+    users = users_of("_step")
+    assert users == {"solver_cn.run_from_state", "solver_cn.sweep"}, users
+
+
 def test_the_population_is_formed_in_one_place():
     """Only Problem.population_at forms the population, beside the refinement study's
     pure diffusion; no forward run takes one."""

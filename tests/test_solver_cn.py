@@ -47,11 +47,11 @@ from oracles import dense_operators, laplacian_operator, reaction
 SCHED = RateSchedule((0.2, 0.1, 0.3), (10.0, 20.0), 40.0)
 
 
-def physical_step(ws, u, K, r=None):
-    """The carried step seen in physical space: Q ws._step(Q^T u, K, Q^T r)."""
+def physical_step(ws, u, r=None, transpose=False):
+    """The carried step seen in physical space: Q ws._step(Q^T u, Q^T r, transpose=transpose)."""
     x = _to_eigen(u, ws.basis)
     source = None if r is None else _to_eigen(r, ws.basis)
-    return _from_eigen(ws._step(x, K, source), ws.basis)
+    return _from_eigen(ws._step(x, source, transpose=transpose), ws.basis)
 
 
 def population_of(traj, kappa, pop):
@@ -68,15 +68,15 @@ def dense_step(A, B, tau, u, K, r):
 class TestAssemble:
     def test_A_plus_B_is_twice_identity(self):
         grid = GridSpec(5, 4, 1.0, 1.0)
-        ws = assemble(grid, 0.3, 0.25)
+        ws = assemble(grid, 0.3, 0.25, (np.zeros((2, 2)), np.zeros(2)))
         A, B = dense_operators(grid, 0.3, 0.25)
         npt.assert_allclose(A + B, 2.0 * np.eye(grid.n_cells), atol=1e-14)
         # the step eliminates B through A + B = 2 I: b = 2 - 1/gain is B in the basis
         u = np.random.default_rng(3).normal(size=(2, grid.n_cells))
-        npt.assert_allclose(_from_eigen(ws.b * _to_eigen(u, ws.basis), ws.basis), (B @ u.T).T,
-                            atol=1e-14)
+        npt.assert_allclose(_from_eigen((2.0 - 1.0 / ws.gain) * _to_eigen(u, ws.basis), ws.basis),
+                            (B @ u.T).T, atol=1e-14)
         expected = np.linalg.solve(A, B @ u.T).T
-        npt.assert_allclose(physical_step(ws, u, np.zeros((2, 2))), expected, atol=1e-14)
+        npt.assert_allclose(physical_step(ws, u), expected, atol=1e-14)
 
     def test_solve_inverts_A(self):
         rng = np.random.default_rng(1)
@@ -91,14 +91,16 @@ class TestAssemble:
         """At kappa = 0 the step is explicit Euler."""
         grid = GridSpec(4, 4, 1.0, 1.0)
         tau = 0.5
-        ws = assemble(grid, 0.0, tau)
-        npt.assert_array_equal(ws.gain, 1.0)
-        npt.assert_array_equal(ws.b, 1.0)
-        x = np.arange(2 * grid.n_cells, dtype=float).reshape(2, -1)
         K = np.array([[-0.3, 0.0], [0.3, -0.1]])
+        ws = assemble(grid, 0.0, tau, (K, np.zeros(2)))
+        npt.assert_array_equal(ws.gain, 1.0)
+        assert (ws.diag == (1.0 + tau * np.diag(K))[:, None]).all()
+        x = np.arange(2 * grid.n_cells, dtype=float).reshape(2, -1)
         r = np.ones((2, grid.n_cells))
-        expected = x + (K @ x + r) * tau
-        npt.assert_array_equal(ws._step(x.copy(), K, r), expected)
+        # (I + tau K) x + tau r, each row's products summed in column order
+        euler = np.eye(2) + tau * K
+        expected = euler[:, :1] * x[0] + euler[:, 1:] * x[1] + r * tau
+        npt.assert_array_equal(ws._step(x.copy(), tau * r), expected)
 
     def test_parameter_validation(self):
         grid = GridSpec(4, 4, 1.0, 1.0)
@@ -204,9 +206,10 @@ class TestStepForward:
 
         # unflushed, p^ <- (b o gain)^4 o p^ from day to day, the power by 4 products
         ws = assemble(grid, kappa, tau)
-        power = np.ones_like(ws.b)
+        b = 2.0 - 1.0 / ws.gain
+        power = np.ones_like(b)
         for _ in range(round(1 / tau)):
-            power *= ws.b * ws.gain
+            power *= b * ws.gain
         coef = _to_eigen(pop, ws.basis)
         expected = [pop]
         for _ in range(days):
@@ -328,12 +331,12 @@ class TestStepBackward:
         rng = np.random.default_rng(4)
         grid = GridSpec(5, 6, 1.0, 1.5)
         tau = 0.25
-        ws = assemble(grid, 0.2, tau)
         A, B = dense_operators(grid, 0.2, tau)
         K = rng.normal(size=(2, 2))
+        ws = assemble(grid, 0.2, tau, (K, np.zeros(2)))
         z = rng.normal(size=(2, grid.n_cells))
         source = rng.normal(size=(2, grid.n_cells))
-        prev = physical_step(ws, z, K.T, source)
+        prev = physical_step(ws, z, tau * source, transpose=True)
         rhs = B @ z.T + tau * (K.T @ z + source).T
         npt.assert_allclose(A @ prev.T, rhs, atol=1e-12)
 
@@ -341,7 +344,7 @@ class TestStepBackward:
         grid = GridSpec(3, 3, 1.0, 1.0)
         ws = assemble(grid, 0.1, 0.5)
         z = -np.ones((1, grid.n_cells))
-        out = physical_step(ws, z, np.zeros((1, 1)))
+        out = physical_step(ws, z)
         assert (out < 0.0).all()
 
 
@@ -490,7 +493,7 @@ class TestEigenbasisProperties:
         r = rng.normal(scale=0.1, size=(k, grid.n_cells))
         A, B = dense_operators(grid, kappa, tau)
         expected = dense_step(A, B, tau, u, K, r)
-        got = physical_step(assemble(grid, kappa, tau), u, K, r)
+        got = physical_step(assemble(grid, kappa, tau, (K, np.zeros(k))), u, tau * r)
         assert got.shape == u.shape
         # Any solve with A, the dense reference included, is accurate only to
         # about eps * cond(A), where cond(A) = 1 + c * lam_max; past a
@@ -505,14 +508,58 @@ class TestEigenbasisProperties:
     def test_sweep_step_is_the_transpose(self, grid, kappa, tau, model, seed):
         """<M x, y> = <x, M^T y> for the forward's linear step M (with K) and the sweep's (K^T)."""
         rng = np.random.default_rng(seed)
-        ws = assemble(grid, kappa, tau)
-        K, _ = reaction_split(model, SCHED)
+        ws = assemble(grid, kappa, tau, reaction_split(model, SCHED))
         x = rng.normal(size=(model.n_compartments, grid.n_cells))
         y = rng.normal(size=x.shape)
-        mx = ws._step(x.copy(), K)
-        mty = ws._step(y.copy(), K.T)
+        mx = ws._step(x.copy())
+        mty = ws._step(y.copy(), transpose=True)
         scale = np.abs(mx * y).sum()
         assert abs(np.vdot(mx, y) - np.vdot(x, mty)) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, kappa=kappas, tau=taus, model=st.sampled_from(list(ModelKind)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_forced_step_is_the_per_mode_operator(self, grid, kappa, tau, model, seed):
+        """M = A^{-1}(B + tau K), formed once per run, with the force entering through e; the
+        sweep's step, source on the force rows, is its transpose.
+
+        With F(x, f) = M x + g o (e (x) f) and T(y, S) = M^T y + g o S on the force rows,
+        <F(x, f), y> = <x, T(y, 0)> + <f, g o (e . y)> and
+        <T(y, S), x> = <y, F(x, 0)> + <S, g o x[rows]>.
+        """
+        rng = np.random.default_rng(seed)
+        K, e = reaction_split(model, SCHED)
+        ws = assemble(grid, kappa, tau, (K, e))
+        rows = model.force_rows
+        x, y = rng.normal(size=(2, model.n_compartments, grid.n_cells))
+        f = rng.normal(size=grid.n_cells)
+        src = rng.normal(size=x[rows].shape)
+        fx, f0 = ws._step(x.copy(), f), ws._step(x.copy())
+        ty, t0 = ws._step(y.copy(), src, rows, transpose=True), ws._step(y.copy(), transpose=True)
+
+        def holds(left, right):
+            """<a, b> of the pair ``left`` equals the sum over the pairs ``right``, to 1e-13."""
+            scale = sum(np.abs(a * b).sum() for a, b in (left, *right))
+            return abs(np.vdot(*left) - sum(np.vdot(a, b) for a, b in right)) <= 1e-13 * scale
+
+        assert holds((fx, y), [(x, t0), (f, ws.gain * (e @ y))])
+        assert holds((ty, x), [(y, f0), (src, ws.gain * x[rows])])
+
+        # in physical space, against the dense A^{-1}(B u + tau (K u + r)), within the bound of
+        # test_step_matches_dense_solve
+        A, B = dense_operators(grid, kappa, tau)
+        cond = 1.0 + 2.0 * kappa * tau * (grid.hx ** -2 + grid.hy ** -2)
+        tol = 1e-12 * max(1.0, cond / 1000.0)
+        r = rng.normal(scale=0.1, size=grid.n_cells)
+        on_rows = np.zeros_like(y)
+        on_rows[rows] = src
+        for got, expected in (
+                (ws._step(_to_eigen(x, ws.basis), _to_eigen(tau * r, ws.basis)[0]),
+                 dense_step(A, B, tau, x, K, np.multiply.outer(e, r))),
+                (ws._step(_to_eigen(y, ws.basis), _to_eigen(tau * src, ws.basis), rows,
+                          transpose=True), dense_step(A, B, tau, y, K.T, on_rows))):
+            got = _from_eigen(got, ws.basis)
+            assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
 
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, kappa=kappas, tau=taus, seed=st.integers(0, 2**32 - 1))
@@ -693,3 +740,24 @@ class TestStorageRules:
                 reads.clear()
                 run(*args, **store)
                 assert reads == (plain if per_step is None else per_step * 10)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_sweep_makes_two_transforms_out_and_the_force_rows_in_per_level(self, monkeypatch,
+                                                                           model):
+        """Each level of the sweep transforms e . Z and g o (e . W) out, 2 fields, and
+        (d phi/du) o s in, on the force rows: 2 in SEIR and SIR, 1 in SIS.  After the last
+        level it transforms level 0's state in and dJ/dq_0 out, m fields each."""
+        grid = GridSpec(7, 5, 6.0, 6.0)
+        cx = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.nx)))
+        cy = 0.5 * (1.0 + np.cos(np.pi * np.linspace(0.0, 1.0, grid.ny)))
+        u0 = seed_state(model, 0.01 + 0.04 * np.outer(cy, cx))
+        traj = run_from_state(grid, u0, model, SCHED, 0.1, 2.5, 0.25, every_level=True)
+        moves = []
+        for way, name in (("in", "_to_eigen"), ("out", "_from_eigen")):
+            def counted(fields, basis, way=way, inner=getattr(solver_cn, name)):
+                moves.append((way, len(fields.reshape(-1, grid.n_cells))))
+                return inner(fields, basis)
+            monkeypatch.setattr(solver_cn, name, counted)
+        solver_cn.sweep(traj, SCHED, 0.1, lambda day, phi: np.ones_like(phi))
+        m, r = model.n_compartments, len(u0[model.force_rows])
+        assert moves == [("out", 2), ("in", r)] * 11 + [("in", m), ("out", m)]
